@@ -426,10 +426,6 @@ def _static_constants(
     }
 
 
-def _hankel_threshold(n: int, W_size: int, sigma_n_H: float) -> float:
-    return sigma_n_H / (2.0 * W_size * math.sqrt(n))
-
-
 def compute_certificate(
     model: LssModel,
     dist: SwitchingDistribution,
@@ -465,7 +461,7 @@ def compute_certificate(
     K_tilde = c["K_0"] * math.sqrt(8.0 * log_term / N)
     K_deltaN = math.sqrt(m) * c["K_minus1"] * K_tilde
 
-    thr = _hankel_threshold(n, c["W_size"], sigma_n_H)
+    thr = sigma_n_H / (2.0 * c["W_size"] * math.sqrt(n))
     N_min_basic = 2 * (2 * n + 1) + 1
     c_over = math.sqrt(m) * c["K_minus1"] * c["K_0"] * math.sqrt(8.0 * log_term)
     N_min_hankel = _ceil_threshold(c_over, thr)
@@ -509,17 +505,23 @@ def min_valid_N(
     stability: StabilityCertificate | None = None,
     gamma_target: float | None = None,
 ) -> int:
-    """Smallest N at which the bound's validity conditions both hold."""
-    if stability is None:
-        if gamma_target is not None:
-            stability = find_P(model, dist, gamma_target)
-        else:
-            stability = min_gamma_certificate(model, dist)
-    c = _static_constants(model, dist, signal, sel, sigma_n_H, stability)
-    log_term = math.log(2.0 * model.m * c["W_size"] / delta)
-    c_over = math.sqrt(model.m) * c["K_minus1"] * c["K_0"] * math.sqrt(8.0 * log_term)
-    thr = _hankel_threshold(model.n, c["W_size"], sigma_n_H)
-    return max(2 * (2 * model.n + 1) + 1, _ceil_threshold(c_over, thr))
+    """Smallest N at which the bound's validity conditions both hold.
+
+    Both thresholds are independent of N, so this reads them off one
+    :func:`compute_certificate` call at an arbitrary N.
+    """
+    bc = compute_certificate(
+        model,
+        dist,
+        signal,
+        sel,
+        sigma_n_H,
+        delta,
+        1,
+        stability=stability,
+        gamma_target=gamma_target,
+    )
+    return max(bc.N_min_basic, bc.N_min_hankel)
 
 
 def save_bound_certificate(path: str, bc: BoundCertificate) -> None:

@@ -26,7 +26,6 @@ from .bounds import (
     compute_certificate,
     find_P,
     gamma_from_P,
-    min_gamma_certificate,
     min_valid_N,
     load_P_matrix,
     save_bound_certificate,
@@ -189,7 +188,7 @@ def cmd_identify(args) -> int:
 
 def cmd_selection(args) -> int:
     model, _, _, _ = _resolve_model(args)
-    sel = find_selection(model, exhaustive=args.exhaustive)
+    sel = find_selection(model)
     words = sorted(required_words(sel, model.nQ), key=lambda w: (len(w), w))
     hs = build_hankels(true_markov_map(model, words), sel)
     sigma_n = float(np.linalg.svd(hs.H_ab, compute_uv=False)[-1])
@@ -330,7 +329,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("selection", help="search a nonsingular Hankel sub-basis")
     _add_model_flags(p)
-    p.add_argument("--exhaustive", action="store_true", help="scan all subsets")
     p.add_argument("--out", help="selection JSON path")
     p.set_defaults(func=cmd_selection)
 

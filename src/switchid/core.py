@@ -167,6 +167,14 @@ def a_word(model: LssModel, w: Word) -> np.ndarray:
     return M
 
 
+def check_mode_labels(q: np.ndarray, nQ: int) -> None:
+    """Refuse a mode sequence with a label outside 1..nQ, naming the first."""
+    bad = (q < 1) | (q > nQ)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValueError(f"mode label {q[t]} at step {t} outside 1..{nQ}")
+
+
 def p_word(dist: SwitchingDistribution, w: Word) -> float:
     """Probability of observing the mode word w: product of p[w_i], 1 for epsilon."""
     out = 1.0

@@ -166,7 +166,9 @@ def _run_one_trial(
 def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
     """Run the whole grid; returns rows sorted by grid point and trial.
 
-    ``progress`` may be a callable taking one status string.  With
+    ``progress`` may be a callable taking one status string.  A gamma
+    with no stability certificate gives its rows bound = NaN and
+    valid = False, and ``progress`` is told why once for that gamma.  With
     cfg.threads > 1 trials run in a process pool; results are gathered
     in submission order so the output is identical to a serial run
     (wall clock times aside).
@@ -193,8 +195,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
             stability: StabilityCertificate | None
             try:
                 stability = find_P(model, dist, gamma)
-            except CertificateError:
+            except CertificateError as exc:
                 stability = None
+                if progress is not None:
+                    progress(f"gamma={gamma}: no certificate ({exc}): bound = NaN")
 
             for ku_noise in cfg.Ku_noise_values:
                 for ku_input in cfg.Ku_input_values:

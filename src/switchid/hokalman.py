@@ -181,7 +181,7 @@ def reachability_col(model: LssModel, mu: Word, q: int, l: int) -> np.ndarray:
     return (a_word(model, mu) @ model.B[q - 1])[:, l - 1]
 
 
-def find_selection(model: LssModel, exhaustive: bool = False) -> Selection:
+def find_selection(model: LssModel) -> Selection:
     """Search for a selection making H_ab as well conditioned as possible.
 
     Candidate rows are all words of length <= n - 1; candidate columns
@@ -190,8 +190,6 @@ def find_selection(model: LssModel, exhaustive: bool = False) -> Selection:
     each step picking the pair that maximizes the smallest singular
     value; candidates are ordered by word length then lexicographically,
     and ties keep the earliest candidate, so the result is deterministic.
-    With ``exhaustive=True`` every n-subset pair is scored instead,
-    which is only viable for very small n.
 
     Raises
     ------
@@ -215,29 +213,20 @@ def find_selection(model: LssModel, exhaustive: bool = False) -> Selection:
         s = np.linalg.svd(full[np.ix_(I, J)], compute_uv=False)
         return s[-1]
 
-    if exhaustive:
+    I, J = [], []
+    for _ in range(n):
         best, best_val = None, -1.0
-        for I in itertools.combinations(range(len(rows)), n):
-            for J in itertools.combinations(range(len(cols)), n):
-                val = score(list(I), list(J))
-                if val > best_val:
-                    best, best_val = (list(I), list(J)), val
-        I, J = best
-    else:
-        I, J = [], []
-        for _ in range(n):
-            best, best_val = None, -1.0
-            for r in range(len(rows)):
-                if r in I:
+        for r in range(len(rows)):
+            if r in I:
+                continue
+            for c in range(len(cols)):
+                if c in J:
                     continue
-                for c in range(len(cols)):
-                    if c in J:
-                        continue
-                    val = score(I + [r], J + [c])
-                    if val > best_val:
-                        best, best_val = (r, c), val
-            I.append(best[0])
-            J.append(best[1])
+                val = score(I + [r], J + [c])
+                if val > best_val:
+                    best, best_val = (r, c), val
+        I.append(best[0])
+        J.append(best[1])
 
     sub = full[np.ix_(I, J)]
     s = np.linalg.svd(sub, compute_uv=False)

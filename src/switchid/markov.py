@@ -24,6 +24,7 @@ from .core import (
     SwitchingDistribution,
     Word,
     a_word,
+    check_mode_labels,
     p_word,
     str_to_word,
     word_to_str,
@@ -74,104 +75,49 @@ def true_markov_map(model: LssModel, words) -> MarkovMap:
     )
 
 
-def indicator_chi(q_traj: np.ndarray, w: Word, t: int) -> int:
-    """1 if the k modes ending at time t spell w, else 0; 1 for epsilon.
-
-    Concretely, for k = len(w) the indicator checks
-    q(t - k + 1) = w_1, ..., q(t) = w_k and requires t - k + 1 >= 0.
-    """
-    k = len(w)
-    if k == 0:
-        return 1
-    if t - k + 1 < 0 or t >= len(q_traj):
-        raise IndexError(f"indicator window [{t - k + 1}, {t}] outside trajectory")
-    for j in range(k):
-        if q_traj[t - k + 1 + j] != w[j]:
-            return 0
-    return 1
-
-
-def z_lagged(u_traj: np.ndarray, q_traj: np.ndarray, w: Word, t: int) -> np.ndarray:
-    """Lagged regressor u(t - k) gated by the mode indicator at t - 1.
-
-    For the empty word this is just u(t); for k = len(w) >= 1 it is
-    u(t - k) when the modes q(t - k), ..., q(t - 1) spell w and the zero
-    vector otherwise.
-    """
-    u_traj = np.asarray(u_traj, dtype=float)
-    if u_traj.ndim == 1:
-        u_traj = u_traj.reshape(-1, 1)
-    k = len(w)
-    if k == 0:
-        return u_traj[t].copy()
-    if t < k:
-        raise IndexError(f"need t >= |w| = {k}, got t = {t}")
-    chi = indicator_chi(q_traj, w, t - 1)
-    return u_traj[t - k] * float(chi)
-
-
-def _estimate_word(
-    y: np.ndarray,
-    u: np.ndarray,
-    mode_masks: list[np.ndarray],
-    N: int,
-    w: Word,
-    sigma_u: np.ndarray,
-    dist: SwitchingDistribution,
-) -> np.ndarray:
-    """Shared kernel for the empirical estimator.
-
-    Computes (1 / (N - k)) sum_{t=k+1}^N y(t) z_w(t)^T Sigma_u^{-1} / p_w
-    with all time indexing done through shifted slices; ``mode_masks[c]``
-    is the boolean array (q == c + 1), shared across words so the batch
-    and single-word paths produce bit-identical values.
-    """
-    k = len(w)
-    if N <= k:
-        raise ValueError(f"trajectory too short for |w| = {k}: N = {N}")
-    L = N - k
-    # Terms t = k+1..N: output y(t), input u(t-k), and the indicator that
-    # q(t-k+i) = w[i] for i = 0..k-1, i.e. slice i+1 .. L+i of the modes.
-    weights = y[k + 1 : N + 1].copy()
-    for i, c in enumerate(w):
-        weights *= mode_masks[c - 1][i + 1 : L + i + 1]
-    s = weights @ u[1 : L + 1]
-    row = np.linalg.solve(sigma_u, s)
-    return row / (L * p_word(dist, w))
-
-
-def empirical_markov(
-    sample: SampleSet,
-    w: Word,
-    sigma_u: np.ndarray,
-    dist: SwitchingDistribution,
-) -> np.ndarray:
-    """Estimate one Markov parameter from a single trajectory."""
-    w = tuple(w)
-    masks = [np.asarray(sample.q == c + 1, dtype=float) for c in range(dist.nQ)]
-    return _estimate_word(sample.y, sample.u, masks, sample.N, w, np.asarray(sigma_u, dtype=float), dist)
-
-
 def empirical_markov_batch(
     sample: SampleSet,
     words,
     sigma_u: np.ndarray,
     dist: SwitchingDistribution,
 ) -> MarkovMap:
-    """Estimate a whole word set in one pass over the trajectory.
+    """Estimate a whole word set from a single trajectory.
 
-    The mode indicator arrays are computed once and shared; each word's
-    value is identical to what :func:`empirical_markov` returns for it.
+    For each word w of length k the estimate is
+
+        (1 / (N - k)) sum_{t=k+1}^N y(t) z_w(t)^T Sigma_u^{-1} / p_w,
+
+    where z_w(t) is u(t - k) when the modes q(t - k), ..., q(t - 1)
+    spell w and zero otherwise.  All time indexing is done through
+    shifted slices of mode indicator arrays computed once for the set.
+
+    Raises
+    ------
+    ValueError
+        If a mode label lies outside 1..nQ, or the trajectory is not
+        longer than some word.
     """
     sigma_u = np.asarray(sigma_u, dtype=float)
+    y, u, N = sample.y, sample.u, sample.N
+    check_mode_labels(sample.q, dist.nQ)
     masks = [np.asarray(sample.q == c + 1, dtype=float) for c in range(dist.nQ)]
     entries = {}
     for w in sorted(set(tuple(x) for x in words), key=lambda w: (len(w), w)):
-        entries[w] = _estimate_word(sample.y, sample.u, masks, sample.N, w, sigma_u, dist)
+        k = len(w)
+        if N <= k:
+            raise ValueError(f"trajectory too short for |w| = {k}: N = {N}")
+        L = N - k
+        # Terms t = k+1..N: output y(t), input u(t-k), and the indicator that
+        # q(t-k+i) = w[i] for i = 0..k-1, i.e. slice i+1 .. L+i of the modes.
+        weights = y[k + 1 : N + 1].copy()
+        for i, c in enumerate(w):
+            weights *= masks[c - 1][i + 1 : L + i + 1]
+        s = weights @ u[1 : L + 1]
+        entries[w] = np.linalg.solve(sigma_u, s) / (L * p_word(dist, w))
     return MarkovMap(
         entries=entries,
         source="empirical",
-        meta={"N": sample.N, "seed": sample.seed, "Sigma_u": sigma_u.tolist()},
+        meta={"N": N, "seed": sample.seed, "Sigma_u": sigma_u.tolist()},
     )
 
 

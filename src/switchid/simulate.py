@@ -12,11 +12,11 @@ reasonably stable model.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LssModel, SignalSpec, SwitchingDistribution
+from .core import LssModel, SignalSpec, SwitchingDistribution, check_mode_labels
 
 BLOWUP_LIMIT = 1e12
 DEFAULT_BURN_IN = 200
@@ -73,15 +73,6 @@ class SampleSet:
             raise ValueError("trajectory contains non-finite outputs")
 
 
-def sample_bounded_uniform(rng: np.random.Generator, dim: int, bound: float) -> np.ndarray:
-    """Vector with i.i.d. components uniform on [-bound, bound]."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if bound == 0.0:
-        return np.zeros(dim)
-    return rng.uniform(-bound, bound, size=dim)
-
-
 def simulate(cfg: SimConfig) -> SampleSet:
     """Generate a trajectory of cfg.N + 1 retained samples.
 
@@ -108,15 +99,51 @@ def simulate(cfg: SimConfig) -> SampleSet:
     else:
         u = rng.uniform(-signal.Ku_input, signal.Ku_input, size=(T, m))
     if signal.Ku_noise == 0.0:
-        w = np.zeros((T, n))
-        v = np.zeros(T)
+        w = v = None
     else:
         w = rng.uniform(-signal.Ku_noise, signal.Ku_noise, size=(T, n))
         v = rng.uniform(-signal.Ku_noise, signal.Ku_noise, size=T)
 
+    y = simulate_driven(model, u, q, w, v)
+    b = cfg.burn_in
+    return SampleSet(N=cfg.N, y=y[b:], u=u[b:], q=q[b:], seed=cfg.seed)
+
+
+def simulate_driven(
+    model: LssModel,
+    u: np.ndarray,
+    q: np.ndarray,
+    w: np.ndarray | None = None,
+    v: np.ndarray | None = None,
+) -> np.ndarray:
+    """Roll x(t + 1) = A_q x + B_q u + w, y = C x + D u + v out from x = 0.
+
+    The one state recursion of the package: :func:`simulate` draws the
+    signals and calls this.  Missing noise sequences are zero.  Returns
+    the output sequence, same length as the inputs; the caller's arrays
+    are never modified.
+
+    Raises
+    ------
+    ValueError
+        If the sequences differ in length or a mode lies outside 1..nQ.
+    DivergenceError
+        If the state infinity-norm ever exceeds 1e12.
+    """
+    n = model.n
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 1:
+        u = u.reshape(-1, 1)
+    q = np.asarray(q, dtype=np.int64).reshape(-1)
+    T = len(q)
+    E = np.zeros((T, n)) if w is None else np.array(w, dtype=float)
+    v = np.zeros(T) if v is None else np.asarray(v, dtype=float).reshape(-1)
+    if len(u) != T or E.shape != (T, n) or len(v) != T:
+        raise ValueError(f"signal sequences must all have length {T}, and w width n = {n}")
+    check_mode_labels(q, model.nQ)
+
     # Mode-dependent forcing E(t) = B_{q(t)} u(t) + w(t), precomputed so the
     # sequential loop below does one matvec and one add per step.
-    E = w
     for c in range(model.nQ):
         mask = q == c + 1
         if np.any(mask):
@@ -137,50 +164,6 @@ def simulate(cfg: SimConfig) -> SampleSet:
                 f"state blew up at step {t} (|x| > {BLOWUP_LIMIT:g}); "
                 "the configuration looks unstable"
             )
-
-    b = cfg.burn_in
-    return SampleSet(N=cfg.N, y=y[b:], u=u[b:], q=q[b:], seed=cfg.seed)
-
-
-def simulate_driven(
-    model: LssModel,
-    u: np.ndarray,
-    q: np.ndarray,
-    w: np.ndarray | None = None,
-    v: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Deterministic rollout with caller-supplied signals.
-
-    This is the reference implementation of the state recursion, used by
-    tests and by impulse-response oracles; it mirrors :func:`simulate`
-    exactly but takes every sequence as given.  Returns the output
-    sequence, same length as the inputs.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u.reshape(-1, 1)
-    q = np.asarray(q, dtype=np.int64).reshape(-1)
-    T = len(q)
-    if len(u) != T:
-        raise ValueError("u and q must have equal length")
-    if w is None:
-        w = np.zeros((T, model.n))
-    if v is None:
-        v = np.zeros(T)
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if len(w) != T or len(v) != T:
-        raise ValueError("all signal sequences must have equal length")
-    x = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float).reshape(model.n)
-
-    y = np.empty(T)
-    for t in range(T):
-        c = q[t]
-        if not 1 <= c <= model.nQ:
-            raise ValueError(f"mode {c} outside 1..{model.nQ} at step {t}")
-        y[t] = model.C @ x + model.D @ u[t] + v[t]
-        x = model.A[c - 1] @ x + model.B[c - 1] @ u[t] + w[t]
     return y
 
 

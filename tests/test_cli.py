@@ -56,6 +56,19 @@ def test_identify_from_saved_trajectory(capsys, tmp_path):
     assert "selection" in doc
 
 
+def test_identify_refuses_out_of_range_mode_label(capsys, tmp_path):
+    traj = tmp_path / "traj.csv"
+    rc, _, _ = run(capsys, "simulate", "--N", "2000", "--seed", "2", "--out", str(traj))
+    assert rc == 0
+    lines = traj.read_text().splitlines()
+    fields = lines[10].split(",")
+    lines[10] = ",".join(fields[:-1] + ["3"])  # step 9 claims a third mode
+    traj.write_text("\n".join(lines) + "\n")
+    rc, _, err = run(capsys, "identify", "--trajectory", str(traj))
+    assert rc == 1
+    assert "mode label 3 at step 9 outside 1..2" in err
+
+
 def test_identify_refuses_short_run(capsys):
     rc, _, err = run(capsys, "identify", "--N", "8")
     assert rc == 1

@@ -212,3 +212,10 @@ def test_model_file_without_extras(tmp_path, bench):
     m2, d2, s2 = load_model_file(str(path))
     assert d2 is None and s2 is None
     npt.assert_array_equal(m2.C, model.C)
+
+
+def test_every_export_resolves():
+    import switchid
+
+    missing = [name for name in switchid.__all__ if not hasattr(switchid, name)]
+    assert missing == []

@@ -11,6 +11,8 @@ from switchid import (
     ExperimentRow,
     load_results_csv,
     run_experiment,
+    save_model_file,
+    two_mode_benchmark,
     write_figures,
     write_results_csv,
 )
@@ -140,6 +142,25 @@ def test_progress_callback_called():
     run_experiment(tiny_config(trials=1, N_grid=[300]), progress=seen.append)
     assert len(seen) == 1
     assert "N=300" in seen[0]
+
+
+
+def test_uncertifiable_gamma_reports_why_bound_is_nan(tmp_path):
+    # The gamma = 0.6 family member cannot be certified at rate 0.1; the
+    # trials still run, and the reason for the NaN bound is reported once.
+    model, dist = two_mode_benchmark(0.6)
+    path = tmp_path / "model.json"
+    save_model_file(str(path), model, dist)
+    seen = []
+    cfg = tiny_config(model_file=str(path), gamma_values=[0.1], trials=1, N_grid=[300, 400])
+    rows = run_experiment(cfg, progress=seen.append)
+    assert len(rows) == 2
+    assert all(np.isnan(r.bound) and not r.valid for r in rows)
+    assert all(np.isfinite(r.est_err) for r in rows)
+    notes = [line for line in seen if "no certificate" in line]
+    assert len(notes) == 1
+    assert notes[0].startswith("gamma=0.1: no certificate (no quadratic stability certificate")
+    assert notes[0].endswith("bound = NaN")
 
 
 class TestExperimentConfig:

@@ -1,5 +1,7 @@
 """Hankel block assembly, selection search and realization."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -205,6 +207,32 @@ def RealizationResult_like(n):
     )
 
 
+def exhaustive_selection_rows(model):
+    """Row words of the best-conditioned n x n Hankel submatrix.
+
+    Scores every pair of n-subsets of candidate rows and columns, so it
+    is only viable at n = 2; it serves as the oracle for the greedy
+    search of :func:`find_selection`.
+    """
+    n = model.n
+    rows = [()] + [
+        w for k in range(1, n) for w in itertools.product(range(1, model.nQ + 1), repeat=k)
+    ]
+    cols = [
+        (mu, q, l) for mu in rows for q in range(1, model.nQ + 1) for l in range(1, model.m + 1)
+    ]
+    O = np.array([observability_row(model, eta) for eta in rows])
+    R = np.array([reachability_col(model, mu, q, l) for mu, q, l in cols]).T
+    full = O @ R
+    best, best_val = None, -1.0
+    for I in itertools.combinations(range(len(rows)), n):
+        for J in itertools.combinations(range(len(cols)), n):
+            val = np.linalg.svd(full[np.ix_(I, J)], compute_uv=False)[-1]
+            if val > best_val:
+                best, best_val = I, val
+    return {rows[i] for i in best}
+
+
 def test_find_selection_benchmark_matches_known_best(bench):
     # Greedy lands on the same row/column words as the fixed selection
     # (column order aside) and its sigma_n can only be at least as good.
@@ -212,8 +240,7 @@ def test_find_selection_benchmark_matches_known_best(bench):
     sel = find_selection(model)
     assert set(sel.alpha) == {(), (1,)}
     assert set(sel.beta) == {((), 2, 1), ((1,), 2, 1)}
-    ex = find_selection(model, exhaustive=True)
-    assert set(ex.alpha) == set(sel.alpha)
+    assert set(sel.alpha) == exhaustive_selection_rows(model)
 
 
 def test_find_selection_lti():

@@ -9,16 +9,52 @@ from switchid import (
     SignalSpec,
     SimConfig,
     SwitchingDistribution,
-    empirical_markov,
     empirical_markov_batch,
-    indicator_chi,
     p_word,
     simulate,
     true_markov,
     true_markov_map,
-    z_lagged,
 )
 from switchid.markov import load_markov_map, save_markov_map
+
+
+# Definition-level oracles for the estimator, one time step at a time.
+
+
+def indicator_chi(q_traj, w, t):
+    """1 if the k modes ending at time t spell w, else 0; 1 for epsilon.
+
+    Concretely, for k = len(w) the indicator checks
+    q(t - k + 1) = w_1, ..., q(t) = w_k and requires t - k + 1 >= 0.
+    """
+    k = len(w)
+    if k == 0:
+        return 1
+    if t - k + 1 < 0 or t >= len(q_traj):
+        raise IndexError(f"indicator window [{t - k + 1}, {t}] outside trajectory")
+    for j in range(k):
+        if q_traj[t - k + 1 + j] != w[j]:
+            return 0
+    return 1
+
+
+def z_lagged(u_traj, q_traj, w, t):
+    """Lagged regressor u(t - k) gated by the mode indicator at t - 1.
+
+    For the empty word this is just u(t); for k = len(w) >= 1 it is
+    u(t - k) when the modes q(t - k), ..., q(t - 1) spell w and the zero
+    vector otherwise.
+    """
+    u_traj = np.asarray(u_traj, dtype=float)
+    if u_traj.ndim == 1:
+        u_traj = u_traj.reshape(-1, 1)
+    k = len(w)
+    if k == 0:
+        return u_traj[t].copy()
+    if t < k:
+        raise IndexError(f"need t >= |w| = {k}, got t = {t}")
+    chi = indicator_chi(q_traj, w, t - 1)
+    return u_traj[t - k] * float(chi)
 
 
 def test_true_markov_benchmark_values(bench):
@@ -107,23 +143,8 @@ def test_estimator_matches_definition_loop(rng):
         for t in range(k + 1, N + 1):
             acc += sample.y[t] * z_lagged(sample.u, sample.q, w, t)
         expect = (acc / (N - k)) @ np.linalg.inv(sigma_u) / p_word(dist, w)
-        got = empirical_markov(sample, w, sigma_u, dist)
+        got = empirical_markov_batch(sample, [w], sigma_u, dist)[w]
         npt.assert_allclose(got, expect, rtol=1e-10, atol=1e-12, err_msg=str(w))
-
-
-def test_batch_equals_single_calls(bench, bench_signal):
-    model, dist = bench
-    sample = simulate(
-        SimConfig(model=model, dist=dist, signal=bench_signal, N=2000, seed=1)
-    )
-    sigma_u = bench_signal.sigma_u(1)
-    words = [(), (1,), (2,), (2, 1), (2, 2, 1), (2, 1, 2, 1)]
-    mm = empirical_markov_batch(sample, words, sigma_u, dist)
-    assert mm.source == "empirical"
-    assert mm.meta["N"] == 2000
-    for w in words:
-        single = empirical_markov(sample, w, sigma_u, dist)
-        npt.assert_array_equal(mm[w], single, err_msg=str(w))
 
 
 def test_zero_trajectory_estimates_zero(bench, bench_signal):
@@ -137,7 +158,7 @@ def test_zero_trajectory_estimates_zero(bench, bench_signal):
             seed=0,
         )
     )
-    got = empirical_markov(sample, (2, 1), bench_signal.sigma_u(1), dist)
+    got = empirical_markov_batch(sample, [(2, 1)], bench_signal.sigma_u(1), dist)[(2, 1)]
     npt.assert_array_equal(got, [0.0])
 
 
@@ -145,7 +166,7 @@ def test_estimator_refuses_short_trajectory(bench, bench_signal):
     model, dist = bench
     sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=3, seed=0))
     with pytest.raises(ValueError):
-        empirical_markov(sample, (1, 2, 1), bench_signal.sigma_u(1), dist)
+        empirical_markov_batch(sample, [(1, 2, 1)], bench_signal.sigma_u(1), dist)
 
 
 def test_estimator_unbiased_over_trials(bench, bench_signal):
@@ -160,7 +181,7 @@ def test_estimator_unbiased_over_trials(bench, bench_signal):
         s = simulate(
             SimConfig(model=model, dist=dist, signal=bench_signal, N=1000, seed=seed)
         )
-        vals.append(empirical_markov(s, w, sigma_u, dist)[0])
+        vals.append(empirical_markov_batch(s, [w], sigma_u, dist)[w][0])
     vals = np.array(vals)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - true_val) < 4.0 * se
@@ -173,6 +194,8 @@ def test_estimator_consistent_on_long_run(bench, bench_signal):
     )
     words = [(), (1,), (2,), (2, 1), (2, 2), (2, 1, 1), (2, 2, 1), (2, 1, 2, 1)]
     mm = empirical_markov_batch(sample, words, bench_signal.sigma_u(1), dist)
+    assert mm.source == "empirical"
+    assert mm.meta["N"] == 200_000
     for w in words:
         npt.assert_allclose(mm[w], true_markov(model, w), atol=0.08, err_msg=str(w))
 

@@ -12,7 +12,6 @@ from switchid import (
     SimConfig,
     SwitchingDistribution,
     load_trajectory,
-    sample_bounded_uniform,
     save_trajectory,
     simulate,
     simulate_driven,
@@ -36,6 +35,9 @@ def test_impulse_other_mode_is_invisible(bench):
     u = np.array([1.0, 0.0, 0.0, 0.0])
     q = np.array([1, 2, 1, 1])
     npt.assert_allclose(simulate_driven(model, u, q), np.zeros(4), atol=1e-15)
+    # A label outside 1..nQ names no mode at all and is refused.
+    with pytest.raises(ValueError, match="mode label 0 at step 1 outside 1..2"):
+        simulate_driven(model, u, np.array([1, 0, 1, 1]))
 
 
 def test_driven_matches_manual_recursion(rng):
@@ -57,7 +59,9 @@ def test_driven_matches_manual_recursion(rng):
         expect.append(C @ x + D @ u[t] + v[t])
         x = A[q[t] - 1] @ x + B[q[t] - 1] @ u[t] + w[t]
 
+    w_before = w.copy()
     npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, atol=1e-12)
+    npt.assert_array_equal(w, w_before)  # the forcing is built in a copy
 
 
 def test_lti_special_case_is_a_convolution(rng):
@@ -150,15 +154,6 @@ def test_divergence_detected():
     signal = SignalSpec(Ku_input=1.0, Ku_noise=0.0)
     with pytest.raises(DivergenceError):
         simulate(SimConfig(model=model, dist=dist, signal=signal, N=500, seed=0))
-
-
-def test_sample_bounded_uniform_support(rng):
-    x = sample_bounded_uniform(rng, 10_000, 2.5)
-    assert np.abs(x).max() <= 2.5
-    assert np.abs(x).max() > 2.4  # actually fills the box
-    npt.assert_array_equal(sample_bounded_uniform(rng, 5, 0.0), np.zeros(5))
-    with pytest.raises(ValueError):
-        sample_bounded_uniform(rng, 5, -1.0)
 
 
 def test_sampleset_validation():
