@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -61,6 +61,14 @@ class StabilityCertificate:
         self.P = np.asarray(self.P, dtype=float)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("certificate gamma must lie in (0, 1)")
+
+    def to_dict(self) -> dict:
+        return {
+            "P": self.P.tolist(),
+            "gamma": self.gamma,
+            "margin": self.margin,
+            "schur_radius": self.schur_radius,
+        }
 
 
 def gamma_from_P(model: LssModel, P: np.ndarray) -> tuple[float, float]:
@@ -126,7 +134,7 @@ def schur_radius(model: LssModel, dist: SwitchingDistribution) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
-def _lmi_P(model: LssModel, gamma_target: float) -> np.ndarray | None:
+def _lmi_P(model: LssModel, target: float) -> np.ndarray | None:
     """Margin-maximizing semidefinite feasibility search for P.
 
     Solves max t subject to I <= P <= P_CEILING I and
@@ -137,7 +145,7 @@ def _lmi_P(model: LssModel, gamma_target: float) -> np.ndarray | None:
     :func:`gamma_from_P` succeed despite solver tolerances.
     """
     for shrink in (1e-2, 1e-3, 1e-4):
-        rho = (gamma_target * (1.0 - shrink) / model.nQ) ** 2
+        rho = (target * (1.0 - shrink) / model.nQ) ** 2
         P = _max_slack_P(model.A, rho)
         if P is not None:
             return P
@@ -219,18 +227,51 @@ def _max_slack_P(A: list[np.ndarray], rho: float) -> np.ndarray | None:
     return P
 
 
+def certify_P(
+    model: LssModel,
+    dist: SwitchingDistribution,
+    P: np.ndarray,
+    target: float,
+) -> StabilityCertificate:
+    """Accept P as a stability certificate at the target rate, or refuse it.
+
+    This is the one acceptance rule for P, wherever it came from:
+    :func:`gamma_from_P` must certify a rate at or below the target with
+    a positive margin.  An accepted certificate is therefore sound
+    regardless of how P was computed.
+
+    Raises
+    ------
+    ValueError
+        If P is not a symmetric positive definite n x n matrix.
+    CertificateError
+        If P certifies no rate below one, a rate above the target, or
+        a non-positive margin.
+    """
+    gamma, margin = gamma_from_P(model, P)
+    if gamma > target:
+        raise CertificateError(
+            f"supplied P certifies gamma = {gamma:.6g}, above the target {target:.6g}"
+        )
+    if margin <= 0.0:
+        raise CertificateError(
+            f"supplied P certifies gamma = {gamma:.6g} with margin {margin:.3g} <= 0"
+        )
+    return StabilityCertificate(
+        P=P, gamma=gamma, margin=margin, schur_radius=schur_radius(model, dist)
+    )
+
+
 def find_P(
     model: LssModel,
     dist: SwitchingDistribution,
-    gamma_target: float,
+    target: float,
 ) -> StabilityCertificate:
     """Search for a quadratic stability certificate at a target rate.
 
     Strategy: one margin-maximizing LMI search (:func:`_lmi_P`, numpy
-    only); its candidate is only accepted if :func:`gamma_from_P`
-    independently certifies a rate at or below the target with a
-    positive margin, so an accepted certificate is sound regardless of
-    solver tolerances.
+    only), whose candidate must pass :func:`certify_P`, so solver
+    tolerances cannot make an unsound certificate.
 
     Raises
     ------
@@ -239,29 +280,18 @@ def find_P(
         of instability; the message reports the mean-square spectral
         radius, which at >= 1 rules out any certificate.
     """
-    if not 0.0 < gamma_target < 1.0:
-        raise ValueError("gamma_target must lie in (0, 1)")
-
-    def validated(P: np.ndarray | None) -> StabilityCertificate | None:
-        if P is None:
-            return None
+    if not 0.0 < target < 1.0:
+        raise ValueError("target rate must lie in (0, 1)")
+    P = _lmi_P(model, target)
+    if P is not None:
         try:
-            gamma, margin = gamma_from_P(model, P)
+            return certify_P(model, dist, P, target)
         except (ValueError, CertificateError):
-            return None
-        if gamma > gamma_target or margin <= 0.0:
-            return None
-        return StabilityCertificate(
-            P=P, gamma=gamma, margin=margin, schur_radius=schur_radius(model, dist)
-        )
-
-    cert = validated(_lmi_P(model, gamma_target))
-    if cert is not None:
-        return cert
+            pass
 
     rad = schur_radius(model, dist)
     raise CertificateError(
-        f"no quadratic stability certificate found for gamma = {gamma_target} "
+        f"no quadratic stability certificate found for gamma = {target} "
         f"(inconclusive; mean-square spectral radius = {rad:.6f}"
         + (", which already rules one out)" if rad >= 1.0 else ")")
     )
@@ -355,39 +385,39 @@ class BoundCertificate:
         return self.valid_basic and self.valid_hankel
 
     def to_dict(self) -> dict:
-        d = {
-            k: getattr(self, k)
-            for k in (
-                "m_prime n_star K_u K_u_prime K_M K_y K_gamma K_theta K_0 "
-                "K_minus1 W_size min_pw min_pw_floor sigma_n_H delta N "
-                "K_tilde K_deltaN K_2 bound_EstErr N_min_basic N_min_hankel "
-                "valid_basic valid_hankel"
-            ).split()
-        }
-        d["stability"] = {
-            "P": self.stability.P.tolist(),
-            "gamma": self.stability.gamma,
-            "margin": self.stability.margin,
-            "schur_radius": self.stability.schur_radius,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["stability"] = self.stability.to_dict()
         return d
 
 
-def _static_constants(
+def compute_certificate(
     model: LssModel,
     dist: SwitchingDistribution,
     signal: SignalSpec,
     sel: Selection,
     sigma_n_H: float,
-    cert: StabilityCertificate,
-) -> dict:
-    """The N- and delta-independent part of the constant chain."""
+    delta: float,
+    N: int,
+    stability: StabilityCertificate,
+) -> BoundCertificate:
+    """Assemble the full bound certificate for one (delta, N).
+
+    Every constant follows from the given stability certificate, which
+    is taken as validated (:func:`certify_P`) and not checked again.
+    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if N < 1:
+        raise ValueError("N must be positive")
+    if sigma_n_H <= 0.0:
+        raise ValueError("sigma_n_H must be positive")
+
     n, m, nQ = model.n, model.m, model.nQ
-    gamma = cert.gamma
+    gamma = stability.gamma
     m_prime = m + n + 1
     K_u = signal.K_u
     K_u_prime = max(K_u, K_u**2)
-    K_M = float(compute_KM(model, cert))
+    K_M = float(compute_KM(model, stability))
     K_y = math.sqrt(m_prime) * K_M * K_u / (1.0 - gamma)
     K_gamma = (
         gamma + (2 * n + 1) * (n + 2) * (1.0 - gamma) ** 2 + (1.0 - gamma) ** 3
@@ -407,77 +437,42 @@ def _static_constants(
         (2.0 * sigma_n_H + n_star * K_minus1 * K_y * K_u * 4.0 * math.sqrt(2.0))
         / sigma_n_H**2,
     )
-    return {
-        "m_prime": m_prime,
-        "n_star": n_star,
-        "K_u": K_u,
-        "K_u_prime": K_u_prime,
-        "K_M": K_M,
-        "K_y": K_y,
-        "K_gamma": K_gamma,
-        "K_theta": K_theta,
-        "K_0": K_0,
-        "K_minus1": K_minus1,
-        "W_size": len(W),
-        "min_pw": min_pw,
-        "min_pw_floor": min_pw_floor,
-        "K_2": K_2,
-        "sigma_n_H": float(sigma_n_H),
-    }
 
+    log_term = math.log(2.0 * m * len(W) / delta)
+    K_tilde = K_0 * math.sqrt(8.0 * log_term / N)
+    K_deltaN = math.sqrt(m) * K_minus1 * K_tilde
 
-def compute_certificate(
-    model: LssModel,
-    dist: SwitchingDistribution,
-    signal: SignalSpec,
-    sel: Selection,
-    sigma_n_H: float,
-    delta: float,
-    N: int,
-    stability: StabilityCertificate | None = None,
-    gamma_target: float | None = None,
-) -> BoundCertificate:
-    """Assemble the full bound certificate for one (delta, N).
-
-    A stability certificate can be passed in (the usual case when
-    sweeping N); otherwise one is searched for, at ``gamma_target`` if
-    given and at the smallest certifiable rate if not.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if N < 1:
-        raise ValueError("N must be positive")
-    if sigma_n_H <= 0.0:
-        raise ValueError("sigma_n_H must be positive")
-    if stability is None:
-        if gamma_target is not None:
-            stability = find_P(model, dist, gamma_target)
-        else:
-            stability = min_gamma_certificate(model, dist)
-
-    c = _static_constants(model, dist, signal, sel, sigma_n_H, stability)
-    n, m = model.n, model.m
-    log_term = math.log(2.0 * m * c["W_size"] / delta)
-    K_tilde = c["K_0"] * math.sqrt(8.0 * log_term / N)
-    K_deltaN = math.sqrt(m) * c["K_minus1"] * K_tilde
-
-    thr = sigma_n_H / (2.0 * c["W_size"] * math.sqrt(n))
+    thr = sigma_n_H / (2.0 * len(W) * math.sqrt(n))
     N_min_basic = 2 * (2 * n + 1) + 1
-    c_over = math.sqrt(m) * c["K_minus1"] * c["K_0"] * math.sqrt(8.0 * log_term)
+    c_over = math.sqrt(m) * K_minus1 * K_0 * math.sqrt(8.0 * log_term)
     N_min_hankel = _ceil_threshold(c_over, thr)
 
     return BoundCertificate(
+        m_prime=m_prime,
+        n_star=n_star,
+        K_u=K_u,
+        K_u_prime=K_u_prime,
+        K_M=K_M,
+        K_y=K_y,
+        K_gamma=K_gamma,
+        K_theta=K_theta,
+        K_0=K_0,
+        K_minus1=K_minus1,
+        W_size=len(W),
+        min_pw=min_pw,
+        min_pw_floor=min_pw_floor,
+        sigma_n_H=float(sigma_n_H),
         delta=delta,
         N=N,
         K_tilde=K_tilde,
         K_deltaN=K_deltaN,
-        bound_EstErr=c["K_2"] * K_deltaN,
+        K_2=K_2,
+        bound_EstErr=K_2 * K_deltaN,
         N_min_basic=N_min_basic,
         N_min_hankel=N_min_hankel,
         valid_basic=N > 2 * (2 * n + 1),
         valid_hankel=K_deltaN <= thr,
         stability=stability,
-        **c,
     )
 
 
@@ -502,8 +497,7 @@ def min_valid_N(
     sel: Selection,
     sigma_n_H: float,
     delta: float,
-    stability: StabilityCertificate | None = None,
-    gamma_target: float | None = None,
+    stability: StabilityCertificate,
 ) -> int:
     """Smallest N at which the bound's validity conditions both hold.
 
@@ -511,15 +505,7 @@ def min_valid_N(
     :func:`compute_certificate` call at an arbitrary N.
     """
     bc = compute_certificate(
-        model,
-        dist,
-        signal,
-        sel,
-        sigma_n_H,
-        delta,
-        1,
-        stability=stability,
-        gamma_target=gamma_target,
+        model, dist, signal, sel, sigma_n_H, delta, 1, stability=stability
     )
     return max(bc.N_min_basic, bc.N_min_hankel)
 
@@ -531,14 +517,8 @@ def save_bound_certificate(path: str, bc: BoundCertificate) -> None:
 
 
 def save_stability_certificate(path: str, cert: StabilityCertificate) -> None:
-    doc = {
-        "P": cert.P.tolist(),
-        "gamma": cert.gamma,
-        "margin": cert.margin,
-        "schur_radius": cert.schur_radius,
-    }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(cert.to_dict(), fh, indent=2)
         fh.write("\n")
 
 

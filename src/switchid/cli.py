@@ -22,15 +22,13 @@ import numpy as np
 
 from .bounds import (
     CertificateError,
-    StabilityCertificate,
+    certify_P,
     compute_certificate,
     find_P,
-    gamma_from_P,
     min_valid_N,
     load_P_matrix,
     save_bound_certificate,
     save_stability_certificate,
-    schur_radius,
 )
 from .core import (
     SignalSpec,
@@ -147,6 +145,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_input_covariance(u: np.ndarray, sigma_u: np.ndarray) -> None:
+    """Refuse an input covariance the trajectory's inputs contradict.
+
+    The estimator divides by Sigma_u, so a wrong one scales every Markov
+    estimate.  For correctly stated uniform inputs the relative Frobenius
+    deviation of u^T u / (N + 1) from Sigma_u has standard deviation
+    about sqrt((m - 0.2) / (N + 1)), so the tolerance, never below
+    8 / sqrt(N + 1), is more than four of them for m <= 3.
+    """
+    sigma_hat = u.T @ u / len(u)
+    tol = max(0.25, 8.0 / np.sqrt(len(u)))
+    dev = np.linalg.norm(sigma_hat - sigma_u) / np.linalg.norm(sigma_u)
+    if dev > tol:
+        raise ValueError(
+            f"input covariance does not match the trajectory: Sigma_u = "
+            f"{np.array2string(sigma_u, precision=4)} but the inputs give "
+            f"{np.array2string(sigma_hat, precision=4)} (relative Frobenius "
+            f"deviation {dev:.3g} > {tol:.3g}); check --ku-input or the model file"
+        )
+
+
 def cmd_identify(args) -> int:
     model, dist, signal, _ = _resolve_model(args)
     if args.trajectory:
@@ -167,19 +186,27 @@ def cmd_identify(args) -> int:
             f"trajectory too short: N = {sample.N} but more than "
             f"{2 * (2 * model.n + 1)} samples are needed for n = {model.n}"
         )
+    sigma_u = signal.sigma_u(model.m)
+    _check_input_covariance(sample.u, sigma_u)
     sel = load_selection(args.selection) if args.selection else find_selection(model)
     words = sorted(required_words(sel, model.nQ), key=lambda w: (len(w), w))
-    mmap = empirical_markov_batch(sample, words, signal.sigma_u(model.m), dist)
+    mmap = empirical_markov_batch(sample, words, sigma_u, dist)
     rr_hat = realize(build_hankels(mmap, sel), mmap[()])
-    mmap_true = true_markov_map(model, words)
-    rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
     print(f"selection rows: {[word_to_str(w) or 'e' for w in sel.alpha]}")
     print(
         "selection cols: "
         f"{[(word_to_str(mu) or 'e', q, l) for (mu, q, l) in sel.beta]}"
     )
-    print(f"sigma_n(H_ab) estimate = {rr_hat.sigma_n:.6g} (true {rr_ref.sigma_n:.6g})")
-    print(f"est_err = {est_err(rr_hat, rr_ref):.6g}")
+    # A trajectory file carries no model, so it is scored only against a
+    # truth the caller named; a simulated one is scored against its source.
+    if args.trajectory and args.model is None and args.gamma is None:
+        print(f"sigma_n(H_ab) estimate = {rr_hat.sigma_n:.6g}")
+        print("est_err not computed: no truth model named (give --model or --gamma)")
+    else:
+        mmap_true = true_markov_map(model, words)
+        rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
+        print(f"sigma_n(H_ab) estimate = {rr_hat.sigma_n:.6g} (true {rr_ref.sigma_n:.6g})")
+        print(f"est_err = {est_err(rr_hat, rr_ref):.6g}")
     if args.out:
         save_realization(args.out, rr_hat, sel)
         print(f"realization written to {args.out}")
@@ -209,16 +236,8 @@ def cmd_selection(args) -> int:
 def cmd_stability(args) -> int:
     model, dist, _, gamma = _resolve_model(args)
     if args.P:
-        P = load_P_matrix(args.P)
-        g, margin = gamma_from_P(model, P)
-        if g > gamma:
-            raise CertificateError(
-                f"supplied P certifies gamma = {g:.6g}, above the target {gamma:.6g}"
-            )
-        cert = StabilityCertificate(
-            P=P, gamma=g, margin=margin, schur_radius=schur_radius(model, dist)
-        )
-        print(f"supplied P accepted: certified gamma = {g:.6g}")
+        cert = certify_P(model, dist, load_P_matrix(args.P), gamma)
+        print(f"supplied P accepted: certified gamma = {cert.gamma:.6g}")
     else:
         cert = find_P(model, dist, gamma)
         print(f"certificate found: gamma = {cert.gamma:.6g} (target {gamma:.6g})")

@@ -21,7 +21,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -94,19 +94,7 @@ class ExperimentConfig:
             raise ValueError("threads must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "model_file": self.model_file,
-            "delta": self.delta,
-            "N_grid": list(self.N_grid),
-            "trials": self.trials,
-            "gamma_values": list(self.gamma_values),
-            "Ku_noise_values": list(self.Ku_noise_values),
-            "Ku_input_values": list(self.Ku_input_values),
-            "seed_base": self.seed_base,
-            "output_dir": self.output_dir,
-            "burn_in": self.burn_in,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -14,7 +14,6 @@ input covariance and the word probability.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +25,6 @@ from .core import (
     a_word,
     check_mode_labels,
     p_word,
-    str_to_word,
-    word_to_str,
 )
 from .simulate import SampleSet
 
@@ -119,28 +116,3 @@ def empirical_markov_batch(
         source="empirical",
         meta={"N": N, "seed": sample.seed, "Sigma_u": sigma_u.tolist()},
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON form: {"entries": {"2.2.1": [0.27], "": [0.0]}, "source": ..., "meta": ...}
-
-
-def save_markov_map(path: str, mmap: MarkovMap) -> None:
-    doc = {
-        "entries": {word_to_str(w): mmap.entries[w].tolist() for w in mmap.words()},
-        "source": mmap.source,
-        "meta": mmap.meta,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def load_markov_map(path: str) -> MarkovMap:
-    with open(path) as fh:
-        doc = json.load(fh)
-    entries = {
-        str_to_word(key): np.asarray(val, dtype=float).reshape(-1)
-        for key, val in doc["entries"].items()
-    }
-    return MarkovMap(entries=entries, source=doc.get("source", "true"), meta=doc.get("meta", {}))

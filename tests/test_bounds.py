@@ -24,6 +24,7 @@ from switchid import (
     two_mode_benchmark,
 )
 from switchid.bounds import (
+    certify_P,
     load_P_matrix,
     save_bound_certificate,
     save_stability_certificate,
@@ -162,6 +163,22 @@ class TestFindP:
         for target in (0.0, 1.0, -1.0):
             with pytest.raises(ValueError):
                 find_P(model, dist, target)
+
+    def test_acceptance_rule(self, bench, monkeypatch):
+        # find_P's certificate is exactly what certify_P makes of its P.
+        model, dist = bench
+        cert = find_P(model, dist, 0.6)
+        again = certify_P(model, dist, cert.P, 0.6)
+        assert (again.gamma, again.margin, again.schur_radius) == (
+            cert.gamma, cert.margin, cert.schur_radius,
+        )
+        with pytest.raises(CertificateError, match="above the target"):
+            certify_P(model, dist, cert.P, 0.5)
+        with pytest.raises(ValueError, match="positive definite"):
+            certify_P(model, dist, -np.eye(2), 0.6)
+        monkeypatch.setattr("switchid.bounds.gamma_from_P", lambda model, P: (0.5, 0.0))
+        with pytest.raises(CertificateError, match="margin"):
+            certify_P(model, dist, cert.P, 0.6)
 
     def test_min_gamma_bisection(self):
         model = single_mode(0.5)

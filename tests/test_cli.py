@@ -50,10 +50,39 @@ def test_identify_from_saved_trajectory(capsys, tmp_path):
         capsys, "identify", "--trajectory", str(traj), "--out", str(out_file)
     )
     assert rc == 0
-    assert "est_err" in out
+    assert "sigma_n(H_ab) estimate" in out
     doc = json.loads(out_file.read_text())
     assert doc["n"] == 2
     assert "selection" in doc
+
+    # A trajectory file names no model: est_err is scored only against a
+    # truth the caller names.
+    traj = tmp_path / "traj01.csv"
+    rc, _, _ = run(
+        capsys, "simulate", "--gamma", "0.1", "--N", "5000", "--seed", "2", "--out", str(traj)
+    )
+    assert rc == 0
+    rc, out, _ = run(capsys, "identify", "--trajectory", str(traj))
+    assert rc == 0
+    assert "est_err =" not in out and "(true" not in out
+    assert "no truth model named" in out
+    rc, out, _ = run(capsys, "identify", "--trajectory", str(traj), "--gamma", "0.1")
+    assert rc == 0
+    assert "est_err =" in out and "(true" in out
+
+
+def test_identify_refuses_mismatched_input_covariance(capsys, tmp_path):
+    # Inputs drawn at amplitude 0.8 have four times the variance that
+    # --ku-input 0.4 states.
+    traj = tmp_path / "traj.csv"
+    rc, _, _ = run(capsys, "simulate", "--N", "5000", "--seed", "2", "--out", str(traj))
+    assert rc == 0
+    rc, out, err = run(
+        capsys, "identify", "--trajectory", str(traj), "--gamma", "0.6", "--ku-input", "0.4"
+    )
+    assert rc == 1
+    assert "input covariance does not match" in err
+    assert "est_err" not in out
 
 
 def test_identify_refuses_out_of_range_mode_label(capsys, tmp_path):
@@ -102,6 +131,11 @@ def test_stability_accepts_good_user_P(capsys, tmp_path):
     rc, out, _ = run(capsys, "stability", "--gamma", "0.6", "--P", str(stab))
     assert rc == 0
     assert "supplied P accepted" in out
+    # The --P path applies the same acceptance rule as the search, so it
+    # reports the rate and margin the saved certificate holds.
+    doc = json.loads(stab.read_text())
+    assert f"certified gamma = {doc['gamma']:.6g}\n" in out
+    assert f"margin = {doc['margin']:.6g}\n" in out
 
 
 def test_stability_rejects_bad_user_P(capsys, tmp_path):
@@ -112,6 +146,21 @@ def test_stability_rejects_bad_user_P(capsys, tmp_path):
     rc, _, err = run(capsys, "stability", "--gamma", "0.6", "--P", str(P_file))
     assert rc == 2
     assert "error" in err
+
+    # A P found at 0.6 is a valid certificate, but not at the target 0.1
+    # for the same model (with --model, --gamma is only the target).
+    model_file = tmp_path / "model.json"
+    save_model_file(str(model_file), *two_mode_benchmark(0.6))
+    stab = tmp_path / "stab.json"
+    rc, _, _ = run(
+        capsys, "stability", "--model", str(model_file), "--gamma", "0.6", "--out", str(stab)
+    )
+    assert rc == 0
+    rc, _, err = run(
+        capsys, "stability", "--model", str(model_file), "--gamma", "0.1", "--P", str(stab)
+    )
+    assert rc == 2
+    assert "above the target" in err
 
 
 def test_stability_unstable_model_exits_2(capsys, tmp_path):

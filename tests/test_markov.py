@@ -1,4 +1,4 @@
-"""Markov parameters: exact values, estimator kernel, file forms."""
+"""Markov parameters: exact values and the estimator kernel."""
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +15,6 @@ from switchid import (
     true_markov,
     true_markov_map,
 )
-from switchid.markov import load_markov_map, save_markov_map
 
 
 # Definition-level oracles for the estimator, one time step at a time.
@@ -198,15 +197,3 @@ def test_estimator_consistent_on_long_run(bench, bench_signal):
     assert mm.meta["N"] == 200_000
     for w in words:
         npt.assert_allclose(mm[w], true_markov(model, w), atol=0.08, err_msg=str(w))
-
-
-def test_markov_map_json_roundtrip(tmp_path, bench):
-    model, _ = bench
-    mm = true_markov_map(model, [(), (2, 1), (2, 2, 1)])
-    path = tmp_path / "markov.json"
-    save_markov_map(str(path), mm)
-    mm2 = load_markov_map(str(path))
-    assert mm2.words() == mm.words()
-    for w in mm.words():
-        npt.assert_array_equal(mm2[w], mm[w])
-    assert mm2.source == "true"
