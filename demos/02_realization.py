@@ -44,7 +44,7 @@ def main():
     print("Singular values: %s  (smallest drives every error bound)" % sigma)
 
     rr = realize(hs, truth[()])
-    check_words = [w for w in truth.words() if len(w) <= 3]
+    check_words = [w for w in truth if len(w) <= 3]
     rt = markov_roundtrip(rr, check_words)
     worst = max(float(np.max(np.abs(rt[w] - truth[w]))) for w in check_words)
     print("\nExact realization: worst Markov mismatch %.2e over %d words"

@@ -8,10 +8,8 @@ finite-sample error certificates for the whole pipeline.
 """
 
 from .bounds import (
-    BoundCertificate,
     CertificateError,
     StabilityCertificate,
-    compute_KM,
     compute_certificate,
     find_P,
     gamma_from_P,
@@ -20,33 +18,23 @@ from .bounds import (
     schur_radius,
 )
 from .core import (
-    EPSILON,
     LssModel,
     SignalSpec,
     SwitchingDistribution,
-    Word,
     a_word,
     load_model_file,
-    model_from_dict,
-    model_to_dict,
     p_word,
     save_model_file,
-    str_to_word,
     two_mode_benchmark,
-    word_concat,
     word_to_str,
 )
 from .experiment import (
     ExperimentConfig,
-    ExperimentRow,
-    load_results_csv,
     run_experiment,
     write_figures,
     write_results_csv,
 )
 from .hokalman import (
-    HankelSet,
-    RealizationResult,
     Selection,
     SelectionRankError,
     SingularHankelError,
@@ -54,20 +42,12 @@ from .hokalman import (
     est_err,
     find_selection,
     markov_roundtrip,
-    observability_row,
-    reachability_col,
     realize,
     required_words,
 )
-from .markov import (
-    MarkovMap,
-    empirical_markov_batch,
-    true_markov,
-    true_markov_map,
-)
+from .markov import empirical_markov_batch, true_markov_map
 from .simulate import (
     DivergenceError,
-    SampleSet,
     SimConfig,
     load_trajectory,
     save_trajectory,
@@ -78,17 +58,10 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundCertificate",
     "CertificateError",
     "DivergenceError",
-    "EPSILON",
     "ExperimentConfig",
-    "ExperimentRow",
-    "HankelSet",
     "LssModel",
-    "MarkovMap",
-    "RealizationResult",
-    "SampleSet",
     "Selection",
     "SelectionRankError",
     "SignalSpec",
@@ -96,10 +69,8 @@ __all__ = [
     "SingularHankelError",
     "StabilityCertificate",
     "SwitchingDistribution",
-    "Word",
     "a_word",
     "build_hankels",
-    "compute_KM",
     "compute_certificate",
     "empirical_markov_batch",
     "est_err",
@@ -107,16 +78,11 @@ __all__ = [
     "find_selection",
     "gamma_from_P",
     "load_model_file",
-    "load_results_csv",
     "load_trajectory",
     "markov_roundtrip",
     "min_gamma_certificate",
     "min_valid_N",
-    "model_from_dict",
-    "model_to_dict",
-    "observability_row",
     "p_word",
-    "reachability_col",
     "realize",
     "required_words",
     "run_experiment",
@@ -125,11 +91,8 @@ __all__ = [
     "schur_radius",
     "simulate",
     "simulate_driven",
-    "str_to_word",
-    "true_markov",
     "true_markov_map",
     "two_mode_benchmark",
-    "word_concat",
     "word_to_str",
     "write_figures",
     "write_results_csv",

@@ -18,14 +18,13 @@ valid once N > 2(2n + 1) and K(delta, N) <= sigma_n(H_ab) / (2 |W| sqrt(n)).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
 
-from .core import LssModel, SignalSpec, SwitchingDistribution, p_word
+from .core import LssModel, SignalSpec, SwitchingDistribution, p_word, read_json, write_json
 from .hokalman import Selection, required_words
 
 GAMMA_FLOOR = 1e-12
@@ -425,7 +424,7 @@ def compute_certificate(
     K_theta = 2.0 * (m_prime * K_u + nQ) * math.sqrt(m_prime) * K_u_prime * K_M * K_gamma
     K_0 = math.sqrt(m_prime) * K_u_prime * K_M / (1.0 - gamma) + K_theta
 
-    W = sorted(required_words(sel, nQ) - {()}, key=lambda w: (len(w), w))
+    W = required_words(sel, nQ) - {()}
     min_pw = float(min(p_word(dist, w) for w in W))
     min_pw_floor = float(np.min(dist.p)) ** (2 * n + 1)
     sigma_inv = np.linalg.inv(signal.sigma_u(m))
@@ -511,22 +510,18 @@ def min_valid_N(
 
 
 def save_bound_certificate(path: str, bc: BoundCertificate) -> None:
-    with open(path, "w") as fh:
-        json.dump(bc.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, bc.to_dict())
 
 
 def save_stability_certificate(path: str, cert: StabilityCertificate) -> None:
-    with open(path, "w") as fh:
-        json.dump(cert.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, cert.to_dict())
 
 
 def load_P_matrix(path: str) -> np.ndarray:
     """Read a user-supplied P, accepting either a bare matrix or a
     previously saved certificate file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict):
-        doc = doc["P"]
-    return np.asarray(doc, dtype=float)
+
+    def parse(doc):
+        return np.asarray(doc["P"] if isinstance(doc, dict) else doc, dtype=float)
+
+    return read_json(path, parse)

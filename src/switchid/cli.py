@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -36,6 +35,7 @@ from .core import (
     load_model_file,
     two_mode_benchmark,
     word_to_str,
+    write_json,
 )
 from .experiment import (
     ExperimentConfig,
@@ -189,7 +189,7 @@ def cmd_identify(args) -> int:
     sigma_u = signal.sigma_u(model.m)
     _check_input_covariance(sample.u, sigma_u)
     sel = load_selection(args.selection) if args.selection else find_selection(model)
-    words = sorted(required_words(sel, model.nQ), key=lambda w: (len(w), w))
+    words = required_words(sel, model.nQ)
     mmap = empirical_markov_batch(sample, words, sigma_u, dist)
     rr_hat = realize(build_hankels(mmap, sel), mmap[()])
     print(f"selection rows: {[word_to_str(w) or 'e' for w in sel.alpha]}")
@@ -216,7 +216,7 @@ def cmd_identify(args) -> int:
 def cmd_selection(args) -> int:
     model, _, _, _ = _resolve_model(args)
     sel = find_selection(model)
-    words = sorted(required_words(sel, model.nQ), key=lambda w: (len(w), w))
+    words = required_words(sel, model.nQ)
     hs = build_hankels(true_markov_map(model, words), sel)
     sigma_n = float(np.linalg.svd(hs.H_ab, compute_uv=False)[-1])
     print(f"rows (alpha):  {[word_to_str(w) or 'e' for w in sel.alpha]}")
@@ -252,7 +252,7 @@ def cmd_stability(args) -> int:
 def cmd_bound(args) -> int:
     model, dist, signal, gamma = _resolve_model(args)
     sel = load_selection(args.selection) if args.selection else find_selection(model)
-    words = sorted(required_words(sel, model.nQ), key=lambda w: (len(w), w))
+    words = required_words(sel, model.nQ)
     mmap_true = true_markov_map(model, words)
     rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
     stability = find_P(model, dist, gamma)
@@ -313,9 +313,7 @@ def cmd_experiment(args) -> int:
     csv_path = os.path.join(cfg.output_dir, "results.csv")
     write_results_csv(csv_path, rows)
     fig_paths = write_figures(cfg, rows)
-    with open(os.path.join(cfg.output_dir, "config.json"), "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_dict())
     print(f"results written to {csv_path}")
     for p in fig_paths:
         print(f"figure written to {p}")

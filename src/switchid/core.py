@@ -185,11 +185,6 @@ def p_word(dist: SwitchingDistribution, w: Word) -> float:
     return out
 
 
-def word_concat(v: Word, w: Word) -> Word:
-    """Concatenation vw (letters of v first)."""
-    return tuple(v) + tuple(w)
-
-
 def two_mode_benchmark(gamma: float) -> tuple[LssModel, SwitchingDistribution]:
     """Standard two-mode benchmark family with tunable stability margin.
 
@@ -215,8 +210,29 @@ def two_mode_benchmark(gamma: float) -> tuple[LssModel, SwitchingDistribution]:
 
 
 # ---------------------------------------------------------------------------
-# Model file I/O.  Matrices are serialized as nested row lists; floats go
+# JSON files.  Matrices are serialized as nested row lists; floats go
 # through repr() via json, which round-trips doubles exactly.
+
+
+def write_json(path: str, doc) -> None:
+    """Write ``doc`` as indented JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def read_json(path: str, parse):
+    """Load a JSON file and return ``parse(doc)``.
+
+    Text that is not JSON, or a missing key, a value of the wrong type or
+    a list too short found while parsing, is reported as a ValueError
+    naming the file.
+    """
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"malformed file {path}: {type(exc).__name__}: {exc}") from None
 
 
 def model_to_dict(
@@ -276,13 +292,10 @@ def save_model_file(
     dist: SwitchingDistribution | None = None,
     signal: SignalSpec | None = None,
 ) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model, dist, signal), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(model, dist, signal))
 
 
 def load_model_file(
     path: str,
 ) -> tuple[LssModel, SwitchingDistribution | None, SignalSpec | None]:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return read_json(path, model_from_dict)

@@ -17,7 +17,6 @@ retry.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,6 +30,7 @@ from .core import (
     SignalSpec,
     SwitchingDistribution,
     load_model_file,
+    read_json,
     two_mode_benchmark,
 )
 from .hokalman import (
@@ -106,8 +106,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, cls.from_dict)
 
 
 @dataclass
@@ -134,7 +133,7 @@ def _run_one_trial(
     burn_in: int,
     seed: int,
     sel: Selection,
-    words: list,
+    words: set,
     rr_ref: RealizationResult,
 ) -> tuple[float, float]:
     """Simulate, estimate, realize; returns (est_err, wall_ms)."""
@@ -176,7 +175,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
             else:
                 model, dist = base_model, base_dist
             sel = find_selection(model)
-            words = sorted(required_words(sel, model.nQ), key=lambda w: (len(w), w))
+            words = required_words(sel, model.nQ)
             mmap_true = true_markov_map(model, words)
             rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
 

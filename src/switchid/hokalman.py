@@ -22,13 +22,14 @@ are observability functionals, columns are reachability vectors.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LssModel, Word, a_word, model_to_dict, str_to_word, word_concat, word_to_str
-from .markov import MarkovMap, true_markov_map
+from .core import (
+    LssModel, Word, a_word, model_to_dict, read_json, str_to_word, word_to_str, write_json
+)
+from .markov import true_markov_map
 
 SINGULAR_RTOL = 1e-10
 
@@ -109,52 +110,52 @@ def required_words(sel: Selection, nQ: int) -> set[Word]:
     collapse; the set form is what estimation actually has to pay for.
     """
     words: set[Word] = {()}
-    cols = [word_concat((q,), mu) for mu, q, _ in sel.beta]
+    cols = [(q,) + mu for mu, q, _ in sel.beta]
     for cw in cols:
         words.add(cw)
         for eta in sel.alpha:
-            words.add(word_concat(cw, eta))
+            words.add(cw + eta)
             for q in range(1, nQ + 1):
-                words.add(word_concat(cw, word_concat((q,), eta)))
+                words.add(cw + (q,) + eta)
     for q in range(1, nQ + 1):
         for eta in sel.alpha:
-            words.add(word_concat((q,), eta))
+            words.add((q,) + eta)
     return words
 
 
-def build_hankels(mmap: MarkovMap, sel: Selection) -> HankelSet:
+def build_hankels(mmap: dict[Word, np.ndarray], sel: Selection) -> HankelSet:
     """Fill the four Hankel blocks from a Markov parameter table.
 
     Missing words raise KeyError; use :func:`required_words` to know what
     the table must contain.
     """
     n = sel.n
-    some_row = next(iter(mmap.entries.values()))
+    some_row = next(iter(mmap.values()))
     m = len(np.atleast_1d(some_row))
-    nQ = max((max(w) for w in mmap.entries if w), default=1)
+    nQ = max((max(w) for w in mmap if w), default=1)
     nQ = max(nQ, max(q for _, q, _ in sel.beta))
 
-    cols = [(word_concat((q,), mu), l) for mu, q, l in sel.beta]
+    cols = [((q,) + mu, l) for mu, q, l in sel.beta]
 
     H_ab = np.empty((n, n))
     for i, eta in enumerate(sel.alpha):
         for j, (cw, l) in enumerate(cols):
-            H_ab[i, j] = mmap[word_concat(cw, eta)][l - 1]
+            H_ab[i, j] = mmap[cw + eta][l - 1]
 
     H_aqb = []
     for q in range(1, nQ + 1):
         Hq = np.empty((n, n))
         for i, eta in enumerate(sel.alpha):
-            mid = word_concat((q,), eta)
+            mid = (q,) + eta
             for j, (cw, l) in enumerate(cols):
-                Hq[i, j] = mmap[word_concat(cw, mid)][l - 1]
+                Hq[i, j] = mmap[cw + mid][l - 1]
         H_aqb.append(Hq)
 
     H_aq = []
     for q in range(1, nQ + 1):
         Hq = np.empty((n, m))
         for i, eta in enumerate(sel.alpha):
-            Hq[i, :] = np.atleast_1d(mmap[word_concat((q,), eta)])
+            Hq[i, :] = np.atleast_1d(mmap[(q,) + eta])
         H_aq.append(Hq)
 
     H_b = np.empty(n)
@@ -169,16 +170,6 @@ def _candidate_rows(model: LssModel) -> list[Word]:
     for k in range(1, model.n):
         words += [w for w in itertools.product(range(1, model.nQ + 1), repeat=k)]
     return words
-
-
-def observability_row(model: LssModel, eta: Word) -> np.ndarray:
-    """The row functional C A_eta attached to a row word."""
-    return model.C @ a_word(model, eta)
-
-
-def reachability_col(model: LssModel, mu: Word, q: int, l: int) -> np.ndarray:
-    """The state vector (A_mu B_q)[:, l] attached to a column triple."""
-    return (a_word(model, mu) @ model.B[q - 1])[:, l - 1]
 
 
 def find_selection(model: LssModel) -> Selection:
@@ -205,8 +196,10 @@ def find_selection(model: LssModel) -> Selection:
         for q in range(1, model.nQ + 1)
         for l in range(1, model.m + 1)
     ]
-    O = np.array([observability_row(model, eta) for eta in rows])
-    R = np.array([reachability_col(model, mu, q, l) for mu, q, l in cols]).T
+    # Row eta is the functional C A_eta, column (mu, q, l) the state vector
+    # (A_mu B_q)[:, l]; H_ab is a submatrix of their product.
+    O = np.array([model.C @ a_word(model, eta) for eta in rows])
+    R = np.array([(a_word(model, mu) @ model.B[q - 1])[:, l - 1] for mu, q, l in cols]).T
     full = O @ R
 
     def score(I, J):
@@ -261,7 +254,7 @@ def realize(hs: HankelSet, M_eps: np.ndarray) -> RealizationResult:
     return RealizationResult(Abar=Abar, Bbar=Bbar, Cbar=Cbar, Dbar=Dbar, sigma_n=float(s[-1]))
 
 
-def markov_roundtrip(rr: RealizationResult, words) -> MarkovMap:
+def markov_roundtrip(rr: RealizationResult, words) -> dict[Word, np.ndarray]:
     """Markov parameters of the realized model over a word set.
 
     Realizations recover the matrices only up to similarity, so equality
@@ -312,20 +305,15 @@ def selection_from_dict(d: dict) -> Selection:
 
 
 def save_selection(path: str, sel: Selection) -> None:
-    with open(path, "w") as fh:
-        json.dump(selection_to_dict(sel), fh, indent=2)
-        fh.write("\n")
+    write_json(path, selection_to_dict(sel))
 
 
 def load_selection(path: str) -> Selection:
-    with open(path) as fh:
-        return selection_from_dict(json.load(fh))
+    return read_json(path, selection_from_dict)
 
 
 def save_realization(path: str, rr: RealizationResult, sel: Selection) -> None:
     doc = model_to_dict(rr.as_model())
     doc["selection"] = selection_to_dict(sel)
     doc["sigma_n"] = rr.sigma_n
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)

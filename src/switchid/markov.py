@@ -9,12 +9,11 @@ applied oldest first, select the state transitions.  These rows are what
 a single trajectory can reveal about the system: the empirical estimator
 correlates y(t) against the input u(t - k) on the event that the mode
 sequence q(t - k), ..., q(t - 1) spelled out w, then rescales by the
-input covariance and the word probability.
+input covariance and the word probability.  A table of Markov
+parameters is a plain dict from word to row.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,32 +28,6 @@ from .core import (
 from .simulate import SampleSet
 
 
-@dataclass
-class MarkovMap:
-    """A finite word -> row-vector table of Markov parameters.
-
-    ``source`` is "true" for parameters computed from model matrices and
-    "empirical" for estimates from data; ``meta`` carries estimation
-    context (sample size, seed, input covariance) when empirical.
-    """
-
-    entries: dict[Word, np.ndarray]
-    source: str = "true"
-    meta: dict = field(default_factory=dict)
-
-    def __getitem__(self, w: Word) -> np.ndarray:
-        return self.entries[w]
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def words(self) -> list[Word]:
-        return sorted(self.entries, key=lambda w: (len(w), w))
-
-
 def true_markov(model: LssModel, w: Word) -> np.ndarray:
     """Markov parameter of the model for one word, as an (m,) row."""
     if len(w) == 0:
@@ -64,12 +37,9 @@ def true_markov(model: LssModel, w: Word) -> np.ndarray:
     return model.C @ a_word(model, tail) @ model.B[head - 1]
 
 
-def true_markov_map(model: LssModel, words) -> MarkovMap:
+def true_markov_map(model: LssModel, words) -> dict[Word, np.ndarray]:
     """Tabulate :func:`true_markov` over an iterable of words."""
-    return MarkovMap(
-        entries={tuple(w): true_markov(model, tuple(w)) for w in words},
-        source="true",
-    )
+    return {tuple(w): true_markov(model, tuple(w)) for w in words}
 
 
 def empirical_markov_batch(
@@ -77,7 +47,7 @@ def empirical_markov_batch(
     words,
     sigma_u: np.ndarray,
     dist: SwitchingDistribution,
-) -> MarkovMap:
+) -> dict[Word, np.ndarray]:
     """Estimate a whole word set from a single trajectory.
 
     For each word w of length k the estimate is
@@ -111,8 +81,4 @@ def empirical_markov_batch(
             weights *= masks[c - 1][i + 1 : L + i + 1]
         s = weights @ u[1 : L + 1]
         entries[w] = np.linalg.solve(sigma_u, s) / (L * p_word(dist, w))
-    return MarkovMap(
-        entries=entries,
-        source="empirical",
-        meta={"N": N, "seed": sample.seed, "Sigma_u": sigma_u.tolist()},
-    )
+    return entries

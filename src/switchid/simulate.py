@@ -48,18 +48,12 @@ class SimConfig:
 
 @dataclass
 class SampleSet:
-    """One finite trajectory {(y(t), u(t), q(t))} for t = 0..N.
-
-    All sequences have length N + 1.  ``seed`` records the RNG seed that
-    produced the trajectory (None for trajectories loaded from files
-    that do not carry one).
-    """
+    """One finite trajectory {(y(t), u(t), q(t))} for t = 0..N, each of length N + 1."""
 
     N: int
     y: np.ndarray
     u: np.ndarray
     q: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float).reshape(-1)
@@ -106,7 +100,7 @@ def simulate(cfg: SimConfig) -> SampleSet:
 
     y = simulate_driven(model, u, q, w, v)
     b = cfg.burn_in
-    return SampleSet(N=cfg.N, y=y[b:], u=u[b:], q=q[b:], seed=cfg.seed)
+    return SampleSet(N=cfg.N, y=y[b:], u=u[b:], q=q[b:])
 
 
 def simulate_driven(
@@ -184,6 +178,8 @@ def save_trajectory(path: str, sample: SampleSet) -> None:
 
 
 def load_trajectory(path: str) -> SampleSet:
+    """Read a trajectory CSV, refusing a row whose field count differs
+    from the header's."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -194,6 +190,11 @@ def load_trajectory(path: str) -> SampleSet:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, "
+                    f"the header has {len(header)}"
+                )
             ys.append(float(row[1]))
             us.append([float(x) for x in row[2 : 2 + m]])
             qs.append(int(row[-1]))

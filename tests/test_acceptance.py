@@ -41,11 +41,10 @@ from switchid import (
     required_words,
     run_experiment,
     simulate,
-    true_markov,
     true_markov_map,
     two_mode_benchmark,
 )
-from switchid.core import word_concat
+from switchid.markov import true_markov
 
 # The fixed selection quoted for the two-mode family: rows {epsilon, (1)},
 # columns {(epsilon, 2, 1), ((1), 2, 1)}.
@@ -300,12 +299,12 @@ def test_criterion_6_perturbation_inequalities(report):
             continue
         radius = sigma_n / (2.0 * len(W) * math.sqrt(n))
 
-        cols = [word_concat((q,), mu) for mu, q, _ in sel.beta]
+        cols = [(q,) + mu for mu, q, _ in sel.beta]
         entry_words = {}
         mult = {}
         for i, eta in enumerate(sel.alpha):
             for j, cw in enumerate(cols):
-                w = word_concat(cw, eta)
+                w = cw + eta
                 entry_words[(i, j)] = w
                 mult[w] = mult.get(w, 0) + 1
 

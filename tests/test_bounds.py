@@ -13,7 +13,6 @@ from switchid import (
     SignalSpec,
     StabilityCertificate,
     SwitchingDistribution,
-    compute_KM,
     compute_certificate,
     find_P,
     find_selection,
@@ -25,6 +24,7 @@ from switchid import (
 )
 from switchid.bounds import (
     certify_P,
+    compute_KM,
     load_P_matrix,
     save_bound_certificate,
     save_stability_certificate,

@@ -98,6 +98,20 @@ def test_identify_refuses_out_of_range_mode_label(capsys, tmp_path):
     assert "mode label 3 at step 9 outside 1..2" in err
 
 
+def test_identify_refuses_row_with_missing_field(capsys, tmp_path):
+    traj = tmp_path / "traj.csv"
+    rc, _, _ = run(capsys, "simulate", "--N", "2000", "--seed", "2", "--out", str(traj))
+    assert rc == 0
+    lines = traj.read_text().splitlines()
+    t, y, _, q = lines[10].split(",")
+    lines[10] = ",".join([t, y, q])  # u_1 dropped: the row would read u = q
+    traj.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "identify", "--trajectory", str(traj), "--gamma", "0.6")
+    assert rc == 1
+    assert f"{traj}, line 11: 3 fields, the header has 4" in err
+    assert "est_err" not in out
+
+
 def test_identify_refuses_short_run(capsys):
     rc, _, err = run(capsys, "identify", "--N", "8")
     assert rc == 1
@@ -182,6 +196,28 @@ def test_missing_model_file_exits_3(capsys):
     rc, _, err = run(capsys, "simulate", "--model", "/nonexistent/model.json")
     assert rc == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "command, option, text",
+    [
+        ("simulate", "--model", json.dumps({"n": 1, "nQ": 1, "A": [[[0.5]]], "B": [[[1.0]]],
+                                            "C": [1.0], "D": [0.0]})),
+        ("identify", "--selection", json.dumps({"alpha": [""]})),
+        ("stability", "--P", json.dumps({"gamma": 0.6})),
+        ("experiment", "--config", json.dumps({"trials": "3"})),
+        ("stability", "--P", "[[1, 0], [0, 1]"),
+    ],
+    ids=["model-without-m", "selection-without-beta", "P-without-P", "config-trials-string",
+         "not-json"],
+)
+def test_malformed_json_exits_1_naming_the_file(capsys, tmp_path, command, option, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    rc, _, err = run(capsys, command, option, str(path), "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert f"error: malformed file {path}" in err
+    assert "Traceback" not in err
 
 
 def test_bound_table(capsys, tmp_path):

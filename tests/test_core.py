@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from switchid import (
-    EPSILON,
     LssModel,
     SignalSpec,
     SwitchingDistribution,
@@ -15,11 +14,10 @@ from switchid import (
     load_model_file,
     p_word,
     save_model_file,
-    str_to_word,
     two_mode_benchmark,
-    word_concat,
     word_to_str,
 )
+from switchid.core import EPSILON, str_to_word
 
 words_12 = st.lists(st.integers(min_value=1, max_value=2), max_size=6).map(tuple)
 
@@ -73,7 +71,7 @@ def test_a_word_rejects_bad_letter(bench):
 @given(words_12, words_12)
 def test_a_word_concat_is_reversed_product(bench_matrices, v, w):
     model = bench_matrices
-    left = a_word(model, word_concat(v, w))
+    left = a_word(model, v + w)
     right = a_word(model, w) @ a_word(model, v)
     npt.assert_allclose(left, right, atol=1e-12)
 
@@ -94,7 +92,7 @@ def test_p_word_values(bench):
 @given(words_12, words_12)
 def test_p_word_multiplicative(v, w):
     dist = SwitchingDistribution(p=np.array([0.3, 0.7]))
-    assert p_word(dist, word_concat(v, w)) == pytest.approx(
+    assert p_word(dist, v + w) == pytest.approx(
         p_word(dist, v) * p_word(dist, w)
     )
 

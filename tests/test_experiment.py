@@ -8,15 +8,13 @@ import pytest
 
 from switchid import (
     ExperimentConfig,
-    ExperimentRow,
-    load_results_csv,
     run_experiment,
     save_model_file,
     two_mode_benchmark,
     write_figures,
     write_results_csv,
 )
-from switchid.experiment import RESULTS_HEADER
+from switchid.experiment import RESULTS_HEADER, ExperimentRow, load_results_csv
 
 
 def tiny_config(**overrides):

@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from switchid import (
-    HankelSet,
     LssModel,
     Selection,
     SelectionRankError,
@@ -16,17 +15,32 @@ from switchid import (
     est_err,
     find_selection,
     markov_roundtrip,
-    observability_row,
-    reachability_col,
     realize,
     required_words,
     true_markov_map,
 )
-from switchid.hokalman import load_selection, save_selection, save_realization
+from switchid.core import a_word
+from switchid.hokalman import (
+    HankelSet,
+    RealizationResult,
+    load_selection,
+    save_realization,
+    save_selection,
+)
 
 # The selection used throughout for the benchmark family: row words
 # epsilon and (1), column triples (epsilon, 2, 1) and ((1), 2, 1).
 BENCH_SEL = Selection(alpha=((), (1,)), beta=(((), 2, 1), ((1,), 2, 1)))
+
+
+def observability_row(model, eta):
+    """The row functional C A_eta attached to a row word."""
+    return model.C @ a_word(model, eta)
+
+
+def reachability_col(model, mu, q, l):
+    """The state vector (A_mu B_q)[:, l] attached to a column triple."""
+    return (a_word(model, mu) @ model.B[q - 1])[:, l - 1]
 
 
 def all_words(nQ, max_len):
@@ -200,8 +214,6 @@ def test_est_err_shape_mismatch():
 
 
 def RealizationResult_like(n):
-    from switchid import RealizationResult
-
     return RealizationResult(
         Abar=[np.eye(n)], Bbar=[np.ones((n, 1))], Cbar=np.ones(n), Dbar=np.zeros(1), sigma_n=1.0
     )

@@ -12,9 +12,9 @@ from switchid import (
     empirical_markov_batch,
     p_word,
     simulate,
-    true_markov,
     true_markov_map,
 )
+from switchid.markov import true_markov
 
 
 # Definition-level oracles for the estimator, one time step at a time.
@@ -90,9 +90,7 @@ def test_true_markov_epsilon_is_feedthrough():
 def test_true_markov_map_tabulates(bench):
     model, _ = bench
     mm = true_markov_map(model, [(), (2, 1), (2, 2, 1)])
-    assert len(mm) == 3
-    assert mm.source == "true"
-    assert mm.words() == [(), (2, 1), (2, 2, 1)]
+    assert mm.keys() == {(), (2, 1), (2, 2, 1)}
     npt.assert_allclose(mm[(2, 2, 1)], [0.27])
 
 
@@ -193,7 +191,6 @@ def test_estimator_consistent_on_long_run(bench, bench_signal):
     )
     words = [(), (1,), (2,), (2, 1), (2, 2), (2, 1, 1), (2, 2, 1), (2, 1, 2, 1)]
     mm = empirical_markov_batch(sample, words, bench_signal.sigma_u(1), dist)
-    assert mm.source == "empirical"
-    assert mm.meta["N"] == 200_000
+    assert mm.keys() == set(words)
     for w in words:
         npt.assert_allclose(mm[w], true_markov(model, w), atol=0.08, err_msg=str(w))

@@ -7,7 +7,6 @@ import pytest
 from switchid import (
     DivergenceError,
     LssModel,
-    SampleSet,
     SignalSpec,
     SimConfig,
     SwitchingDistribution,
@@ -16,6 +15,7 @@ from switchid import (
     simulate,
     simulate_driven,
 )
+from switchid.simulate import SampleSet
 
 
 def test_impulse_through_mode_word(bench):
