@@ -224,14 +224,14 @@ def write_json(path: str, doc) -> None:
 def read_json(path: str, parse):
     """Load a JSON file and return ``parse(doc)``.
 
-    Text that is not JSON, or a missing key, a value of the wrong type or
-    a list too short found while parsing, is reported as a ValueError
-    naming the file.
+    Text that is not JSON, or a missing key, a value of the wrong type, a
+    list too short or a value ``parse`` refuses, is reported as a
+    ValueError naming the file.
     """
     with open(path) as fh:
         try:
             return parse(json.load(fh))
-        except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed file {path}: {type(exc).__name__}: {exc}") from None
 
 

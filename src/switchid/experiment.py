@@ -17,6 +17,7 @@ retry.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -83,6 +84,17 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        counts = {
+            "trials": [self.trials],
+            "N_grid": self.N_grid,
+            "seed_base": [self.seed_base],
+            "burn_in": [self.burn_in],
+            "threads": [self.threads],
+        }
+        for name, values in counts.items():
+            for x in values:
+                if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                    raise ValueError(f"{name}: {x!r} is not an integer")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         for name in ("N_grid", "gamma_values", "Ku_noise_values", "Ku_input_values"):

@@ -1,10 +1,14 @@
 """Command line behaviour: happy paths, file outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import switchid
 from switchid import save_model_file, two_mode_benchmark
 from switchid.cli import main
 
@@ -109,6 +113,20 @@ def test_identify_refuses_row_with_missing_field(capsys, tmp_path):
     rc, out, err = run(capsys, "identify", "--trajectory", str(traj), "--gamma", "0.6")
     assert rc == 1
     assert f"{traj}, line 11: 3 fields, the header has 4" in err
+    assert "est_err" not in out
+
+
+def test_identify_refuses_row_with_non_number_field(capsys, tmp_path):
+    traj = tmp_path / "traj.csv"
+    rc, _, _ = run(capsys, "simulate", "--N", "2000", "--seed", "2", "--out", str(traj))
+    assert rc == 0
+    lines = traj.read_text().splitlines()
+    t, _, u, q = lines[10].split(",")
+    lines[10] = ",".join([t, "abc", u, q])
+    traj.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "identify", "--trajectory", str(traj), "--gamma", "0.6")
+    assert rc == 1
+    assert f"error: {traj}, line 11: field 'y' is not a number: 'abc'" in err
     assert "est_err" not in out
 
 
@@ -218,6 +236,35 @@ def test_malformed_json_exits_1_naming_the_file(capsys, tmp_path, command, optio
     assert rc == 1
     assert f"error: malformed file {path}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"trials": 2.5}, "trials: 2.5 is not an integer"),
+        ({"N_grid": [300.5]}, "N_grid: 300.5 is not an integer"),
+    ],
+    ids=["trials-float", "N_grid-float"],
+)
+def test_experiment_refuses_non_integer_counts(capsys, tmp_path, doc, reason):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"gamma_values": [0.6], "N_grid": [300], **doc}))
+    out_dir = tmp_path / "out"
+    rc, _, err = run(capsys, "experiment", "--config", str(path), "--out", str(out_dir))
+    assert rc == 1
+    assert f"error: malformed file {path}" in err and reason in err
+    assert not out_dir.exists()
+
+
+def test_python_m_switchid_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(switchid.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchid", "--help"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert "usage:" in proc.stdout and "experiment" in proc.stdout
 
 
 def test_bound_table(capsys, tmp_path):

@@ -197,3 +197,10 @@ class TestExperimentConfig:
             ExperimentConfig(N_grid=[0])
         with pytest.raises(ValueError):
             ExperimentConfig(threads=0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("trials", True), ("N_grid", [1000, 2e3]), ("burn_in", 200.0)]
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}: .* is not an integer"):
+            ExperimentConfig(**{field: value})

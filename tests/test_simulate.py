@@ -15,7 +15,7 @@ from switchid import (
     simulate,
     simulate_driven,
 )
-from switchid.simulate import SampleSet
+from switchid.simulate import BLOWUP_LIMIT, SampleSet
 
 
 def test_impulse_through_mode_word(bench):
@@ -62,6 +62,95 @@ def test_driven_matches_manual_recursion(rng):
     w_before = w.copy()
     npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, atol=1e-12)
     npt.assert_array_equal(w, w_before)  # the forcing is built in a copy
+
+
+def longhand(model, u, q, w, v):
+    """Oracle: the recursion one step at a time.  Returns the outputs up to
+    the first step whose update leaves |x| <= BLOWUP_LIMIT, and that step
+    (None when no step does)."""
+    x = np.zeros(model.n)
+    y = []
+    for t in range(len(q)):
+        y.append(model.C @ x + model.D @ u[t] + v[t])
+        x = model.A[q[t] - 1] @ x + model.B[q[t] - 1] @ u[t] + w[t]
+        if not np.abs(x).max() <= BLOWUP_LIMIT:
+            return np.array(y), t
+    return np.array(y), None
+
+
+def scan_model(rng, growth=None):
+    """n = 4, nQ = 3, m = 2 model whose modes have spectral norm 0.9; with
+    ``growth`` set, mode 3 is growth * identity instead."""
+    n, m, nQ = 4, 2, 3
+    A = []
+    for _ in range(nQ):
+        G = rng.standard_normal((n, n))
+        A.append(0.9 * G / np.linalg.norm(G, 2))
+    if growth is not None:
+        A[2] = growth * np.eye(n)
+    return LssModel(
+        n=n, m=m, nQ=nQ, A=A,
+        B=[rng.standard_normal((n, m)) for _ in range(nQ)],
+        C=rng.standard_normal(n), D=rng.standard_normal(m),
+    )
+
+
+def scan_signals(rng, T, n=4, m=2, nQ=3):
+    return (
+        rng.uniform(-1, 1, size=(T, m)),
+        rng.integers(1, nQ + 1, size=T),
+        rng.uniform(-0.1, 0.1, size=(T, n)),
+        rng.uniform(-0.1, 0.1, size=T),
+    )
+
+
+# Blocks are 16 steps long up to T = 1155: 15, 16, 17 straddle one block,
+# 32 and 33 two.  3600 is 120 whole blocks of 30; 5000 ends in a short block.
+@pytest.mark.parametrize("T", [1, 15, 16, 17, 32, 33, 3600, 5000])
+def test_scan_matches_longhand_recursion(rng, T):
+    model = scan_model(rng)
+    u, q, w, v = scan_signals(rng, T)
+    expect, blowup = longhand(model, u, q, w, v)
+    assert blowup is None
+    npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, rtol=0, atol=1e-12)
+
+
+def test_scan_leaves_inputs_untouched(rng):
+    model = scan_model(rng)
+    signals = scan_signals(rng, 5000)
+    before = [s.copy() for s in signals]
+    simulate_driven(model, *signals)
+    for s, s0 in zip(signals, before):
+        npt.assert_array_equal(s, s0)
+
+
+@pytest.mark.parametrize("T", [200, 701, 5000])
+def test_scan_names_the_blowup_step_of_the_longhand_recursion(rng, T):
+    # Stable modes 1 and 2 until 120 steps before the end, then the growing
+    # mode 3: the state leaves the limit in a late block, 60-odd steps on.
+    model = scan_model(rng, growth=1.6)
+    u, q, w, v = scan_signals(rng, T)
+    q = np.where(np.arange(T) < T - 120, rng.integers(1, 3, size=T), 3)
+    _, blowup = longhand(model, u, q, w, v)
+    assert blowup is not None and blowup > T // 2
+    with pytest.raises(DivergenceError, match=rf"state blew up at step {blowup} \("):
+        simulate_driven(model, u, q, w, v)
+
+
+def test_unexcited_growing_mode_is_not_a_blowup(rng):
+    # x_1 grows by 1e30 a step but starts at zero and is never driven, so
+    # the state stays bounded; the block products overflow all the same.
+    T = 300
+    model = LssModel(
+        n=2, m=1, nQ=1,
+        A=[np.array([[1e30, 0.0], [0.0, 0.5]])], B=[np.array([[0.0], [1.0]])],
+        C=np.array([1.0, 1.0]), D=np.array([0.0]),
+    )
+    u = rng.uniform(-1, 1, size=(T, 1))
+    q = np.ones(T, dtype=int)
+    expect, blowup = longhand(model, u, q, np.zeros((T, 2)), np.zeros(T))
+    assert blowup is None
+    npt.assert_allclose(simulate_driven(model, u, q), expect, rtol=0, atol=1e-12)
 
 
 def test_lti_special_case_is_a_convolution(rng):
