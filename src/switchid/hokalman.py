@@ -182,6 +182,13 @@ def find_selection(model: LssModel) -> Selection:
     value; candidates are ordered by word length then lexicographically,
     and ties keep the earliest candidate, so the result is deterministic.
 
+    Each step scores one candidate row at a time against every free
+    column: the k x k submatrices (new row and column last) are stacked
+    and scored by one batched SVD, so memory stays at |cols| k^2 floats.
+    The batched SVD runs the same LAPACK routine on each matrix, and the
+    pick is the earliest maximum in (row, column) order with NaN never
+    winning, so the selection equals that of scoring one pair at a time.
+
     Raises
     ------
     SelectionRankError
@@ -202,22 +209,21 @@ def find_selection(model: LssModel) -> Selection:
     R = np.array([(a_word(model, mu) @ model.B[q - 1])[:, l - 1] for mu, q, l in cols]).T
     full = O @ R
 
-    def score(I, J):
-        s = np.linalg.svd(full[np.ix_(I, J)], compute_uv=False)
-        return s[-1]
-
     I, J = [], []
-    for _ in range(n):
+    for k in range(1, n + 1):
+        free = np.array([c for c in range(len(cols)) if c not in J])
+        stack = np.empty((len(free), k, k))
         best, best_val = None, -1.0
         for r in range(len(rows)):
             if r in I:
                 continue
-            for c in range(len(cols)):
-                if c in J:
-                    continue
-                val = score(I + [r], J + [c])
-                if val > best_val:
-                    best, best_val = (r, c), val
+            sub = full[I + [r]]
+            stack[:, :, : k - 1] = sub[:, J]
+            stack[:, :, k - 1] = sub[:, free].T
+            vals = np.linalg.svd(stack, compute_uv=False)[:, -1]
+            c = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
+            if vals[c] > best_val:
+                best, best_val = (r, int(free[c])), vals[c]
         I.append(best[0])
         J.append(best[1])
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,35 +233,70 @@ def save_trajectory(path: str, sample: SampleSet) -> None:
 
 def load_trajectory(path: str) -> SampleSet:
     """Read a trajectory CSV, refusing a row whose field count differs
-    from the header's or that holds a field that is not a number."""
+    from the header's or that holds a field that is not a number.
+
+    numpy's C reader parses the body.  A file it does not take as it
+    stands (a changed field count, a quoted or non-numeric field, a
+    whitespace-only line, any warning) is read again row by row by
+    :func:`_parse_rows`, which returns the same arrays the C reader
+    would or names the file, the line and the field at fault.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header")
         if header[:2] != ["t", "y"] or header[-1] != "q":
             raise ValueError(f"unrecognized trajectory header: {header}")
         m = len(header) - 3
-        ys, us, qs = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: {len(row)} fields, "
-                    f"the header has {len(header)}"
+        fields = [("t", "f8"), ("y", "f8"), ("u", "f8", (m,)), ("q", "i8")]
+        try:
+            # Without usecols an extra field is refused, without comments
+            # a '#' line is a field, and an integer field refuses '2.0'.
+            # A warning (an empty body; an older numpy reading '2.0' into
+            # an integer field) also sends the file to the row reader.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                body = np.loadtxt(
+                    path, delimiter=",", skiprows=1, ndmin=1, comments=None, dtype=fields
                 )
-            try:
-                ys.append(float(row[1]))
-                us.append([float(x) for x in row[2 : 2 + m]])
-                qs.append(int(row[-1]))
-            except ValueError:
-                for name, value in zip(header[1:], row[1:]):
-                    try:
-                        (int if name == "q" else float)(value)
-                    except ValueError:
-                        kind = "an integer" if name == "q" else "a number"
-                        raise ValueError(
-                            f"{path}, line {reader.line_num}: field {name!r} "
-                            f"is not {kind}: {value!r}"
-                        ) from None
-                raise
-    return SampleSet(N=len(ys) - 1, y=np.array(ys), u=np.array(us), q=np.array(qs))
+        except (ValueError, Warning):
+            y, u, q = _parse_rows(path, reader, header)
+        else:
+            # Contiguous copies, laid out as the row reader's arrays are.
+            y, u, q = (np.ascontiguousarray(body[name]) for name in ("y", "u", "q"))
+    if len(y) == 0:
+        raise ValueError(f"{path}: no data rows")
+    return SampleSet(N=len(y) - 1, y=y, u=u, q=q)
+
+
+def _parse_rows(path: str, reader, header: list[str]):
+    """Parse the rows after the header one at a time, skipping blank
+    lines; the first row with a wrong field count or a field that is not
+    a number is refused with the file, the line and the field."""
+    m = len(header) - 3
+    ys, us, qs = [], [], []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}, line {reader.line_num}: {len(row)} fields, "
+                f"the header has {len(header)}"
+            )
+        try:
+            ys.append(float(row[1]))
+            us.append([float(x) for x in row[2 : 2 + m]])
+            qs.append(int(row[-1]))
+        except ValueError:
+            for name, value in zip(header[1:], row[1:]):
+                try:
+                    (int if name == "q" else float)(value)
+                except ValueError:
+                    kind = "an integer" if name == "q" else "a number"
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: field {name!r} "
+                        f"is not {kind}: {value!r}"
+                    ) from None
+            raise
+    return np.array(ys), np.array(us), np.array(qs)

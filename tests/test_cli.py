@@ -130,6 +130,20 @@ def test_identify_refuses_row_with_non_number_field(capsys, tmp_path):
     assert "est_err" not in out
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [("", "empty file, no header"), ("t,y,u_1,q\n", "no data rows")],
+    ids=["empty", "header-only"],
+)
+def test_identify_refuses_trajectory_without_rows(capsys, tmp_path, text, reason):
+    traj = tmp_path / "traj.csv"
+    traj.write_text(text)
+    rc, out, err = run(capsys, "identify", "--trajectory", str(traj), "--gamma", "0.6")
+    assert rc == 1
+    assert f"error: {traj}: {reason}" in err
+    assert "est_err" not in out
+
+
 def test_identify_refuses_short_run(capsys):
     rc, _, err = run(capsys, "identify", "--N", "8")
     assert rc == 1

@@ -124,7 +124,8 @@ def test_figures_written_and_parse(tmp_path, tiny_rows):
     for p in paths:
         root = ET.parse(p).getroot()
         assert root.tag.endswith("svg")
-    text = open(paths[0]).read()
+    with open(paths[0]) as fh:
+        text = fh.read()
     assert "gamma = 0.6" in text
     assert "trajectory length N" in text
 

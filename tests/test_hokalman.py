@@ -18,9 +18,11 @@ from switchid import (
     realize,
     required_words,
     true_markov_map,
+    two_mode_benchmark,
 )
 from switchid.core import a_word
 from switchid.hokalman import (
+    _candidate_rows,
     HankelSet,
     RealizationResult,
     load_selection,
@@ -253,6 +255,91 @@ def test_find_selection_benchmark_matches_known_best(bench):
     assert set(sel.alpha) == {(), (1,)}
     assert set(sel.beta) == {((), 2, 1), ((1,), 2, 1)}
     assert set(sel.alpha) == exhaustive_selection_rows(model)
+
+
+def greedy_selection_loop(model):
+    """Greedy selection scored one candidate pair at a time: the oracle
+    for the batched scoring of :func:`find_selection`."""
+    n = model.n
+    rows = _candidate_rows(model)
+    cols = [
+        (mu, q, l)
+        for mu in rows
+        for q in range(1, model.nQ + 1)
+        for l in range(1, model.m + 1)
+    ]
+    O = np.array([model.C @ a_word(model, eta) for eta in rows])
+    R = np.array([(a_word(model, mu) @ model.B[q - 1])[:, l - 1] for mu, q, l in cols]).T
+    full = O @ R
+
+    def score(I, J):
+        s = np.linalg.svd(full[np.ix_(I, J)], compute_uv=False)
+        return s[-1]
+
+    I, J = [], []
+    for _ in range(n):
+        best, best_val = None, -1.0
+        for r in range(len(rows)):
+            if r in I:
+                continue
+            for c in range(len(cols)):
+                if c in J:
+                    continue
+                val = score(I + [r], J + [c])
+                if val > best_val:
+                    best, best_val = (r, c), val
+        I.append(best[0])
+        J.append(best[1])
+    return Selection(
+        alpha=tuple(rows[r] for r in I),
+        beta=tuple(cols[c] for c in J),
+    )
+
+
+def seeded_model(n, nQ, m, seed):
+    rng = np.random.default_rng([seed, n, nQ, m])
+    A = []
+    for _ in range(nQ):
+        G = rng.standard_normal((n, n))
+        A.append(0.8 * G / np.linalg.norm(G, 2))
+    return LssModel(
+        n=n, m=m, nQ=nQ, A=A,
+        B=[rng.standard_normal((n, m)) for _ in range(nQ)],
+        C=rng.standard_normal(n),
+        D=rng.standard_normal(m),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("nQ", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_find_selection_matches_greedy_loop(n, nQ, m):
+    # Same rows and columns in the same order, so the selection file and
+    # every Hankel block built from it are unchanged.
+    model = seeded_model(n, nQ, m, seed=11)
+    sel, expect = find_selection(model), greedy_selection_loop(model)
+    assert sel.alpha == expect.alpha
+    assert sel.beta == expect.beta
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.4, 0.6])
+def test_find_selection_matches_greedy_loop_on_benchmark(gamma):
+    model, _ = two_mode_benchmark(gamma)
+    sel, expect = find_selection(model), greedy_selection_loop(model)
+    assert (sel.alpha, sel.beta) == (expect.alpha, expect.beta)
+
+
+def test_find_selection_ties_keep_the_earliest_candidate():
+    # Two identical modes: every word through mode 2 scores exactly like
+    # its mode-1 twin, so only mode-1 words and columns may be picked.
+    base = seeded_model(3, 1, 1, seed=5)
+    model = LssModel(
+        n=3, m=1, nQ=2, A=[base.A[0]] * 2, B=[base.B[0]] * 2, C=base.C, D=base.D
+    )
+    sel, expect = find_selection(model), greedy_selection_loop(model)
+    assert (sel.alpha, sel.beta) == (expect.alpha, expect.beta)
+    assert all(2 not in w for w in sel.alpha)
+    assert all(q == 1 and 2 not in mu for mu, q, _ in sel.beta)
 
 
 def test_find_selection_lti():

@@ -1,5 +1,7 @@
 """Simulator behaviour: exact recursion, determinism, signal laws."""
 
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -282,3 +284,98 @@ def test_load_trajectory_rejects_alien_header(tmp_path):
     path.write_text("time,output\n0,1.0\n")
     with pytest.raises(ValueError):
         load_trajectory(str(path))
+
+
+def rowwise_load(path):
+    """The per-row trajectory reader, field by field with csv: the oracle
+    for :func:`load_trajectory`, which parses the body with numpy."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header[:2] != ["t", "y"] or header[-1] != "q":
+            raise ValueError(f"unrecognized trajectory header: {header}")
+        m = len(header) - 3
+        ys, us, qs = [], [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, "
+                    f"the header has {len(header)}"
+                )
+            try:
+                ys.append(float(row[1]))
+                us.append([float(x) for x in row[2 : 2 + m]])
+                qs.append(int(row[-1]))
+            except ValueError:
+                for name, value in zip(header[1:], row[1:]):
+                    try:
+                        (int if name == "q" else float)(value)
+                    except ValueError:
+                        kind = "an integer" if name == "q" else "a number"
+                        raise ValueError(
+                            f"{path}, line {reader.line_num}: field {name!r} "
+                            f"is not {kind}: {value!r}"
+                        ) from None
+                raise
+    return SampleSet(N=len(ys) - 1, y=np.array(ys), u=np.array(us), q=np.array(qs))
+
+
+TRAJ_ROWS = [
+    "0,0.5,-1.25,3e-17,1",
+    "1,-0.125,0.75,1.0,2",
+    "2,2.5e3,-0.0,-7.5,3",
+    "3,0.1,0.2,0.30000000000000004,1",
+]
+
+
+def traj_text(rows, header="t,y,u_1,u_2,q", newline="\n"):
+    return newline.join([header] + rows) + newline
+
+
+def edit_row(i, **fields):
+    names = ["t", "y", "u_1", "u_2", "q"]
+    row = TRAJ_ROWS[i].split(",")
+    for name, value in fields.items():
+        row[names.index(name)] = value
+    return TRAJ_ROWS[:i] + [",".join(row)] + TRAJ_ROWS[i + 1 :]
+
+
+LOADER_CASES = {
+    "plain": traj_text(TRAJ_ROWS),
+    "blank-line": traj_text(TRAJ_ROWS[:2] + [""] + TRAJ_ROWS[2:]),
+    "crlf": traj_text(TRAJ_ROWS, newline="\r\n"),
+    "whitespace-line": traj_text(TRAJ_ROWS[:2] + ["   "] + TRAJ_ROWS[2:]),
+    "hash-line": traj_text(TRAJ_ROWS[:2] + ["# note"] + TRAJ_ROWS[2:]),
+    "extra-field": traj_text(TRAJ_ROWS[:2] + [TRAJ_ROWS[2] + ",9"] + TRAJ_ROWS[3:]),
+    "missing-field": traj_text(TRAJ_ROWS[:2] + [TRAJ_ROWS[2].rsplit(",", 2)[0] + ",3"]),
+    "quoted-number": traj_text(edit_row(1, y='"-0.125"')),
+    "q-2.0": traj_text(edit_row(1, q="2.0")),
+    "q-1e0": traj_text(edit_row(2, q="1e0")),
+    "y-abc": traj_text(edit_row(3, y="abc")),
+    "t-abc": traj_text(edit_row(0, t="abc")),
+    "padded-fields": traj_text(edit_row(1, y=" -0.125 ", q=" 2")),
+    "one-row": traj_text(TRAJ_ROWS[:1]),
+    "no-final-newline": traj_text(TRAJ_ROWS)[:-1],
+    "one-input": traj_text([r.rsplit(",", 2)[0] + "," + r[-1] for r in TRAJ_ROWS], "t,y,u_1,q"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+def test_load_trajectory_matches_rowwise_reader(tmp_path, case):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(LOADER_CASES[case].encode())
+    try:
+        expect = rowwise_load(str(path))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_trajectory(str(path))
+        assert str(got.value) == str(exc)
+        return
+    got = load_trajectory(str(path))
+    assert got.N == expect.N
+    for name in ("y", "u", "q"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        npt.assert_array_equal(a, b)
