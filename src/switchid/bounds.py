@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from .core import LssModel, SignalSpec, SwitchingDistribution, p_word, read_json, write_json
 from .hokalman import Selection, required_words
@@ -83,25 +82,29 @@ def gamma_from_P(model: LssModel, P: np.ndarray) -> tuple[float, float]:
     Raises
     ------
     ValueError
-        If P is not symmetric positive definite.
+        If P has a non-finite entry, is not symmetric positive definite,
+        or gives a NaN eigenvalue.
     CertificateError
         If the tight rate is >= 1, i.e. P certifies nothing.
     """
     P = np.asarray(P, dtype=float)
     if P.shape != (model.n, model.n):
         raise ValueError(f"P must be {model.n}x{model.n}")
+    if not np.isfinite(P).all():
+        raise ValueError("P has a non-finite entry")
     if np.linalg.norm(P - P.T) > 1e-10 * max(1.0, np.linalg.norm(P)):
         raise ValueError("P must be symmetric")
     try:
-        np.linalg.cholesky(P)
+        L = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         raise ValueError("P must be positive definite") from None
 
     lam = 0.0
     for Aq in model.A:
         S = Aq.T @ P @ Aq
-        lam = max(lam, float(scipy.linalg.eigh(S, P, eigvals_only=True)[-1]))
-    gamma = model.nQ * math.sqrt(max(lam, 0.0))
+        # S is symmetric, so solve(L, S).T = S L^{-T}.
+        lam = max(lam, _eigvalsh(np.linalg.solve(L, np.linalg.solve(L, S).T))[-1])
+    gamma = model.nQ * math.sqrt(lam)
     if gamma >= 1.0:
         raise CertificateError(
             f"P certifies gamma = {gamma:.6f} >= 1, not a stability certificate"
@@ -113,9 +116,17 @@ def gamma_from_P(model: LssModel, P: np.ndarray) -> tuple[float, float]:
     rho = gamma**2 / model.nQ**2
     margin = math.inf
     for Aq in model.A:
-        gap = rho * P - Aq.T @ P @ Aq
-        margin = min(margin, float(np.linalg.eigvalsh(gap)[0]))
+        margin = min(margin, _eigvalsh(rho * P - Aq.T @ P @ Aq)[0])
     return gamma, margin
+
+
+def _eigvalsh(M: np.ndarray) -> list[float]:
+    """Ascending eigenvalues of a symmetric M; a NaN among them (which
+    max and min would silently drop) is refused."""
+    ev = np.linalg.eigvalsh(M)
+    if np.isnan(ev).any():
+        raise ValueError("P gives a NaN eigenvalue, so it certifies nothing")
+    return ev.tolist()
 
 
 def schur_radius(model: LssModel, dist: SwitchingDistribution) -> float:

@@ -57,6 +57,8 @@ class LssModel:
         Output row.
     D : (m,) array
         Feedthrough row.
+
+    A NaN or infinite entry in any matrix is refused, naming the matrix.
     """
 
     n: int
@@ -83,6 +85,11 @@ class LssModel:
             raise ValueError(f"C must have {self.n} entries")
         if self.D.shape != (self.m,):
             raise ValueError(f"D must have {self.m} entries")
+        named = [(f"A[{i}]", Aq) for i, Aq in enumerate(self.A)]
+        named += [(f"B[{i}]", Bq) for i, Bq in enumerate(self.B)]
+        for name, M in named + [("C", self.C), ("D", self.D)]:
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} has a non-finite entry")
 
     def check_word(self, w: Word) -> None:
         for c in w:
@@ -98,6 +105,8 @@ class SwitchingDistribution:
 
     def __post_init__(self):
         self.p = np.array(self.p, dtype=float).reshape(-1)
+        if not np.isfinite(self.p).all():
+            raise ValueError("p has a non-finite entry")
         if np.any(self.p <= 0.0):
             raise ValueError("all mode probabilities must be strictly positive")
         if abs(self.p.sum() - 1.0) > 1e-12:
@@ -127,12 +136,17 @@ class SignalSpec:
     Sigma_u: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("Ku_input", "Ku_noise"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} is not finite")
         if self.Ku_input < 0 or self.Ku_noise < 0:
             raise ValueError("amplitude bounds must be nonnegative")
         if self.Sigma_u is not None:
             S = np.array(self.Sigma_u, dtype=float)
             if S.ndim != 2 or S.shape[0] != S.shape[1]:
                 raise ValueError("Sigma_u must be square")
+            if not np.isfinite(S).all():
+                raise ValueError("Sigma_u has a non-finite entry")
             if np.linalg.norm(S - S.T) > 1e-12 * max(1.0, np.linalg.norm(S)):
                 raise ValueError("Sigma_u must be symmetric")
             if np.any(np.linalg.eigvalsh(S) <= 0.0):

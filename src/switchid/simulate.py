@@ -270,10 +270,14 @@ def load_trajectory(path: str) -> SampleSet:
     return SampleSet(N=len(y) - 1, y=y, u=u, q=q)
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_rows(path: str, reader, header: list[str]):
     """Parse the rows after the header one at a time, skipping blank
-    lines; the first row with a wrong field count or a field that is not
-    a number is refused with the file, the line and the field."""
+    lines; the first row with a wrong field count, a field that is not
+    a number or a mode label outside int64 is refused with the file, the
+    line and the field."""
     m = len(header) - 3
     ys, us, qs = [], [], []
     for row in reader:
@@ -287,7 +291,7 @@ def _parse_rows(path: str, reader, header: list[str]):
         try:
             ys.append(float(row[1]))
             us.append([float(x) for x in row[2 : 2 + m]])
-            qs.append(int(row[-1]))
+            q = int(row[-1])
         except ValueError:
             for name, value in zip(header[1:], row[1:]):
                 try:
@@ -299,4 +303,10 @@ def _parse_rows(path: str, reader, header: list[str]):
                         f"is not {kind}: {value!r}"
                     ) from None
             raise
+        if not _INT64.min <= q <= _INT64.max:
+            raise ValueError(
+                f"{path}, line {reader.line_num}: field 'q' is outside the "
+                f"int64 range: {row[-1]!r}"
+            )
+        qs.append(q)
     return np.array(ys), np.array(us), np.array(qs)

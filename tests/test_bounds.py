@@ -23,6 +23,7 @@ from switchid import (
     two_mode_benchmark,
 )
 from switchid.bounds import (
+    GAMMA_INFLATION,
     certify_P,
     compute_KM,
     load_P_matrix,
@@ -97,6 +98,56 @@ class TestGammaFromP:
             gamma_from_P(model2, np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
         with pytest.raises(ValueError):
             gamma_from_P(model2, -np.eye(2))  # not positive definite
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_refuses_non_finite_P(self, bench, bad, entry):
+        # max() and min() drop a NaN, so without the check a NaN P came out
+        # as a certificate of rate 1e-12 with an infinite margin.
+        model, dist = bench
+        P = np.eye(2)
+        P[entry] = P[entry[::-1]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            gamma_from_P(model, P)
+        with pytest.raises(ValueError, match="non-finite"):
+            certify_P(model, dist, P, 0.6)
+
+    def test_refuses_nan_eigenvalue(self):
+        # Finite entries whose products overflow leave NaN eigenvalues.
+        a = 1e200
+        model = LssModel(
+            n=2, m=1, nQ=1, A=[np.array([[a, a], [0.0, a]])],
+            B=[np.ones((2, 1))], C=np.ones(2), D=np.zeros(1),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="NaN eigenvalue"):
+                gamma_from_P(model, np.eye(2))
+
+    @pytest.mark.parametrize("cond", [1.0, 10.0, 1e3, 1e6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rate_matches_generalized_eigensolver(self, n, cond):
+        # Test-only oracle: the largest eigenvalue of the pencil
+        # (A_q^T P A_q, P) from LAPACK's generalized symmetric solver.
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(1000 * n + int(math.log10(cond)))
+        for _ in range(20):
+            nQ = int(rng.integers(1, 4))
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            P = Q @ np.diag(np.logspace(0.0, math.log10(cond), n)) @ Q.T
+            P = (P + P.T) / 2.0
+            A = rng.standard_normal((nQ, n, n))
+            lam = max(
+                scipy_linalg.eigh(Aq.T @ P @ Aq, P, eigvals_only=True)[-1] for Aq in A
+            )
+            # Scale every mode so that the oracle's tight rate is 0.5.
+            scale = 0.5 / (nQ * math.sqrt(lam))
+            model = LssModel(
+                n=n, m=1, nQ=nQ, A=list(scale * A),
+                B=[np.ones((n, 1))] * nQ, C=np.ones(n), D=np.zeros(1),
+            )
+            gamma, margin = gamma_from_P(model, P)
+            assert gamma == pytest.approx(0.5 * (1.0 + GAMMA_INFLATION), rel=1e-10, abs=0.0)
+            assert margin > 0.0
 
 
 class TestSchurRadius:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import switchid
-from switchid import save_model_file, two_mode_benchmark
+from switchid import SignalSpec, save_model_file, two_mode_benchmark
 from switchid.cli import main
 
 
@@ -222,6 +222,73 @@ def test_stability_unstable_model_exits_2(capsys, tmp_path):
     rc, _, err = run(capsys, "stability", "--model", str(path), "--gamma", "0.9")
     assert rc == 2
     assert "no quadratic stability certificate" in err
+
+
+def set_A_entry(doc, bad):
+    doc["A"][1][0][1] = bad
+
+
+def set_p_entry(doc, bad):
+    doc["p"][0] = bad
+
+
+def set_ku_input(doc, bad):
+    doc["signal"]["Ku_input"] = bad
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (set_A_entry, "A[1] has a non-finite entry"),
+        (set_p_entry, "p has a non-finite entry"),
+        (set_ku_input, "Ku_input is not finite"),
+    ],
+    ids=["A", "p", "Ku_input"],
+)
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_non_finite_model_exits_1_naming_the_field(capsys, tmp_path, command, edit, reason, bad):
+    # Before the check a NaN in A made simulate blame the dynamics ("state
+    # blew up") and stability print LAPACK's bare complaint, both exit 2.
+    path = tmp_path / "model.json"
+    save_model_file(str(path), *two_mode_benchmark(0.6), SignalSpec(Ku_input=0.8, Ku_noise=1.0))
+    doc = json.loads(path.read_text())
+    edit(doc, bad)
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, command, "--model", str(path), "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert reason in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_stability_refuses_non_finite_P(capsys, tmp_path, bad):
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps([[bad, 0.0], [0.0, 1.0]]))
+    rc, _, err = run(capsys, "stability", "--gamma", "0.4", "--P", str(path))
+    assert rc == 1
+    assert "P has a non-finite entry" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["stability", "--gamma", "0.4"],
+        ["experiment", "--trials", "1", "--N-grid", "1000", "--out", "out"],
+    ],
+    ids=["import", "stability", "experiment"],
+)
+def test_runs_without_scipy(tmp_path, argv):
+    # A None entry in sys.modules makes every scipy import fail, so a
+    # scipy import anywhere on these paths turns this test red.
+    src = os.path.dirname(os.path.dirname(switchid.__file__))
+    code = f"import sys; sys.modules['scipy'] = None; sys.path.insert(0, {src!r}); import switchid"
+    if argv:
+        code += f"; from switchid.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_model_file_exits_3(capsys):

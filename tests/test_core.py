@@ -1,5 +1,7 @@
 """Word algebra, model containers and file round-trips."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -163,6 +165,34 @@ class TestSignalSpec:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             SignalSpec(Ku_input=-0.1, Ku_noise=1.0)
+
+
+def lss(**overrides):
+    args = dict(n=1, m=1, nQ=2, A=[np.eye(1)] * 2, B=[np.ones((1, 1))] * 2,
+                C=np.ones(1), D=np.zeros(1))
+    return LssModel(**{**args, **overrides})
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: lss(A=[np.eye(1), np.array([[NAN]])]), "A[1] has a non-finite entry"),
+        (lambda: lss(B=[np.array([[np.inf]]), np.ones((1, 1))]), "B[0] has a non-finite entry"),
+        (lambda: lss(C=[-np.inf]), "C has a non-finite entry"),
+        (lambda: lss(D=[NAN]), "D has a non-finite entry"),
+        (lambda: SwitchingDistribution(p=[NAN, NAN]), "p has a non-finite entry"),
+        (lambda: SignalSpec(Ku_input=1.0, Ku_noise=NAN), "Ku_noise is not finite"),
+        (lambda: SignalSpec(Ku_input=1.0, Ku_noise=1.0, Sigma_u=[[NAN]]),
+         "Sigma_u has a non-finite entry"),
+    ],
+    ids=["A", "B", "C", "D", "p", "Ku_noise", "Sigma_u"],
+)
+def test_non_finite_values_refused_by_name(build, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        build()
 
 
 def test_benchmark_family_structure():

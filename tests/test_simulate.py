@@ -307,7 +307,7 @@ def rowwise_load(path):
             try:
                 ys.append(float(row[1]))
                 us.append([float(x) for x in row[2 : 2 + m]])
-                qs.append(int(row[-1]))
+                q = int(row[-1])
             except ValueError:
                 for name, value in zip(header[1:], row[1:]):
                     try:
@@ -319,6 +319,12 @@ def rowwise_load(path):
                             f"is not {kind}: {value!r}"
                         ) from None
                 raise
+            if not -(2**63) <= q < 2**63:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: field 'q' is outside the "
+                    f"int64 range: {row[-1]!r}"
+                )
+            qs.append(q)
     return SampleSet(N=len(ys) - 1, y=np.array(ys), u=np.array(us), q=np.array(qs))
 
 
@@ -358,6 +364,11 @@ LOADER_CASES = {
     "padded-fields": traj_text(edit_row(1, y=" -0.125 ", q=" 2")),
     "one-row": traj_text(TRAJ_ROWS[:1]),
     "no-final-newline": traj_text(TRAJ_ROWS)[:-1],
+    # The quoted field sends the file to the row reader.
+    "q-int64-max": traj_text(edit_row(2, y='"2.5e3"', q=str(2**63 - 1))),
+    "q-above-int64": traj_text(edit_row(2, q=str(2**63))),
+    "q-below-int64": traj_text(edit_row(1, q=str(-(2**63) - 1))),
+    "q-20-digits": traj_text(edit_row(3, q="99999999999999999999")),
     "one-input": traj_text([r.rsplit(",", 2)[0] + "," + r[-1] for r in TRAJ_ROWS], "t,y,u_1,q"),
 }
 
@@ -379,3 +390,14 @@ def test_load_trajectory_matches_rowwise_reader(tmp_path, case):
         a, b = getattr(got, name), getattr(expect, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         npt.assert_array_equal(a, b)
+
+
+def test_load_trajectory_refuses_mode_label_beyond_int64(tmp_path):
+    # The label used to pass the reader and overflow in SampleSet.
+    path = tmp_path / "traj.csv"
+    path.write_text(LOADER_CASES["q-20-digits"])
+    with pytest.raises(ValueError) as exc:
+        load_trajectory(str(path))
+    assert str(exc.value) == (
+        f"{path}, line 5: field 'q' is outside the int64 range: '99999999999999999999'"
+    )
