@@ -23,13 +23,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import LssModel, SignalSpec, SwitchingDistribution, p_word, read_json, write_json
+from .core import LssModel, SignalSpec, SwitchingDistribution, p_word, read_json
 from .hokalman import Selection, required_words
 
 GAMMA_FLOOR = 1e-12
 GAMMA_INFLATION = 1e-9
 # Upper bound c in I <= P <= c I, which keeps the slack maximization bounded.
 P_CEILING = 1e6
+# Bracket and width at which min_gamma_certificate stops bisecting.
+MIN_GAMMA_LO, MIN_GAMMA_HI, MIN_GAMMA_TOL = 1e-4, 0.9999, 1e-3
 
 
 class CertificateError(RuntimeError):
@@ -307,14 +309,10 @@ def find_P(
     )
 
 
-def min_gamma_certificate(
-    model: LssModel,
-    dist: SwitchingDistribution,
-    lo: float = 1e-4,
-    hi: float = 0.9999,
-    tol: float = 1e-3,
-) -> StabilityCertificate:
-    """Bisect for (approximately) the smallest certifiable rate."""
+def min_gamma_certificate(model: LssModel, dist: SwitchingDistribution) -> StabilityCertificate:
+    """Bisect for (approximately) the smallest certifiable rate, to
+    within MIN_GAMMA_TOL."""
+    lo, hi = MIN_GAMMA_LO, MIN_GAMMA_HI
     try:
         cert = find_P(model, dist, hi)
     except CertificateError:
@@ -322,7 +320,7 @@ def min_gamma_certificate(
             f"model not certifiable even at gamma = {hi} "
             f"(schur_radius = {schur_radius(model, dist):.6f})"
         ) from None
-    while hi - lo > tol:
+    while hi - lo > MIN_GAMMA_TOL:
         mid = 0.5 * (lo + hi)
         try:
             cert = find_P(model, dist, mid)
@@ -518,14 +516,6 @@ def min_valid_N(
         model, dist, signal, sel, sigma_n_H, delta, 1, stability=stability
     )
     return max(bc.N_min_basic, bc.N_min_hankel)
-
-
-def save_bound_certificate(path: str, bc: BoundCertificate) -> None:
-    write_json(path, bc.to_dict())
-
-
-def save_stability_certificate(path: str, cert: StabilityCertificate) -> None:
-    write_json(path, cert.to_dict())
 
 
 def load_P_matrix(path: str) -> np.ndarray:

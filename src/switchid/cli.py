@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -26,8 +27,6 @@ from .bounds import (
     find_P,
     min_valid_N,
     load_P_matrix,
-    save_bound_certificate,
-    save_stability_certificate,
 )
 from .core import (
     SignalSpec,
@@ -170,6 +169,11 @@ def cmd_identify(args) -> int:
     model, dist, signal, _ = _resolve_model(args)
     if args.trajectory:
         sample = load_trajectory(args.trajectory)
+        if sample.u.shape[1] != model.m:
+            raise ValueError(
+                f"{args.trajectory}: {sample.u.shape[1]} input columns, "
+                f"the model has m = {model.m}"
+            )
     else:
         sample = simulate(
             SimConfig(
@@ -188,7 +192,7 @@ def cmd_identify(args) -> int:
         )
     sigma_u = signal.sigma_u(model.m)
     _check_input_covariance(sample.u, sigma_u)
-    sel = load_selection(args.selection) if args.selection else find_selection(model)
+    sel = load_selection(args.selection, model) if args.selection else find_selection(model)
     words = required_words(sel, model.nQ)
     mmap = empirical_markov_batch(sample, words, sigma_u, dist)
     rr_hat = realize(build_hankels(mmap, sel), mmap[()])
@@ -217,8 +221,8 @@ def cmd_selection(args) -> int:
     model, _, _, _ = _resolve_model(args)
     sel = find_selection(model)
     words = required_words(sel, model.nQ)
-    hs = build_hankels(true_markov_map(model, words), sel)
-    sigma_n = float(np.linalg.svd(hs.H_ab, compute_uv=False)[-1])
+    mmap_true = true_markov_map(model, words)
+    sigma_n = realize(build_hankels(mmap_true, sel), mmap_true[()]).sigma_n
     print(f"rows (alpha):  {[word_to_str(w) or 'e' for w in sel.alpha]}")
     print(
         "cols (beta):   "
@@ -244,14 +248,14 @@ def cmd_stability(args) -> int:
     print(f"margin = {cert.margin:.6g}")
     print(f"schur radius = {cert.schur_radius:.6g}")
     if args.out:
-        save_stability_certificate(args.out, cert)
+        write_json(args.out, cert.to_dict())
         print(f"certificate written to {args.out}")
     return 0
 
 
 def cmd_bound(args) -> int:
     model, dist, signal, gamma = _resolve_model(args)
-    sel = load_selection(args.selection) if args.selection else find_selection(model)
+    sel = load_selection(args.selection, model) if args.selection else find_selection(model)
     words = required_words(sel, model.nQ)
     mmap_true = true_markov_map(model, words)
     rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
@@ -276,7 +280,7 @@ def cmd_bound(args) -> int:
     print(f"smallest N with a valid bound: {N_star}")
     if args.out:
         if len(certs) == 1:
-            save_bound_certificate(args.out, certs[0])
+            write_json(args.out, certs[0].to_dict())
         else:
             with open(args.out, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -294,20 +298,13 @@ def cmd_experiment(args) -> int:
         cfg = ExperimentConfig.load(args.config)
     else:
         cfg = ExperimentConfig()
-    if args.model:
-        cfg.model_file = args.model
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.seed is not None:
-        cfg.seed_base = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.delta is not None:
-        cfg.delta = args.delta
-    if args.N_grid:
-        cfg.N_grid = args.N_grid
-    if args.out:
-        cfg.output_dir = args.out
+    # Flags replace config values through the constructor, so a flag is
+    # checked exactly as a config-file value is.
+    flags = dict(
+        model_file=args.model, trials=args.trials, seed_base=args.seed, threads=args.threads,
+        delta=args.delta, N_grid=args.N_grid, output_dir=args.out,
+    )
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     os.makedirs(cfg.output_dir, exist_ok=True)
     rows = run_experiment(cfg, progress=print)
     csv_path = os.path.join(cfg.output_dir, "results.csv")

@@ -17,10 +17,12 @@ retry.
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -104,6 +106,12 @@ class ExperimentConfig:
             raise ValueError("trajectory lengths must be positive")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if self.seed_base < 0:
+            raise ValueError("seed_base must be nonnegative")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be nonnegative")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), not {self.delta!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -143,10 +151,10 @@ def _run_one_trial(
     signal: SignalSpec,
     N: int,
     burn_in: int,
-    seed: int,
     sel: Selection,
     words: set,
     rr_ref: RealizationResult,
+    seed: int,
 ) -> tuple[float, float]:
     """Simulate, estimate, realize; returns (est_err, wall_ms)."""
     t0 = time.perf_counter()
@@ -179,8 +187,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
         if base_dist is None:
             base_dist = SwitchingDistribution(np.full(base_model.nQ, 1.0 / base_model.nQ))
 
-    pool = ProcessPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    try:
+    parallel = cfg.threads > 1
+    with ProcessPoolExecutor(max_workers=cfg.threads) if parallel else nullcontext() as pool:
+        trial_map = functools.partial(pool.map, chunksize=4) if parallel else map
         for gamma in cfg.gamma_values:
             if base_model is None:
                 model, dist = two_mode_benchmark(gamma)
@@ -218,15 +227,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
                         else:
                             bound, valid = float("nan"), False
 
-                        args = [
-                            (model, dist, signal, N, cfg.burn_in, cfg.seed_base + trial,
-                             sel, words, rr_ref)
-                            for trial in range(cfg.trials)
-                        ]
-                        if pool is None:
-                            outcomes = [_run_one_trial(*a) for a in args]
-                        else:
-                            outcomes = list(pool.map(_run_one_trial_star, args, chunksize=4))
+                        run_trial = functools.partial(
+                            _run_one_trial, model, dist, signal, N, cfg.burn_in, sel, words,
+                            rr_ref,
+                        )
+                        seeds = range(cfg.seed_base, cfg.seed_base + cfg.trials)
+                        outcomes = list(trial_map(run_trial, seeds))
                         for trial, (err, wall) in enumerate(outcomes):
                             rows.append(
                                 ExperimentRow(
@@ -235,7 +241,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
                                     ku_input=ku_input,
                                     N=N,
                                     trial=trial,
-                                    seed=cfg.seed_base + trial,
+                                    seed=seeds[trial],
                                     est_err=err,
                                     bound=bound,
                                     valid=valid,
@@ -249,14 +255,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
                                 f"gamma={gamma} ku={ku_noise} ku_inp={ku_input} N={N}: "
                                 f"mean est_err {mean:.4g} over {len(good)}/{len(outcomes)} trials"
                             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return rows
-
-
-def _run_one_trial_star(args):
-    return _run_one_trial(*args)
 
 
 def write_results_csv(path: str, rows: list[ExperimentRow]) -> None:

@@ -34,6 +34,12 @@ from .markov import true_markov_map
 SINGULAR_RTOL = 1e-10
 
 
+def _singular(s: np.ndarray) -> bool:
+    """Whether singular values s (descending) mark a numerically singular
+    matrix: the smallest at most SINGULAR_RTOL times the largest."""
+    return s[-1] <= SINGULAR_RTOL * max(s[0], 1e-300)
+
+
 class SingularHankelError(RuntimeError):
     """H_ab is numerically singular; no realization is attempted."""
 
@@ -129,39 +135,24 @@ def build_hankels(mmap: dict[Word, np.ndarray], sel: Selection) -> HankelSet:
     Missing words raise KeyError; use :func:`required_words` to know what
     the table must contain.
     """
-    n = sel.n
-    some_row = next(iter(mmap.values()))
-    m = len(np.atleast_1d(some_row))
     nQ = max((max(w) for w in mmap if w), default=1)
     nQ = max(nQ, max(q for _, q, _ in sel.beta))
 
     cols = [((q,) + mu, l) for mu, q, l in sel.beta]
 
-    H_ab = np.empty((n, n))
-    for i, eta in enumerate(sel.alpha):
-        for j, (cw, l) in enumerate(cols):
-            H_ab[i, j] = mmap[cw + eta][l - 1]
+    def block(mid: Word) -> np.ndarray:
+        # Entry (i, j) is channel l_j of the word (q_j) mu_j mid eta_i.
+        rows = [[mmap[cw + mid + eta][l - 1] for cw, l in cols] for eta in sel.alpha]
+        return np.array(rows, dtype=float)
 
-    H_aqb = []
-    for q in range(1, nQ + 1):
-        Hq = np.empty((n, n))
-        for i, eta in enumerate(sel.alpha):
-            mid = (q,) + eta
-            for j, (cw, l) in enumerate(cols):
-                Hq[i, j] = mmap[cw + mid][l - 1]
-        H_aqb.append(Hq)
-
-    H_aq = []
-    for q in range(1, nQ + 1):
-        Hq = np.empty((n, m))
-        for i, eta in enumerate(sel.alpha):
-            Hq[i, :] = np.atleast_1d(mmap[(q,) + eta])
-        H_aq.append(Hq)
-
-    H_b = np.empty(n)
-    for j, (cw, l) in enumerate(cols):
-        H_b[j] = mmap[cw][l - 1]
-
+    modes = range(1, nQ + 1)
+    H_ab = block(())
+    H_aqb = [block((q,)) for q in modes]
+    H_aq = [
+        np.array([np.atleast_1d(mmap[(q,) + eta]) for eta in sel.alpha], dtype=float)
+        for q in modes
+    ]
+    H_b = np.array([mmap[cw][l - 1] for cw, l in cols], dtype=float)
     return HankelSet(H_ab=H_ab, H_aqb=H_aqb, H_aq=H_aq, H_b=H_b)
 
 
@@ -229,7 +220,7 @@ def find_selection(model: LssModel) -> Selection:
 
     sub = full[np.ix_(I, J)]
     s = np.linalg.svd(sub, compute_uv=False)
-    if s[-1] <= SINGULAR_RTOL * max(s[0], 1e-300):
+    if _singular(s):
         raise SelectionRankError(
             f"no rank-{n} selection found (best sigma_min {s[-1]:.3e}); "
             "the model does not look minimal"
@@ -249,7 +240,7 @@ def realize(hs: HankelSet, M_eps: np.ndarray) -> RealizationResult:
     """
     H_ab = np.asarray(hs.H_ab, dtype=float)
     s = np.linalg.svd(H_ab, compute_uv=False)
-    if s[-1] <= SINGULAR_RTOL * max(s[0], 1e-300):
+    if _singular(s):
         raise SingularHankelError(
             f"H_ab numerically singular: sigma_min/sigma_max = {s[-1]:.3e}/{s[0]:.3e}"
         )
@@ -314,8 +305,24 @@ def save_selection(path: str, sel: Selection) -> None:
     write_json(path, selection_to_dict(sel))
 
 
-def load_selection(path: str) -> Selection:
-    return read_json(path, selection_from_dict)
+def load_selection(path: str, model: LssModel) -> Selection:
+    """Read a selection file, refusing one that does not index the
+    model's Hankel blocks: n rows, modes in 1..nQ, channels in 1..m."""
+
+    def parse(doc) -> Selection:
+        sel = selection_from_dict(doc)
+        if sel.n != model.n:
+            raise ValueError(f"alpha: {sel.n} rows, the model has n = {model.n}")
+        for name, words in [("alpha", sel.alpha), ("beta", [(q,) + mu for mu, q, _ in sel.beta])]:
+            bad = [q for w in words for q in w if not 1 <= q <= model.nQ]
+            if bad:
+                raise ValueError(f"{name}: mode {bad[0]} outside 1..{model.nQ}")
+        bad = [l for _, _, l in sel.beta if l > model.m]
+        if bad:
+            raise ValueError(f"beta: channel {bad[0]} outside 1..{model.m}")
+        return sel
+
+    return read_json(path, parse)
 
 
 def save_realization(path: str, rr: RealizationResult, sel: Selection) -> None:

@@ -235,11 +235,10 @@ def load_trajectory(path: str) -> SampleSet:
     """Read a trajectory CSV, refusing a row whose field count differs
     from the header's or that holds a field that is not a number.
 
-    numpy's C reader parses the body.  A file it does not take as it
-    stands (a changed field count, a quoted or non-numeric field, a
-    whitespace-only line, any warning) is read again row by row by
-    :func:`_parse_rows`, which returns the same arrays the C reader
-    would or names the file, the line and the field at fault.
+    numpy's C reader parses the body of every file this accepts.  A file
+    it refuses (a changed field count, a field that is not a number, an
+    empty body, any warning) is scanned row by row by :func:`_fault`,
+    which only names the file, the line and the field at fault.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -249,64 +248,54 @@ def load_trajectory(path: str) -> SampleSet:
         if header[:2] != ["t", "y"] or header[-1] != "q":
             raise ValueError(f"unrecognized trajectory header: {header}")
         m = len(header) - 3
-        fields = [("t", "f8"), ("y", "f8"), ("u", "f8", (m,)), ("q", "i8")]
+        # Nothing uses t, so it is read as zero-width text and any value
+        # passes.  Without usecols an extra field is refused, without
+        # comments a '#' line is a field, and an integer field refuses
+        # '2.0'.  A warning (an empty body; an older numpy reading '2.0'
+        # into an integer field) is a refusal too.
+        fields = [("t", "U0"), ("y", "f8"), ("u", "f8", (m,)), ("q", "i8")]
         try:
-            # Without usecols an extra field is refused, without comments
-            # a '#' line is a field, and an integer field refuses '2.0'.
-            # A warning (an empty body; an older numpy reading '2.0' into
-            # an integer field) also sends the file to the row reader.
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 body = np.loadtxt(
-                    path, delimiter=",", skiprows=1, ndmin=1, comments=None, dtype=fields
+                    path, delimiter=",", skiprows=1, ndmin=1, comments=None, quotechar='"',
+                    dtype=fields,
                 )
-        except (ValueError, Warning):
-            y, u, q = _parse_rows(path, reader, header)
-        else:
-            # Contiguous copies, laid out as the row reader's arrays are.
-            y, u, q = (np.ascontiguousarray(body[name]) for name in ("y", "u", "q"))
-    if len(y) == 0:
-        raise ValueError(f"{path}: no data rows")
+        except (ValueError, Warning) as exc:
+            raise _fault(path, reader, header, exc) from None
+    # Contiguous copies: the fields of a structured array are strided views.
+    y, u, q = (np.ascontiguousarray(body[name]) for name in ("y", "u", "q"))
     return SampleSet(N=len(y) - 1, y=y, u=u, q=q)
 
 
 _INT64 = np.iinfo(np.int64)
 
 
-def _parse_rows(path: str, reader, header: list[str]):
-    """Parse the rows after the header one at a time, skipping blank
-    lines; the first row with a wrong field count, a field that is not
-    a number or a mode label outside int64 is refused with the file, the
-    line and the field."""
-    m = len(header) - 3
-    ys, us, qs = [], [], []
+def _fault(path: str, reader, header: list[str], exc: Exception) -> ValueError:
+    """Name why numpy refused the rows after the header: the first row
+    with a wrong field count, a field that is not a number or a mode
+    label outside int64 (blank lines skipped), else an empty body, else
+    numpy's own message."""
+    rows = 0
     for row in reader:
         if not row:
             continue
+        rows += 1
+        where = f"{path}, line {reader.line_num}"
         if len(row) != len(header):
-            raise ValueError(
-                f"{path}, line {reader.line_num}: {len(row)} fields, "
-                f"the header has {len(header)}"
-            )
-        try:
-            ys.append(float(row[1]))
-            us.append([float(x) for x in row[2 : 2 + m]])
-            q = int(row[-1])
-        except ValueError:
-            for name, value in zip(header[1:], row[1:]):
-                try:
-                    (int if name == "q" else float)(value)
-                except ValueError:
-                    kind = "an integer" if name == "q" else "a number"
-                    raise ValueError(
-                        f"{path}, line {reader.line_num}: field {name!r} "
-                        f"is not {kind}: {value!r}"
-                    ) from None
-            raise
-        if not _INT64.min <= q <= _INT64.max:
-            raise ValueError(
-                f"{path}, line {reader.line_num}: field 'q' is outside the "
-                f"int64 range: {row[-1]!r}"
-            )
-        qs.append(q)
-    return np.array(ys), np.array(us), np.array(qs)
+            return ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
+        for name, value in zip(header[1:], row[1:]):
+            try:
+                # Python's int and float take digit separators and
+                # non-ASCII digits too; numpy refuses both.
+                if "_" in value or not value.isascii():
+                    raise ValueError(value)
+                (int if name == "q" else float)(value)
+            except ValueError:
+                kind = "an integer" if name == "q" else "a number"
+                return ValueError(f"{where}: field {name!r} is not {kind}: {value!r}")
+        if not _INT64.min <= int(row[-1]) <= _INT64.max:
+            return ValueError(f"{where}: field 'q' is outside the int64 range: {row[-1]!r}")
+    if rows == 0:
+        return ValueError(f"{path}: no data rows")
+    return ValueError(f"{path}: {exc}")

@@ -20,6 +20,7 @@ MARGIN_LEFT = 72
 MARGIN_RIGHT = 160
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 56
+WIDTH, HEIGHT = 720, 480
 
 
 def _fmt(x: float) -> str:
@@ -43,8 +44,6 @@ def line_chart(
     xlabel: str,
     ylabel: str,
     title: str,
-    width: int = 720,
-    height: int = 480,
 ) -> None:
     """Write a log-log line chart as a self-contained SVG file.
 
@@ -77,8 +76,8 @@ def line_chart(
 
     lx0, lx1 = math.log10(xlo), math.log10(xhi)
     ly0, ly1 = math.log10(ylo), math.log10(yhi)
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return MARGIN_LEFT + plot_w * (math.log10(x) - lx0) / (lx1 - lx0)
@@ -88,12 +87,12 @@ def line_chart(
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     out.append(
-        f'<text x="{width // 2}" y="22" text-anchor="middle" font-size="14">{title}</text>'
+        f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" font-size="14">{title}</text>'
     )
 
     # Frame.
@@ -128,7 +127,7 @@ def line_chart(
         )
 
     out.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{height - 12}" '
+        f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 12}" '
         f'text-anchor="middle">{xlabel}</text>'
     )
     out.append(

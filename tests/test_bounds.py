@@ -27,10 +27,8 @@ from switchid.bounds import (
     certify_P,
     compute_KM,
     load_P_matrix,
-    save_bound_certificate,
-    save_stability_certificate,
 )
-from switchid.core import a_word
+from switchid.core import a_word, write_json
 from switchid.hokalman import Selection
 
 BENCH_SEL = Selection(alpha=((), (1,)), beta=(((), 2, 1), ((1,), 2, 1)))
@@ -403,7 +401,7 @@ class TestBoundCertificate:
         model, dist, signal, cert, sel = bench_chain
         bc = compute_certificate(model, dist, signal, sel, SIGMA_N, 0.05, 1000, stability=cert)
         path = tmp_path / "bound.json"
-        save_bound_certificate(str(path), bc)
+        write_json(str(path), bc.to_dict())
         doc = json.loads(path.read_text())
         assert doc["W_size"] == 10
         assert doc["stability"]["gamma"] == pytest.approx(cert.gamma)
@@ -413,7 +411,7 @@ def test_stability_certificate_file_roundtrip(tmp_path, bench):
     model, dist = bench
     cert = find_P(model, dist, 0.6)
     path = tmp_path / "stab.json"
-    save_stability_certificate(str(path), cert)
+    write_json(str(path), cert.to_dict())
     P = load_P_matrix(str(path))
     npt.assert_allclose(P, cert.P)
     # Bare-matrix form is accepted too.

@@ -144,6 +144,66 @@ def test_identify_refuses_trajectory_without_rows(capsys, tmp_path, text, reason
     assert "est_err" not in out
 
 
+def two_input_model_file(tmp_path):
+    from switchid import LssModel
+
+    model = LssModel(
+        n=2, m=2, nQ=2,
+        A=[np.array([[0.3, 0.1], [0.0, 0.2]]), np.array([[0.1, 0.0], [0.2, -0.3]])],
+        B=[np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])],
+        C=np.array([1.0, 0.5]), D=np.zeros(2),
+    )
+    path = tmp_path / "m2.json"
+    save_model_file(str(path), model)
+    return path
+
+
+@pytest.mark.parametrize("file_m, model_m", [(2, 1), (1, 2)])
+def test_identify_refuses_trajectory_of_other_input_width(capsys, tmp_path, file_m, model_m):
+    # Two input columns against m = 1 used to end in numpy's core-dimension
+    # complaint; one against m = 2 in a covariance mismatch.
+    m2 = two_input_model_file(tmp_path)
+    traj = tmp_path / "traj.csv"
+    models = {1: [], 2: ["--model", str(m2)]}
+    rc, _, _ = run(capsys, "simulate", *models[file_m], "--N", "2000", "--out", str(traj))
+    assert rc == 0
+    rc, out, err = run(capsys, "identify", *models[model_m], "--trajectory", str(traj))
+    assert rc == 1
+    assert f"error: {traj}: {file_m} input columns, the model has m = {model_m}" in err
+    assert "Traceback" not in err and "est_err" not in out
+
+
+BENCH_SELECTION = {"alpha": ["", "1"], "beta": [["", 2, 1], ["1", 2, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, reason",
+    [
+        ("identify", {**BENCH_SELECTION, "beta": [["", 2, 2], ["1", 2, 1]]},
+         "beta: channel 2 outside 1..1"),
+        ("bound", {**BENCH_SELECTION, "beta": [["", 2, 2], ["1", 2, 1]]},
+         "beta: channel 2 outside 1..1"),
+        ("identify", {**BENCH_SELECTION, "alpha": ["", "3"]},
+         "alpha: mode 3 outside 1..2"),
+        ("bound", {**BENCH_SELECTION, "beta": [["", 3, 1], ["1", 2, 1]]},
+         "beta: mode 3 outside 1..2"),
+        ("identify", {"alpha": ["", "1", "2"], "beta": [["", 2, 1], ["1", 2, 1], ["2", 2, 1]]},
+         "alpha: 3 rows, the model has n = 2"),
+    ],
+    ids=["identify-channel-2", "bound-channel-2", "identify-row-word-3", "bound-column-mode-3",
+         "identify-3-rows"],
+)
+def test_selection_that_does_not_fit_the_model_exits_1(capsys, tmp_path, command, doc, reason):
+    # These used to end in an IndexError traceback or, for three rows on
+    # n = 2, in "H_ab numerically singular" with exit 2.
+    path = tmp_path / "sel.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, command, "--selection", str(path), "--N", "2000")
+    assert rc == 1
+    assert f"error: malformed file {path}" in err and reason in err
+    assert "Traceback" not in err and "est_err" not in out
+
+
 def test_identify_refuses_short_run(capsys):
     rc, _, err = run(capsys, "identify", "--N", "8")
     assert rc == 1
@@ -335,6 +395,26 @@ def test_experiment_refuses_non_integer_counts(capsys, tmp_path, doc, reason):
     assert rc == 1
     assert f"error: malformed file {path}" in err and reason in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--trials", "0"], "trials must be at least 1"),
+        (["--trials", "-2"], "trials must be at least 1"),
+        (["--threads", "0"], "threads must be at least 1"),
+        (["--seed", "-1"], "seed_base must be nonnegative"),
+    ],
+    ids=["trials-0", "trials-neg", "threads-0", "seed-neg"],
+)
+def test_experiment_flags_are_checked_as_config_values(capsys, tmp_path, flags, reason):
+    # Flags used to be assigned past the config checks: --trials 0 wrote a
+    # header-only results.csv and --threads 0 ran serially.
+    out_dir = tmp_path / "out"
+    rc, _, err = run(capsys, "experiment", *flags, "--N-grid", "300", "--out", str(out_dir))
+    assert rc == 1
+    assert f"error: {reason}" in err
+    assert not (out_dir / "results.csv").exists()
 
 
 def test_python_m_switchid_runs_the_cli():

@@ -198,6 +198,13 @@ class TestExperimentConfig:
             ExperimentConfig(N_grid=[0])
         with pytest.raises(ValueError):
             ExperimentConfig(threads=0)
+        for delta in (0.0, 1.0, 5.0, float("nan")):
+            with pytest.raises(ValueError, match="delta must lie in"):
+                ExperimentConfig(delta=delta)
+        with pytest.raises(ValueError, match="seed_base must be nonnegative"):
+            ExperimentConfig(seed_base=-1)
+        with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+            ExperimentConfig(burn_in=-1)
 
     @pytest.mark.parametrize(
         "field, value", [("trials", True), ("N_grid", [1000, 2e3]), ("burn_in", 200.0)]

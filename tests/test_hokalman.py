@@ -392,10 +392,11 @@ def test_build_hankels_missing_word(bench):
         build_hankels(mm, BENCH_SEL)
 
 
-def test_selection_json_roundtrip(tmp_path):
+def test_selection_json_roundtrip(tmp_path, bench):
+    model, _ = bench
     path = tmp_path / "sel.json"
     save_selection(str(path), BENCH_SEL)
-    sel2 = load_selection(str(path))
+    sel2 = load_selection(str(path), model)
     assert sel2.alpha == BENCH_SEL.alpha
     assert sel2.beta == BENCH_SEL.beta
 

@@ -401,3 +401,17 @@ def test_load_trajectory_refuses_mode_label_beyond_int64(tmp_path):
     assert str(exc.value) == (
         f"{path}, line 5: field 'q' is outside the int64 range: '99999999999999999999'"
     )
+
+
+@pytest.mark.parametrize("field", ["y", "q"])
+@pytest.mark.parametrize("value", ["1_000", "١٢"], ids=["underscore", "arabic-indic"])
+def test_load_trajectory_refuses_spellings_numpy_refuses(tmp_path, field, value):
+    # Python's float and int take digit separators and non-ASCII digits;
+    # numpy's reader does not, and the file is refused rather than read
+    # by a second parser.
+    path = tmp_path / "traj.csv"
+    path.write_text(traj_text(edit_row(1, **{field: value})), encoding="utf-8")
+    kind = "an integer" if field == "q" else "a number"
+    with pytest.raises(ValueError) as exc:
+        load_trajectory(str(path))
+    assert str(exc.value) == f"{path}, line 3: field {field!r} is not {kind}: {value!r}"
