@@ -120,6 +120,15 @@ def _resolve_model(args):
     return model, dist, signal, gamma
 
 
+def _require_input(signal: SignalSpec) -> None:
+    """Refuse a zero input amplitude where Sigma_u is inverted."""
+    if signal.Ku_input <= 0:
+        raise ValueError(
+            f"input amplitude Ku_input = {signal.Ku_input!r} must be positive: "
+            "the estimator and the bound invert the input covariance Sigma_u"
+        )
+
+
 def cmd_simulate(args) -> int:
     model, dist, signal, _ = _resolve_model(args)
     cfg = SimConfig(
@@ -167,6 +176,7 @@ def _check_input_covariance(u: np.ndarray, sigma_u: np.ndarray) -> None:
 
 def cmd_identify(args) -> int:
     model, dist, signal, _ = _resolve_model(args)
+    _require_input(signal)
     if args.trajectory:
         sample = load_trajectory(args.trajectory)
         if sample.u.shape[1] != model.m:
@@ -255,6 +265,7 @@ def cmd_stability(args) -> int:
 
 def cmd_bound(args) -> int:
     model, dist, signal, gamma = _resolve_model(args)
+    _require_input(signal)
     sel = load_selection(args.selection, model) if args.selection else find_selection(model)
     words = required_words(sel, model.nQ)
     mmap_true = true_markov_map(model, words)

@@ -112,6 +112,18 @@ class ExperimentConfig:
             raise ValueError("burn_in must be nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), not {self.delta!r}")
+        for gamma in self.gamma_values:
+            if not 0.0 < gamma < 1.0:
+                raise ValueError(f"gamma_values: {gamma!r} does not lie in (0, 1)")
+        for ku in self.Ku_noise_values:
+            if not 0.0 <= ku < np.inf:
+                raise ValueError(f"Ku_noise_values: {ku!r} is not a finite nonnegative amplitude")
+        for ku in self.Ku_input_values:
+            if not 0.0 < ku < np.inf:
+                raise ValueError(
+                    f"Ku_input_values: {ku!r} is not a finite positive amplitude; the "
+                    "estimator inverts Sigma_u = Ku_input^2 / 3 I"
+                )
 
     def to_dict(self) -> dict:
         return asdict(self)

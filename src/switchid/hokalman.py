@@ -163,6 +163,67 @@ def _candidate_rows(model: LssModel) -> list[Word]:
     return words
 
 
+# Candidates scored exactly by one batched SVD call.
+SCORE_CHUNK = 64
+
+
+def _sigma_min(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+
+def _best_pair(full: np.ndarray, I: list[int], J: list[int], allowance: float) -> tuple[int, int]:
+    """One greedy step: the free (row, column) pair (r, c) maximizing the
+    smallest singular value of full[I + [r], J + [c]], the earliest such
+    pair in (row, column) order; see :func:`find_selection`."""
+    k = len(I) + 1
+    free_rows = np.setdiff1d(np.arange(full.shape[0]), I)
+    free_cols = np.setdiff1d(np.arange(full.shape[1]), J)
+    S = full[np.ix_(I, J)]
+    new_row = full[np.ix_(free_rows, J)]
+    new_col = full[np.ix_(I, free_cols)].T
+    corner = full[np.ix_(free_rows, free_cols)]
+    # Upper bounds on sigma_k of M = [[S, new_col], [new_row, corner]]:
+    # the norm of its last row and of its last column, and sigma_{k-1} of
+    # M without its last row or without its last column (interlacing).
+    bound = np.minimum(
+        np.hypot(np.hypot.reduce(new_row, axis=1)[:, None], corner),
+        np.hypot(np.hypot.reduce(new_col, axis=1), corner),
+    )
+    if k > 1:
+        wide = np.empty((len(free_cols), k - 1, k))
+        wide[:, :, :-1] = S
+        wide[:, :, -1] = new_col
+        tall = np.empty((len(free_rows), k, k - 1))
+        tall[:, :-1, :] = S
+        tall[:, -1, :] = new_row
+        bound = np.minimum(bound, np.minimum.outer(_sigma_min(tall), _sigma_min(wide)))
+
+    # Score in descending bound order until no unscored bound comes within
+    # the allowance of the best score.  Flat indices run in (row, column)
+    # order.
+    bound = bound.ravel()
+    order = np.argsort(-bound)
+    scored, vals, best = [], [], -np.inf
+    for start in range(0, len(order), SCORE_CHUNK):
+        if bound[order[start]] < best - allowance:
+            break
+        idx = order[start : start + SCORE_CHUNK]
+        i, j = np.divmod(idx, len(free_cols))
+        stack = np.empty((len(idx), k, k))
+        stack[:, :-1, :-1] = S
+        stack[:, :-1, -1] = new_col[j]
+        stack[:, -1, :-1] = new_row[i]
+        stack[:, -1, -1] = corner[i, j]
+        v = _sigma_min(stack)
+        v[np.isnan(v)] = -np.inf
+        best = max(best, v.max())
+        scored.append(idx)
+        vals.append(v)
+    scored, vals = np.concatenate(scored), np.concatenate(vals)
+    i, j = divmod(int(scored[vals == best].min()), len(free_cols))
+    return int(free_rows[i]), int(free_cols[j])
+
+
 def find_selection(model: LssModel) -> Selection:
     """Search for a selection making H_ab as well conditioned as possible.
 
@@ -173,18 +234,27 @@ def find_selection(model: LssModel) -> Selection:
     value; candidates are ordered by word length then lexicographically,
     and ties keep the earliest candidate, so the result is deterministic.
 
-    Each step scores one candidate row at a time against every free
-    column: the k x k submatrices (new row and column last) are stacked
-    and scored by one batched SVD, so memory stays at |cols| k^2 floats.
-    The batched SVD runs the same LAPACK routine on each matrix, and the
-    pick is the earliest maximum in (row, column) order with NaN never
-    winning, so the selection equals that of scoring one pair at a time.
+    Each step is a branch-and-bound that picks exactly what scoring every
+    free pair would.  With S the (k-1) x (k-1) part already chosen, the
+    k x k matrix M of candidate (r, c) adds row r and column c to S, and
+    sigma_k(M) is at most each of: the norm of M's new row, the norm of
+    its new column, sigma_{k-1}([S | col_c]) and sigma_{k-1}([S ; row_r]).
+    The last two follow from singular-value interlacing when a row or a
+    column is deleted, and take one batched SVD each.  Candidates are
+    then scored exactly in descending bound order, SCORE_CHUNK at a time,
+    each M laid out chosen rows and columns first and the new ones last,
+    until the next bound falls below the best score by more than the
+    allowance 16 k^2 eps max|H|, where H is the full candidate matrix.
+    Rounding in an SVD scales with ||M|| <= k max|H|, not with the score,
+    so the allowance is absolute.  The pick is the earliest maximum over
+    the scored candidates in (row, column) order, with NaN never winning.
 
     Raises
     ------
     SelectionRankError
-        If no candidate combination reaches rank n.  For a system that
-        is span-reachable and observable a rank-n selection exists.
+        If no candidate combination reaches rank n, or the products
+        forming the candidate matrix overflow.  For a system that is
+        span-reachable and observable a rank-n selection exists.
     """
     n = model.n
     rows = _candidate_rows(model)
@@ -196,27 +266,22 @@ def find_selection(model: LssModel) -> Selection:
     ]
     # Row eta is the functional C A_eta, column (mu, q, l) the state vector
     # (A_mu B_q)[:, l]; H_ab is a submatrix of their product.
-    O = np.array([model.C @ a_word(model, eta) for eta in rows])
-    R = np.array([(a_word(model, mu) @ model.B[q - 1])[:, l - 1] for mu, q, l in cols]).T
-    full = O @ R
+    with np.errstate(over="ignore", invalid="ignore"):
+        A_w = {w: a_word(model, w) for w in rows}
+        O = np.array([model.C @ A_w[eta] for eta in rows])
+        R = np.array([(A_w[mu] @ model.B[q - 1])[:, l - 1] for mu, q, l in cols]).T
+        full = O @ R
+    if not np.isfinite(full).all():
+        raise SelectionRankError(
+            "observability/reachability products overflow; the model is far from stable"
+        )
 
+    ulp = np.finfo(float).eps * np.abs(full).max()
     I, J = [], []
     for k in range(1, n + 1):
-        free = np.array([c for c in range(len(cols)) if c not in J])
-        stack = np.empty((len(free), k, k))
-        best, best_val = None, -1.0
-        for r in range(len(rows)):
-            if r in I:
-                continue
-            sub = full[I + [r]]
-            stack[:, :, : k - 1] = sub[:, J]
-            stack[:, :, k - 1] = sub[:, free].T
-            vals = np.linalg.svd(stack, compute_uv=False)[:, -1]
-            c = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
-            if vals[c] > best_val:
-                best, best_val = (r, int(free[c])), vals[c]
-        I.append(best[0])
-        J.append(best[1])
+        r, c = _best_pair(full, I, J, 16 * k * k * ulp)
+        I.append(r)
+        J.append(c)
 
     sub = full[np.ix_(I, J)]
     s = np.linalg.svd(sub, compute_uv=False)

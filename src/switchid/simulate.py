@@ -220,15 +220,25 @@ def simulate_driven(
 
 
 def save_trajectory(path: str, sample: SampleSet) -> None:
+    """Write a trajectory CSV: header t,y,u_1..u_m,q, then one row per
+    step with floats as repr() and CRLF line ends.
+
+    Rows stream through one format template rather than one joined
+    string, so memory stays flat in N.
+    """
     m = sample.u.shape[1]
+    row = ",".join(["{}"] + ["{!r}"] * (m + 1) + ["{}"]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y"] + [f"u_{j + 1}" for j in range(m)] + ["q"])
-        for t in range(sample.N + 1):
-            row = [t, repr(float(sample.y[t]))]
-            row += [repr(float(sample.u[t, j])) for j in range(m)]
-            row.append(int(sample.q[t]))
-            writer.writerow(row)
+        fh.write(",".join(["t", "y"] + [f"u_{j + 1}" for j in range(m)] + ["q"]) + "\r\n")
+        fh.writelines(
+            map(
+                row.format,
+                range(sample.N + 1),
+                map(float, sample.y),
+                *(map(float, sample.u[:, j]) for j in range(m)),
+                map(int, sample.q),
+            )
+        )
 
 
 def load_trajectory(path: str) -> SampleSet:

@@ -417,6 +417,45 @@ def test_experiment_flags_are_checked_as_config_values(capsys, tmp_path, flags, 
     assert not (out_dir / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"gamma_values": [1.5]}, "gamma_values: 1.5 does not lie in (0, 1)"),
+        ({"gamma_values": [0.6, 0.0]}, "gamma_values: 0.0 does not lie in (0, 1)"),
+        ({"gamma_values": [1.0]}, "gamma_values: 1.0 does not lie in (0, 1)"),
+        ({"Ku_input_values": [0]}, "Ku_input_values: 0 is not a finite positive amplitude"),
+        ({"Ku_noise_values": [1.0, -1]}, "Ku_noise_values: -1 is not a finite nonnegative"),
+    ],
+    ids=["gamma-1.5", "gamma-0", "gamma-1", "ku-input-0", "ku-noise-neg"],
+)
+def test_experiment_refuses_settings_before_creating_the_output(capsys, tmp_path, doc, reason):
+    # These used to be refused only inside run_experiment, after the output
+    # directory was made; Ku_input 0 ended in LAPACK's "Singular matrix".
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N_grid": [300], "trials": 1, **doc}))
+    out_dir = tmp_path / "out"
+    rc, _, err = run(capsys, "experiment", "--config", str(path), "--out", str(out_dir))
+    assert rc == 1
+    assert reason in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["identify", "bound"])
+def test_zero_input_amplitude_is_refused_where_sigma_u_is_inverted(capsys, command):
+    rc, out, err = run(capsys, command, "--ku-input", "0", "--N", "2000")
+    assert rc == 1
+    assert "Ku_input = 0.0 must be positive" in err
+    assert "Singular matrix" not in err and out == ""
+
+
+def test_zero_input_amplitude_still_simulates(capsys, tmp_path):
+    out_file = tmp_path / "traj.csv"
+    rc, _, _ = run(capsys, "simulate", "--ku-input", "0", "--N", "50", "--out", str(out_file))
+    assert rc == 0
+    sample = switchid.load_trajectory(str(out_file))
+    assert not sample.u.any()
+
+
 def test_python_m_switchid_runs_the_cli():
     src = os.path.dirname(os.path.dirname(switchid.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

@@ -206,6 +206,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="burn_in must be nonnegative"):
             ExperimentConfig(burn_in=-1)
 
+    def test_rates_and_input_amplitudes(self):
+        for gamma in (0.0, 1.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="does not lie in"):
+                ExperimentConfig(gamma_values=[0.4, gamma])
+        for ku in (0.0, -0.8, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="is not a finite positive amplitude"):
+                ExperimentConfig(Ku_input_values=[ku])
+        for ku in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="is not a finite nonnegative amplitude"):
+                ExperimentConfig(Ku_noise_values=[ku])
+        ExperimentConfig(gamma_values=[1e-9, 0.999], Ku_noise_values=[0.0], Ku_input_values=[1e-3])
+
     @pytest.mark.parametrize(
         "field, value", [("trials", True), ("N_grid", [1000, 2e3]), ("burn_in", 200.0)]
     )

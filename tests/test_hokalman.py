@@ -14,6 +14,7 @@ from switchid import (
     build_hankels,
     est_err,
     find_selection,
+    hokalman,
     markov_roundtrip,
     realize,
     required_words,
@@ -340,6 +341,91 @@ def test_find_selection_ties_keep_the_earliest_candidate():
     assert (sel.alpha, sel.beta) == (expect.alpha, expect.beta)
     assert all(2 not in w for w in sel.alpha)
     assert all(q == 1 and 2 not in mu for mu, q, _ in sel.beta)
+
+
+def integer_model(n, nQ, m, seed):
+    """Entries in {-1, 0, 1}: many candidate submatrices score exactly
+    alike, so ties decide most greedy steps."""
+    rng = np.random.default_rng([seed, n, nQ, m, 7])
+    return LssModel(
+        n=n, m=m, nQ=nQ,
+        A=[rng.integers(-1, 2, (n, n)).astype(float) for _ in range(nQ)],
+        B=[rng.integers(-1, 2, (n, m)).astype(float) for _ in range(nQ)],
+        C=rng.integers(-1, 2, n).astype(float),
+        D=np.zeros(m),
+    )
+
+
+def selection_or_refusal(model):
+    try:
+        sel = find_selection(model)
+    except SelectionRankError:
+        return "refused"
+    return sel.alpha, sel.beta
+
+
+def greedy_loop_or_refusal(model):
+    """The loop's pick, or "refused" where find_selection's rank check
+    would refuse that pick."""
+    sel = greedy_selection_loop(model)
+    O = np.array([observability_row(model, eta) for eta in sel.alpha])
+    R = np.array([reachability_col(model, mu, q, l) for mu, q, l in sel.beta]).T
+    if hokalman._singular(np.linalg.svd(O @ R, compute_uv=False)):
+        return "refused"
+    return sel.alpha, sel.beta
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n, nQ, m", [(2, 2, 1), (3, 2, 2), (3, 3, 1), (4, 2, 1)])
+def test_find_selection_matches_greedy_loop_on_integer_models(n, nQ, m, seed):
+    model = integer_model(n, nQ, m, seed)
+    assert selection_or_refusal(model) == greedy_loop_or_refusal(model)
+
+
+def test_find_selection_matches_greedy_loop_at_n5():
+    model = seeded_model(5, 2, 1, seed=11)
+    sel, expect = find_selection(model), greedy_selection_loop(model)
+    assert (sel.alpha, sel.beta) == (expect.alpha, expect.beta)
+
+
+def test_find_selection_scores_few_candidates_exactly(monkeypatch):
+    # Every square SVD inside find_selection is an exact score (the bounds
+    # take (k-1) x k and k x (k-1) stacks).  Scoring every free pair, as a
+    # full scan does, would count all the candidates.
+    model = seeded_model(4, 3, 1, seed=11)
+    n_rows = len(_candidate_rows(model))
+    n_cols = n_rows * model.nQ * model.m
+    candidates = sum((n_rows - k) * (n_cols - k) for k in range(model.n))
+    scored = 0
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        nonlocal scored
+        a = np.asarray(a)
+        if a.shape[-1] == a.shape[-2]:
+            scored += int(np.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(hokalman.np.linalg, "svd", counting_svd)
+    sel = find_selection(model)
+    monkeypatch.undo()
+    expect = greedy_selection_loop(model)
+    assert (sel.alpha, sel.beta) == (expect.alpha, expect.beta)
+    assert 0 < scored < 0.1 * candidates
+
+
+def test_find_selection_refuses_overflowing_products():
+    # Words of length 2 give C A^2 B ~ 1e400: the candidate matrix is not
+    # finite, and the refusal names why instead of LAPACK failing.
+    model = LssModel(
+        n=3, m=1, nQ=2,
+        A=[1e200 * np.eye(3), 0.5 * np.eye(3)],
+        B=[np.ones((3, 1))] * 2,
+        C=np.ones(3),
+        D=np.zeros(1),
+    )
+    with pytest.raises(SelectionRankError, match="products overflow; the model is far from stable"):
+        find_selection(model)
 
 
 def test_find_selection_lti():

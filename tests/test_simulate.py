@@ -279,6 +279,52 @@ def test_trajectory_csv_roundtrip(tmp_path, bench, bench_signal):
     assert header == "t,y,u_1,q"
 
 
+def csv_writer_save(path, sample):
+    """The trajectory writer row by row through csv.writer: the oracle
+    for the bytes :func:`save_trajectory` writes."""
+    m = sample.u.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "y"] + [f"u_{j + 1}" for j in range(m)] + ["q"])
+        for t in range(sample.N + 1):
+            row = [t, repr(float(sample.y[t]))]
+            row += [repr(float(sample.u[t, j])) for j in range(m)]
+            row.append(int(sample.q[t]))
+            writer.writerow(row)
+
+
+EDGE_VALUES = [-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        SampleSet(N=0, y=[0.25], u=[[-1.5]], q=[1]),
+        SampleSet(N=0, y=[-0.0], u=[[1e16, 5e-324]], q=[3]),
+        SampleSet(
+            N=4,
+            y=EDGE_VALUES,
+            u=np.column_stack([EDGE_VALUES[::-1], [-x for x in EDGE_VALUES]]),
+            q=[1, 2, 2, 1, 12],
+        ),
+        SampleSet(N=4, y=[1.0, -2.5, 3e-7, 0.1, 7.0], u=EDGE_VALUES, q=[2, 1, 1, 2, 1]),
+    ],
+    ids=["N0", "N0-m2", "edge-m2", "edge-m1"],
+)
+def test_save_trajectory_bytes_match_csv_writer(tmp_path, sample):
+    save_trajectory(str(tmp_path / "new.csv"), sample)
+    csv_writer_save(str(tmp_path / "old.csv"), sample)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_save_trajectory_bytes_match_csv_writer_on_a_simulation(tmp_path, bench, bench_signal):
+    model, dist = bench
+    s = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=2000, seed=7))
+    save_trajectory(str(tmp_path / "new.csv"), s)
+    csv_writer_save(str(tmp_path / "old.csv"), s)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_load_trajectory_rejects_alien_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,output\n0,1.0\n")
