@@ -191,8 +191,12 @@ def _max_slack_P(A: list[np.ndarray], rho: float) -> np.ndarray | None:
     G[-2, :K], F0[-2] = E, -eye  # P - I
     G[-1, :K], F0[-1] = -E, P_CEILING * eye  # P_CEILING I - P
 
+    # G laid out once as (K + 1, blocks * n * n): the product tensordot
+    # would form, without its transpose copy on every call.
+    Gt = G.transpose(1, 0, 2, 3).reshape(K + 1, -1)
+
     def blocks(x):
-        return F0 + np.tensordot(x, G, axes=(0, 1))
+        return F0 + np.dot(x[None, :], Gt).reshape(F0.shape)
 
     def objective(x, s):
         try:
@@ -207,6 +211,7 @@ def _max_slack_P(A: list[np.ndarray], rho: float) -> np.ndarray | None:
     rows = len(G) * n
     s = 1.0
     for _ in range(20):
+        f = objective(x, s)  # carried forward from the accepted step below
         for _ in range(50):
             W = np.linalg.inv(blocks(x))[:, None] @ G
             grad = -np.einsum("jkaa->k", W)
@@ -217,14 +222,16 @@ def _max_slack_P(A: list[np.ndarray], rho: float) -> np.ndarray | None:
             slope = float(grad @ dx)
             if -slope <= 1e-10:
                 break
-            f, step = objective(x, s), 1.0
+            step = 1.0
             for _ in range(40):
-                if objective(x + step * dx, s) <= f + 0.25 * step * slope:
+                x_try = x + step * dx
+                f_try = objective(x_try, s)
+                if f_try <= f + 0.25 * step * slope:
                     break
                 step *= 0.5
             else:
                 break  # rounding stalls the step: centred as far as it goes
-            x = x + step * dx
+            x, f = x_try, f_try
         gap = rows / s
         if x[-1] + gap <= 0.0:
             return None

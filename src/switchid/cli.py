@@ -175,6 +175,12 @@ def _check_input_covariance(u: np.ndarray, sigma_u: np.ndarray) -> None:
 
 
 def cmd_identify(args) -> int:
+    if args.trajectory and args.model is None and args.gamma is None:
+        raise ValueError(
+            "identify --trajectory needs the structure (n, nQ, m, the mode "
+            "probabilities, Sigma_u) from a model file (--model) or the benchmark "
+            "family (--gamma): a trajectory file carries none of it"
+        )
     model, dist, signal, _ = _resolve_model(args)
     _require_input(signal)
     if args.trajectory:
@@ -211,16 +217,12 @@ def cmd_identify(args) -> int:
         "selection cols: "
         f"{[(word_to_str(mu) or 'e', q, l) for (mu, q, l) in sel.beta]}"
     )
-    # A trajectory file carries no model, so it is scored only against a
-    # truth the caller named; a simulated one is scored against its source.
-    if args.trajectory and args.model is None and args.gamma is None:
-        print(f"sigma_n(H_ab) estimate = {rr_hat.sigma_n:.6g}")
-        print("est_err not computed: no truth model named (give --model or --gamma)")
-    else:
-        mmap_true = true_markov_map(model, words)
-        rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
-        print(f"sigma_n(H_ab) estimate = {rr_hat.sigma_n:.6g} (true {rr_ref.sigma_n:.6g})")
-        print(f"est_err = {est_err(rr_hat, rr_ref):.6g}")
+    # The named model is the truth: the source of a simulated trajectory,
+    # the model a trajectory file is read against.
+    mmap_true = true_markov_map(model, words)
+    rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
+    print(f"sigma_n(H_ab) estimate = {rr_hat.sigma_n:.6g} (true {rr_ref.sigma_n:.6g})")
+    print(f"est_err = {est_err(rr_hat, rr_ref):.6g}")
     if args.out:
         save_realization(args.out, rr_hat, sel)
         print(f"realization written to {args.out}")

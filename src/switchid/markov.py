@@ -15,6 +15,8 @@ parameters is a plain dict from word to row.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .core import (
@@ -55,30 +57,71 @@ def empirical_markov_batch(
         (1 / (N - k)) sum_{t=k+1}^N y(t) z_w(t)^T Sigma_u^{-1} / p_w,
 
     where z_w(t) is u(t - k) when the modes q(t - k), ..., q(t - 1)
-    spell w and zero otherwise.  All time indexing is done through
-    shifted slices of mode indicator arrays computed once for the set.
+    spell w and zero otherwise.  The sums take one pass per word length,
+    however many words there are.  Every window of k - 1 modes carries
+    the dense id of the prefix of the word set it spells, or one sentinel
+    id when it spells none; with the window's next mode label that id
+    names a (prefix, label) pair.  One ``np.bincount`` per input channel
+    sums y(t) u_j(t - k) over the pairs, which reads off every word of
+    length k, and a small table maps the pairs to the length-k ids.  Ids
+    stay below the number of prefixes, so no window code can overflow,
+    however long the words.
 
     Raises
     ------
     ValueError
-        If a mode label lies outside 1..nQ, or the trajectory is not
-        longer than some word.
+        If a mode label in the trajectory or a letter of a word lies
+        outside 1..nQ, or the trajectory is not longer than some word.
     """
     sigma_u = np.asarray(sigma_u, dtype=float)
-    y, u, N = sample.y, sample.u, sample.N
-    check_mode_labels(sample.q, dist.nQ)
-    masks = [np.asarray(sample.q == c + 1, dtype=float) for c in range(dist.nQ)]
-    entries = {}
-    for w in sorted(set(tuple(x) for x in words), key=lambda w: (len(w), w)):
-        k = len(w)
-        if N <= k:
-            raise ValueError(f"trajectory too short for |w| = {k}: N = {N}")
-        L = N - k
-        # Terms t = k+1..N: output y(t), input u(t-k), and the indicator that
-        # q(t-k+i) = w[i] for i = 0..k-1, i.e. slice i+1 .. L+i of the modes.
-        weights = y[k + 1 : N + 1].copy()
-        for i, c in enumerate(w):
-            weights *= masks[c - 1][i + 1 : L + i + 1]
-        s = weights @ u[1 : L + 1]
-        entries[w] = np.linalg.solve(sigma_u, s) / (L * p_word(dist, w))
-    return entries
+    y, u, N, nQ = sample.y, sample.u, sample.N, dist.nQ
+    check_mode_labels(sample.q, nQ)
+    words = sorted(set(tuple(x) for x in words), key=lambda w: (len(w), w))
+    for w in words:
+        if N <= len(w):
+            raise ValueError(f"trajectory too short for |w| = {len(w)}: N = {N}")
+        if not all(1 <= c <= nQ for c in w):
+            raise ValueError(f"word {w} has a letter outside 1..{nQ}")
+    if not words:
+        return {}
+    # Window s = 1..N - k of length k is q(s), ..., q(s + k - 1), and pairs
+    # the output y(s + k) with the input u(s).  Before length k, ids[s - 1]
+    # holds nQ times the id of the length k - 1 prefix of the word set that
+    # the window spells, or of the sentinel len(prefixes[k - 1]) when it
+    # spells none; adding the next label q(s + k - 1) gives the window's
+    # (prefix, label) pair, which both names the words of length k and,
+    # through a table, gives the ids for length k + 1.
+    prefixes = [{(): 0}]
+    for w in words:
+        for k in range(1, len(w) + 1):
+            if k == len(prefixes):
+                prefixes.append({})
+            prefixes[k].setdefault(w[:k], len(prefixes[k]))
+    lengths = [len(w) for w in words]
+    m, q = u.shape[1], sample.q
+    sums = np.empty((m, len(words)))
+    if lengths[0] == 0:
+        sums[:, 0] = y[1:] @ u[1:]  # the empty word: every window, one bin
+    ids, pairs, weights = np.zeros(N, dtype=np.intp), np.empty(N, dtype=np.intp), np.empty(N)
+    for k in range(1, len(prefixes)):
+        L, parent = N - k, prefixes[k - 1]
+        np.add(ids[:L], q[k:N], out=pairs[:L])
+        lo, hi = bisect.bisect_left(lengths, k), bisect.bisect_right(lengths, k)
+        if hi > lo:
+            bins = [parent[w[:-1]] * nQ + w[-1] for w in words[lo:hi]]
+            for j in range(m):
+                np.multiply(y[k + 1 :], u[1 : L + 1, j], out=weights[:L])
+                by_pair = np.bincount(
+                    pairs[:L], weights=weights[:L], minlength=(len(parent) + 1) * nQ + 1
+                )
+                sums[j, lo:hi] = by_pair[bins]
+        if k + 1 < len(prefixes):
+            here = prefixes[k]
+            table = np.full((len(parent) + 1) * nQ + 1, len(here) * nQ, dtype=np.intp)
+            for p, i in here.items():
+                table[parent[p[:-1]] * nQ + p[-1]] = i * nQ
+            # Every pair indexes the table, so take need not check the range.
+            np.take(table, pairs[:L], out=ids[:L], mode="clip")
+    scale = np.array([(N - len(w)) * p_word(dist, w) for w in words])
+    est = np.linalg.solve(sigma_u, sums) / scale
+    return dict(zip(words, est.T.copy()))

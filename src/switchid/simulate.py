@@ -149,15 +149,23 @@ def simulate_driven(
     T = len(q)
     E = np.zeros((T, n)) if w is None else np.array(w, dtype=float)
     v = np.zeros(T) if v is None else np.asarray(v, dtype=float).reshape(-1)
-    if len(u) != T or E.shape != (T, n) or len(v) != T:
-        raise ValueError(f"signal sequences must all have length {T}, and w width n = {n}")
+    if len(u) != T or u.shape[1] != model.m or E.shape != (T, n) or len(v) != T:
+        raise ValueError(
+            f"signal sequences must all have length {T}, u width m = {model.m} "
+            f"and w width n = {n}"
+        )
     check_mode_labels(q, model.nQ)
 
-    # Mode-dependent forcing E(t) = B_{q(t)} u(t) + w(t), built in the one
-    # copy of w so that the recursion is x(t + 1) = A_{q(t)} x(t) + E(t).
-    for c in range(model.nQ):
-        steps = np.flatnonzero(q == c + 1)
-        E[steps] += u[steps] @ model.B[c].T
+    # Mode-dependent forcing E(t) = B_{q(t)} u(t) + w(t), so that the
+    # recursion is x(t + 1) = A_{q(t)} x(t) + E(t).  Entry (i, j) of
+    # B_{q(t)} is gathered for every step at once, so the only temporaries
+    # are length-T columns; channels are added in order j = 1..m.
+    B, modes = np.stack(model.B), q - 1
+    for j in range(model.m):
+        for i in range(n):
+            Bu = np.take(B[:, i, j], modes)
+            Bu *= u[:, j]
+            E[:, i] += Bu
     y = u @ model.D
     y += v
 

@@ -195,6 +195,33 @@ class TestFindP:
             g2, m2 = gamma_from_P(model, cert.P)
             assert g2 <= gamma and m2 > 0.0
 
+    # P's upper triangle, row by row, as float.hex.  Rearranging the barrier
+    # loop's arithmetic must not move its Newton iterates by one bit, since
+    # P feeds the certificate and the bound column built from it.
+    PINNED_P = {
+        0.1: ("0x1.a835e8998328cp+8", "-0x1.1bba175e231dcp-14", "0x1.e847fff9d7bd4p+19"),
+        0.4: ("0x1.99351a8378d1bp+12", "-0x1.cb81b6abce574p-12", "0x1.e847fff6072f6p+19"),
+        0.6: ("0x1.b7a08eb1bf99cp+13", "-0x1.1d2f4aa2831e0p-13", "0x1.e847fffdefe15p+19"),
+    }
+    PINNED_P_THREE_MODE = (
+        "0x1.b64d1f460c833p+19", "0x1.55b28dd62ce23p+15", "0x1.c1ae5c8a42c6bp+16",
+        "-0x1.9cc04959236e6p+17", "0x1.61dda36ab3cb9p+19", "-0x1.6039468e9fabep+16",
+        "0x1.3b7331e0e2fc2p+16", "0x1.621ffbbbd93f5p+19", "0x1.fee6d41087199p+17",
+        "0x1.10ca87389970ap+19",
+    )
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.4, 0.6])
+    def test_benchmark_P_is_pinned(self, gamma):
+        model, dist = two_mode_benchmark(gamma)
+        P = find_P(model, dist, gamma).P
+        assert tuple(float(v).hex() for v in P[np.triu_indices(2)]) == self.PINNED_P[gamma]
+        npt.assert_array_equal(P, P.T)
+
+    def test_three_mode_P_is_pinned(self):
+        model, dist = three_mode_model()
+        P = find_P(model, dist, 0.95).P
+        assert tuple(float(v).hex() for v in P[np.triu_indices(4)]) == self.PINNED_P_THREE_MODE
+
     def test_single_mode_tightness(self):
         model = single_mode(0.5)
         dist = SwitchingDistribution(p=[1.0])

@@ -51,7 +51,7 @@ def test_identify_from_saved_trajectory(capsys, tmp_path):
     assert rc == 0
     out_file = tmp_path / "real.json"
     rc, out, _ = run(
-        capsys, "identify", "--trajectory", str(traj), "--out", str(out_file)
+        capsys, "identify", "--trajectory", str(traj), "--gamma", "0.6", "--out", str(out_file)
     )
     assert rc == 0
     assert "sigma_n(H_ab) estimate" in out
@@ -59,17 +59,18 @@ def test_identify_from_saved_trajectory(capsys, tmp_path):
     assert doc["n"] == 2
     assert "selection" in doc
 
-    # A trajectory file names no model: est_err is scored only against a
-    # truth the caller names.
+    # A trajectory file carries no structure: without a model file or the
+    # benchmark family named, identification is refused rather than fitted
+    # to the built-in family.
     traj = tmp_path / "traj01.csv"
     rc, _, _ = run(
         capsys, "simulate", "--gamma", "0.1", "--N", "5000", "--seed", "2", "--out", str(traj)
     )
     assert rc == 0
-    rc, out, _ = run(capsys, "identify", "--trajectory", str(traj))
-    assert rc == 0
-    assert "est_err =" not in out and "(true" not in out
-    assert "no truth model named" in out
+    rc, out, err = run(capsys, "identify", "--trajectory", str(traj))
+    assert rc == 1
+    assert "needs the structure" in err and "--model" in err and "--gamma" in err
+    assert out == ""
     rc, out, _ = run(capsys, "identify", "--trajectory", str(traj), "--gamma", "0.1")
     assert rc == 0
     assert "est_err =" in out and "(true" in out
@@ -97,7 +98,7 @@ def test_identify_refuses_out_of_range_mode_label(capsys, tmp_path):
     fields = lines[10].split(",")
     lines[10] = ",".join(fields[:-1] + ["3"])  # step 9 claims a third mode
     traj.write_text("\n".join(lines) + "\n")
-    rc, _, err = run(capsys, "identify", "--trajectory", str(traj))
+    rc, _, err = run(capsys, "identify", "--trajectory", str(traj), "--gamma", "0.6")
     assert rc == 1
     assert "mode label 3 at step 9 outside 1..2" in err
 
@@ -164,7 +165,7 @@ def test_identify_refuses_trajectory_of_other_input_width(capsys, tmp_path, file
     # complaint; one against m = 2 in a covariance mismatch.
     m2 = two_input_model_file(tmp_path)
     traj = tmp_path / "traj.csv"
-    models = {1: [], 2: ["--model", str(m2)]}
+    models = {1: ["--gamma", "0.6"], 2: ["--model", str(m2)]}
     rc, _, _ = run(capsys, "simulate", *models[file_m], "--N", "2000", "--out", str(traj))
     assert rc == 0
     rc, out, err = run(capsys, "identify", *models[model_m], "--trajectory", str(traj))

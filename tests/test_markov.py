@@ -1,5 +1,7 @@
 """Markov parameters: exact values and the estimator kernel."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,11 +12,13 @@ from switchid import (
     SimConfig,
     SwitchingDistribution,
     empirical_markov_batch,
+    markov,
     p_word,
     simulate,
     true_markov_map,
 )
 from switchid.markov import true_markov
+from switchid.simulate import SampleSet
 
 
 # Definition-level oracles for the estimator, one time step at a time.
@@ -54,6 +58,26 @@ def z_lagged(u_traj, q_traj, w, t):
         raise IndexError(f"need t >= |w| = {k}, got t = {t}")
     chi = indicator_chi(q_traj, w, t - 1)
     return u_traj[t - k] * float(chi)
+
+
+def masked_dot_estimates(sample, words, sigma_u, dist):
+    """The estimator one word at a time: multiply y(t) by shifted mode
+    indicators, one per letter, and take the dot product with u(t - k)."""
+    sigma_u = np.asarray(sigma_u, dtype=float)
+    y, u, N = sample.y, sample.u, sample.N
+    masks = [np.asarray(sample.q == c + 1, dtype=float) for c in range(dist.nQ)]
+    entries = {}
+    for w in sorted(set(tuple(x) for x in words), key=lambda w: (len(w), w)):
+        k = len(w)
+        L = N - k
+        # Terms t = k+1..N: output y(t), input u(t-k), and the indicator that
+        # q(t-k+i) = w[i] for i = 0..k-1, i.e. slice i+1 .. L+i of the modes.
+        weights = y[k + 1 : N + 1].copy()
+        for i, c in enumerate(w):
+            weights *= masks[c - 1][i + 1 : L + i + 1]
+        s = weights @ u[1 : L + 1]
+        entries[w] = np.linalg.solve(sigma_u, s) / (L * p_word(dist, w))
+    return entries
 
 
 def test_true_markov_benchmark_values(bench):
@@ -194,3 +218,110 @@ def test_estimator_consistent_on_long_run(bench, bench_signal):
     assert mm.keys() == set(words)
     for w in words:
         npt.assert_allclose(mm[w], true_markov(model, w), atol=0.08, err_msg=str(w))
+
+
+def random_words(rng, nQ, count, longest):
+    """A word set that is not prefix-closed: random words of random
+    lengths, with the empty word and every word of length 1."""
+    words = [()] + [(c,) for c in range(1, nQ + 1)]
+    for _ in range(count):
+        k = int(rng.integers(2, longest + 1))
+        words.append(tuple(int(c) for c in rng.integers(1, nQ + 1, size=k)))
+    return words
+
+
+def assert_matches_oracle(got, expect):
+    assert list(got) == list(expect)
+    scale = max(np.abs(v).max() for v in expect.values())
+    for w in expect:
+        npt.assert_allclose(got[w], expect[w], rtol=1e-12, atol=1e-12 * scale, err_msg=str(w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("nQ", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2])
+def test_estimator_matches_masked_dot_oracle(n, nQ, m):
+    rng = np.random.default_rng([n, nQ, m, 17])
+    A = [0.5 * G / np.linalg.norm(G, 2) for G in rng.standard_normal((nQ, n, n))]
+    model = LssModel(
+        n=n, m=m, nQ=nQ, A=A,
+        B=list(rng.standard_normal((nQ, n, m))),
+        C=rng.standard_normal(n),
+        D=rng.standard_normal(m),
+    )
+    dist = SwitchingDistribution(p=rng.dirichlet(np.full(nQ, 2.0)))
+    signal = SignalSpec(Ku_input=1.0, Ku_noise=0.3)
+    sigma_u = signal.sigma_u(m)
+    words = random_words(rng, nQ, count=12, longest=6)
+    longest = max(len(w) for w in words)
+    for N in (longest + 1, 1_000, 20_000):
+        sample = simulate(SimConfig(model=model, dist=dist, signal=signal, N=N, seed=N))
+        assert_matches_oracle(
+            empirical_markov_batch(sample, words, sigma_u, dist),
+            masked_dot_estimates(sample, words, sigma_u, dist),
+        )
+
+
+def test_estimator_words_beyond_int64_codes():
+    # nQ = 9 and length 21: 9**21 > 2**63, so a base-nQ window code would
+    # overflow.  Two such words differ only in their first letter, and the
+    # trajectory spells each of them a few times.
+    rng = np.random.default_rng(21)
+    nQ, N = 9, 3_000
+    w1 = tuple(int(c) for c in rng.integers(1, nQ + 1, size=21))
+    w2 = (w1[0] % nQ + 1,) + w1[1:]
+    assert nQ ** len(w1) > np.iinfo(np.int64).max
+    q = rng.integers(1, nQ + 1, size=N + 1)
+    for start in (5, 400, 1_000, 2_500):
+        q[start : start + 21] = w1
+    q[1_700 : 1_721] = w2
+    sample = SampleSet(
+        N=N, y=rng.standard_normal(N + 1), u=rng.standard_normal((N + 1, 1)), q=q
+    )
+    dist = SwitchingDistribution(p=np.full(nQ, 1.0 / nQ))
+    words = [w1, w2, w1[:20], w1[:7], (w1[0],), ()]
+    got = empirical_markov_batch(sample, words, np.eye(1), dist)
+    assert_matches_oracle(got, masked_dot_estimates(sample, words, np.eye(1), dist))
+    assert got[w1][0] != 0.0 and got[w2][0] != 0.0
+
+
+def test_estimator_bincount_calls_per_word_length(monkeypatch):
+    # One bincount per word length and input channel, however many words.
+    rng = np.random.default_rng(3)
+    nQ, m, N = 3, 2, 2_000
+    sample = SampleSet(
+        N=N,
+        y=rng.standard_normal(N + 1),
+        u=rng.standard_normal((N + 1, m)),
+        q=rng.integers(1, nQ + 1, size=N + 1),
+    )
+    dist = SwitchingDistribution(p=[0.2, 0.3, 0.5])
+    all_words = [w for k in range(5) for w in itertools.product(range(1, nQ + 1), repeat=k)]
+    calls = 0
+    bincount = np.bincount
+
+    def counting_bincount(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return bincount(*args, **kwargs)
+
+    for words in (all_words, [(1, 2, 3, 1, 2, 3, 1)], random_words(rng, nQ, 40, 6)):
+        calls = 0
+        monkeypatch.setattr(markov.np, "bincount", counting_bincount)
+        got = empirical_markov_batch(sample, words, np.eye(m), dist)
+        monkeypatch.undo()
+        assert calls <= (max(len(w) for w in words) + 1) * m
+        assert_matches_oracle(got, masked_dot_estimates(sample, words, np.eye(m), dist))
+
+
+def test_estimator_refusals_name_the_fault(bench, bench_signal):
+    model, dist = bench
+    sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=3, seed=0))
+    sigma_u = bench_signal.sigma_u(1)
+    with pytest.raises(ValueError, match=r"trajectory too short for \|w\| = 3: N = 3"):
+        empirical_markov_batch(sample, [(1,), (1, 2, 1), (1, 2, 1, 1)], sigma_u, dist)
+    bad = SampleSet(N=3, y=sample.y, u=sample.u, q=[1, 2, 3, 1])
+    with pytest.raises(ValueError, match=r"mode label 3 at step 2 outside 1\.\.2"):
+        empirical_markov_batch(bad, [(1,)], sigma_u, dist)
+    with pytest.raises(ValueError, match=r"word \(1, 3\) has a letter outside 1\.\.2"):
+        empirical_markov_batch(sample, [(1, 3)], sigma_u, dist)

@@ -42,6 +42,16 @@ def test_impulse_other_mode_is_invisible(bench):
         simulate_driven(model, u, np.array([1, 0, 1, 1]))
 
 
+def test_driven_refuses_signals_of_other_shape(bench):
+    # An input of the wrong width would otherwise leave channels out of
+    # the forcing or fail in numpy's broadcasting.
+    model, _ = bench
+    q = np.array([1, 2, 1, 1])
+    for u in (np.zeros((4, 2)), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="length 4, u width m = 1 and w width n = 2"):
+            simulate_driven(model, u, q)
+
+
 def test_driven_matches_manual_recursion(rng):
     # Independent dumb oracle: the same recursion written out longhand.
     n, m, nQ, T = 3, 2, 2, 40
