@@ -1,6 +1,7 @@
 """Simulator behaviour: exact recursion, determinism, signal laws."""
 
 import csv
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from switchid import (
     save_trajectory,
     simulate,
     simulate_driven,
+    two_mode_benchmark,
 )
 from switchid.simulate import BLOWUP_LIMIT, SampleSet
 
@@ -471,3 +473,57 @@ def test_load_trajectory_refuses_spellings_numpy_refuses(tmp_path, field, value)
     with pytest.raises(ValueError) as exc:
         load_trajectory(str(path))
     assert str(exc.value) == f"{path}, line 3: field {field!r} is not {kind}: {value!r}"
+
+
+# Pins recorded before the scan's layout changed: sha256 of the retained
+# outputs of seeded two-mode trajectories (Ku_input 0.8, Ku_noise 1.0,
+# seed 11), which must stay bit-identical ...
+TWO_MODE_PINS = {
+    (0.1, 1_000): "14bbf8e07b5594da5162f2d9353ec2f46d236cd5046abeb3cae1e9a234623dcf",
+    (0.1, 100_000): "02b2ea24d10e7b5a032641f00962718e2bac03819a5e7179ebfda1cad610944a",
+    (0.4, 1_000): "52a0508fb256e4cfdc3c6274dcab58e25d351f0e7e6fce363a51910f325e6b9c",
+    (0.4, 100_000): "bfe7ee05920611e3a34a208a03ff53639c749c652466783954745df8359d87cf",
+    (0.6, 1_000): "c21241da390eb8e4c24b1e4fa6b17df0cd15c74ad9b86e860e5dfe65e7a62614",
+    (0.6, 100_000): "30cefca74ecb034c7e81043ac2005030924be34e0b1d244ad5616cd457575045",
+}
+
+
+@pytest.mark.parametrize("gamma, N", sorted(TWO_MODE_PINS))
+def test_two_mode_trajectories_are_pinned_bit_for_bit(gamma, N, bench_signal):
+    model, dist = two_mode_benchmark(gamma)
+    y = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=N, seed=11)).y
+    assert hashlib.sha256(y.tobytes()).hexdigest() == TWO_MODE_PINS[gamma, N]
+
+
+# ... and 21 evenly spaced outputs of a seeded n = 4, nQ = 3, m = 2
+# trajectory (N = 1e5, seed 5), which may move only by the reordering of
+# sums, 4e-16 of its largest |y|.
+N4_PIN_MAX_ABS_Y = 11.011571334178916
+N4_PINS = [
+    -2.389231099358137, -2.39516269483778, -1.0052911895840948, -0.2243726101045566,
+    -3.4972905640870326, -1.2090706691282, 0.5912233125938652, 5.407711179965725,
+    0.015225995751290133, 2.380364785744453, 2.4653857948250955, -0.5702816729351158,
+    1.6276804858591363, -2.0565726486176725, 1.8253469416833088, 1.0936014600416888,
+    1.0049071235201987, 3.5756810691216705, 0.02560631318665041, 3.7603402843844993,
+    2.471323772228984,
+]
+
+
+def test_n4_trajectory_is_pinned_to_rounding(bench_signal):
+    rng = np.random.default_rng(2024)
+    n, m, nQ = 4, 2, 3
+    A = []
+    for _ in range(nQ):
+        G = rng.standard_normal((n, n))
+        A.append(0.9 * G / np.linalg.norm(G, 2))
+    model = LssModel(
+        n=n, m=m, nQ=nQ, A=A,
+        B=[rng.standard_normal((n, m)) for _ in range(nQ)],
+        C=rng.standard_normal(n), D=rng.standard_normal(m),
+    )
+    dist = SwitchingDistribution(p=[0.5, 0.3, 0.2])
+    y = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=100_000, seed=5)).y
+    npt.assert_allclose(np.abs(y).max(), N4_PIN_MAX_ABS_Y, rtol=4e-16)
+    npt.assert_allclose(
+        y[np.linspace(0, 100_000, 21).astype(int)], N4_PINS, rtol=0, atol=4e-16 * N4_PIN_MAX_ABS_Y
+    )
