@@ -22,6 +22,7 @@ are observability functionals, columns are reachability vectors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,22 +331,21 @@ def est_err(rr_hat: RealizationResult, rr_ref: RealizationResult) -> float:
     """Largest Frobenius deviation across all realized matrices.
 
     Both realizations must come from the same selection; the deviation
-    is max over modes of ||A - A'||_F, ||B - B'||_F and ||C - C'||_F.
+    is max over modes of ||A - A'||_F, ||B - B'||_F and ||C - C'||_F.  A
+    NaN in any of them makes the deviation NaN.
     """
     if len(rr_hat.Abar) != len(rr_ref.Abar):
         raise ValueError("mode counts differ")
-    worst = float(np.linalg.norm(rr_hat.Cbar - rr_ref.Cbar))
+    norms = [float(np.linalg.norm(rr_hat.Cbar - rr_ref.Cbar))]
     for q in range(len(rr_ref.Abar)):
         if rr_hat.Abar[q].shape != rr_ref.Abar[q].shape:
             raise ValueError("A shapes differ")
         if rr_hat.Bbar[q].shape != rr_ref.Bbar[q].shape:
             raise ValueError("B shapes differ")
-        worst = max(
-            worst,
-            float(np.linalg.norm(rr_hat.Abar[q] - rr_ref.Abar[q])),
-            float(np.linalg.norm(rr_hat.Bbar[q] - rr_ref.Bbar[q])),
-        )
-    return worst
+        norms.append(float(np.linalg.norm(rr_hat.Abar[q] - rr_ref.Abar[q])))
+        norms.append(float(np.linalg.norm(rr_hat.Bbar[q] - rr_ref.Bbar[q])))
+    # Python's max(1.0, nan) is 1.0, so a NaN is returned by name.
+    return math.nan if any(map(math.isnan, norms)) else max(norms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,26 @@ starting at zero decays geometrically, so the default burn-in of 200
 steps leaves an error far below the statistical noise floor for any
 reasonably stable model.
 
-The state recursion x(t + 1) = A_q(t) x(t) + E(t) is affine, so it is
+The state recursion x(t + 1) = A_q(t) x(t) + F(t) is affine, so it is
 computed as a blocked scan rather than one step at a time (Blelloch,
 "Prefix sums and their applications", 1990).  The T steps are cut into
 blocks of L = max(16, isqrt(T) // 2) steps.  Pass 1 rolls every block
 from a zero state while carrying the block's transition product; a short
 sequential carry over the ~2 sqrt(T) blocks gives each block its true
 start state; pass 2 rolls every block again from that start, writing the
-outputs.  Both passes are vectorised over blocks.  The carry adds up
-the same terms as the step-by-step recursion in another order, so
-outputs agree with it to rounding: most two-mode benchmark trajectories
-come out bit-identical, and on the models measured no output moved by
-more than 4e-16 of the trajectory's largest |y|.
+outputs.  The carry adds up the same terms as the step-by-step recursion
+in another order, so outputs agree with it to rounding: the two-mode
+benchmark trajectories measured come out bit-identical, and on the other
+models measured no output moved by more than 4e-16 of the trajectory's
+largest |y|.
+
+Both passes are vectorised over blocks, and the block index is the last,
+contiguous axis of every array they step through (structure of arrays):
+the [x | Phi] stack is (n, n + 1, blocks), the forcing one component-major
+(n, blocks * L) buffer, and the outputs a (blocks, L) view of a padded y.
+A step gathers its A planes for all blocks from one (n, n, nQ + 1) table
+and contracts them with one einsum, so its cost is a few numpy calls over
+contiguous rows rather than a small matrix product per block.
 """
 
 from __future__ import annotations
@@ -78,8 +86,13 @@ class SampleSet:
         self.q = np.asarray(self.q, dtype=np.int64).reshape(-1)
         if not (len(self.y) == len(self.u) == len(self.q) == self.N + 1):
             raise ValueError("y, u, q must all have length N + 1")
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("trajectory contains non-finite outputs")
+        for name, values in (("y", self.y.reshape(-1, 1)), ("u", self.u)):
+            if not np.isfinite(values).all():
+                t, j = np.argwhere(~np.isfinite(values))[0]
+                field = name if name == "y" else f"u_{j + 1}"
+                raise ValueError(
+                    f"trajectory field {field!r} at step {t} is not finite: {float(values[t, j])!r}"
+                )
 
 
 def simulate(cfg: SimConfig) -> SampleSet:
@@ -147,72 +160,95 @@ def simulate_driven(
         u = u.reshape(-1, 1)
     q = np.asarray(q, dtype=np.int64).reshape(-1)
     T = len(q)
-    E = np.zeros((T, n)) if w is None else np.array(w, dtype=float)
+    w = None if w is None else np.asarray(w, dtype=float)
     v = np.zeros(T) if v is None else np.asarray(v, dtype=float).reshape(-1)
-    if len(u) != T or u.shape[1] != model.m or E.shape != (T, n) or len(v) != T:
+    if (
+        len(u) != T or u.shape[1] != model.m or len(v) != T
+        or (w is not None and w.shape != (T, n))
+    ):
         raise ValueError(
             f"signal sequences must all have length {T}, u width m = {model.m} "
             f"and w width n = {n}"
         )
     check_mode_labels(q, model.nQ)
 
-    # Mode-dependent forcing E(t) = B_{q(t)} u(t) + w(t), so that the
-    # recursion is x(t + 1) = A_{q(t)} x(t) + E(t).  Entry (i, j) of
-    # B_{q(t)} is gathered for every step at once, so the only temporaries
-    # are length-T columns; channels are added in order j = 1..m.
-    B, modes = np.stack(model.B), q - 1
+    # Step j of block b is column b*L + j of the padded buffers, so the
+    # block index is the last, contiguous axis of every array the scan
+    # touches.  Label 0 pads the last block: it indexes a zero plane of the
+    # coefficient tables, so a pad step has zero forcing, moves its block
+    # to the zero state and writes its output beyond y.
+    L = max(16, math.isqrt(T) // 2)
+    nb = max(1, -(-T // L))  # blocks; the last one may be short
+    A = np.zeros((n, n, model.nQ + 1))
+    A[:, :, 1:] = np.stack(model.A, axis=-1)
+    B = np.zeros((model.nQ + 1, n, model.m))
+    B[1:] = model.B
+
+    # Mode-dependent forcing F(t) = B_{q(t)} u(t) + w(t), component-major,
+    # so that the recursion is x(t + 1) = A_{q(t)} x(t) + F(t).  Entry
+    # (i, j) of B_{q(t)} is gathered for every step at once, so the only
+    # temporaries are length-T rows; channels are added in order j = 1..m.
+    F = np.zeros((n, nb * L))
+    if w is not None:
+        F[:, :T] = w.T
     for j in range(model.m):
         for i in range(n):
-            Bu = np.take(B[:, i, j], modes)
+            Bu = B[:, i, j].take(q)
             Bu *= u[:, j]
-            E[:, i] += Bu
-    y = u @ model.D
+            F[i, :T] += Bu
+    del Bu  # a length-T row the scan's buffers need not sit on top of
+    ypad = np.zeros(nb * L)
+    y = ypad[:T]
+    np.dot(u, model.D, out=y)
     y += v
 
-    A = np.stack(model.A)
-    C = model.C
-    L = max(16, math.isqrt(T) // 2)
-    nb = max(1, -(-T // L))  # blocks; the last one may be short (or empty)
-    full = (nb - 1) * L  # steps in the blocks before the last one
+    # Labels are stored step-major, so each step gathers with one contiguous row.
+    full = (nb - 1) * L
+    labels = np.zeros((L, nb), dtype=np.int64)
+    labels[:, :-1] = q[:full].reshape(nb - 1, L).T
+    labels[: T - full, -1] = q[full:]
+    F = F.reshape(n, nb, L)
     with np.errstate(over="ignore", invalid="ignore"):
-        # Pass 1: roll each block but the last from a zero state, carrying
-        # its transition product in the same stack, [x | Phi].
-        Eb = E[:full].reshape(nb - 1, L, n)
-        qb = q[:full].reshape(nb - 1, L)
-        xphi = np.zeros((nb - 1, n, n + 1))
-        xphi[:, :, 1:] = np.eye(n)
+        # Pass 1: roll every block from a zero state, carrying its
+        # transition product in the same stack, [x | Phi].
+        xphi = np.zeros((n, n + 1, nb))
+        for i in range(n):
+            xphi[i, i + 1] = 1.0
         for j in range(L):
-            xphi = np.take(A, qb[:, j] - 1, axis=0) @ xphi
-            xphi[:, :, 0] += Eb[:, j]
+            xphi = np.einsum("ikb,kcb->icb", A.take(labels[j], axis=2), xphi)
+            xphi[:, 0] += F[:, :, j]
 
         # Carry: the true state at the start of every block.  A product that
         # overflowed (inf * 0 gives NaN) is applied only to the nonzero
         # state components, as the per-step recursion would: a growing mode
-        # the signals never excite must not read as a blow-up.
-        phi, x_end = xphi[:, :, 1:], xphi[:, :, 0]
-        finite = np.isfinite(phi).all(axis=(1, 2))
-        x = np.zeros((nb, n))
-        for b in range(nb - 1):
-            if finite[b]:
-                x[b + 1] = phi[b] @ x[b] + x_end[b]
+        # the signals never excite must not read as a blow-up.  The last
+        # block's product starts no block.
+        phi = xphi[:, 1:, :-1].transpose(2, 0, 1).copy()
+        x_end = xphi[:, 0, :-1].T.copy()
+        finite = np.isfinite(phi).all(axis=(1, 2)).tolist()
+        xb = np.zeros(n)
+        starts = [xb]
+        for P, e, ok in zip(phi, x_end, finite):
+            if ok:
+                xb = P.dot(xb) + e
             else:
-                live = x[b] != 0
-                x[b + 1] = phi[b][:, live] @ x[b][live] + x_end[b]
+                live = xb != 0
+                xb = P[:, live].dot(xb[live]) + e
+            starts.append(xb)
+        x = np.array(starts).T.copy()
 
-        # Pass 2: roll every block from its true start, writing the outputs
-        # and the first in-block step whose state leaves the limit.  The
-        # last block may be short, so step j runs only the k blocks that
-        # reach it.
+        # Pass 2: roll every block from its true start, writing C x into
+        # the outputs and noting the first in-block step whose state
+        # leaves the limit.
         first_over = np.full(nb, L)
-        last_len = T - full
-        for j in range(min(L, T)):
-            k = nb if j < last_len else nb - 1
-            y[j::L] += x[:k] @ C
-            x[:k] = np.einsum("bij,bj->bi", np.take(A, q[j::L] - 1, axis=0), x[:k])
-            x[:k] += E[j::L]
-            if not np.abs(x[:k]).max() <= BLOWUP_LIMIT:
-                fresh = ~(np.abs(x[:k]).max(axis=1) <= BLOWUP_LIMIT) & (first_over[:k] == L)
-                first_over[:k][fresh] = j
+        Y = ypad.reshape(nb, L)
+        for j in range(L):
+            Y[:, j] += model.C.dot(x)
+            x = np.einsum("ikb,kb->ib", A.take(labels[j], axis=2), x)
+            x += F[:, :, j]
+            if not np.abs(x).max() <= BLOWUP_LIMIT:
+                fresh = ~(np.abs(x).max(axis=0) <= BLOWUP_LIMIT) & (first_over == L)
+                first_over[fresh] = j
     over = np.flatnonzero(first_over < L)
     if len(over):
         t = over[0] * L + first_over[over[0]]
@@ -251,12 +287,13 @@ def save_trajectory(path: str, sample: SampleSet) -> None:
 
 def load_trajectory(path: str) -> SampleSet:
     """Read a trajectory CSV, refusing a row whose field count differs
-    from the header's or that holds a field that is not a number.
+    from the header's or that holds a field that is not a finite number.
 
     numpy's C reader parses the body of every file this accepts.  A file
     it refuses (a changed field count, a field that is not a number, an
-    empty body, any warning) is scanned row by row by :func:`_fault`,
-    which only names the file, the line and the field at fault.
+    empty body, any warning) or whose y or u holds nan or inf is scanned
+    row by row by :func:`_fault`, which only names the file, the line and
+    the field at fault.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -281,6 +318,8 @@ def load_trajectory(path: str) -> SampleSet:
                 )
         except (ValueError, Warning) as exc:
             raise _fault(path, reader, header, exc) from None
+        if not (np.isfinite(body["y"]).all() and np.isfinite(body["u"]).all()):
+            raise _fault(path, reader, header, ValueError("a value is not finite"))
     # Contiguous copies: the fields of a structured array are strided views.
     y, u, q = (np.ascontiguousarray(body[name]) for name in ("y", "u", "q"))
     return SampleSet(N=len(y) - 1, y=y, u=u, q=q)
@@ -291,9 +330,9 @@ _INT64 = np.iinfo(np.int64)
 
 def _fault(path: str, reader, header: list[str], exc: Exception) -> ValueError:
     """Name why numpy refused the rows after the header: the first row
-    with a wrong field count, a field that is not a number or a mode
-    label outside int64 (blank lines skipped), else an empty body, else
-    numpy's own message."""
+    with a wrong field count, a field that is not a number, a y or u that
+    is not finite or a mode label outside int64 (blank lines skipped),
+    else an empty body, else numpy's own message."""
     rows = 0
     for row in reader:
         if not row:
@@ -308,10 +347,12 @@ def _fault(path: str, reader, header: list[str], exc: Exception) -> ValueError:
                 # non-ASCII digits too; numpy refuses both.
                 if "_" in value or not value.isascii():
                     raise ValueError(value)
-                (int if name == "q" else float)(value)
+                number = (int if name == "q" else float)(value)
             except ValueError:
                 kind = "an integer" if name == "q" else "a number"
                 return ValueError(f"{where}: field {name!r} is not {kind}: {value!r}")
+            if name != "q" and not math.isfinite(number):
+                return ValueError(f"{where}: field {name!r} is not finite: {value!r}")
         if not _INT64.min <= int(row[-1]) <= _INT64.max:
             return ValueError(f"{where}: field 'q' is outside the int64 range: {row[-1]!r}")
     if rows == 0:

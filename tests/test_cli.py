@@ -103,6 +103,23 @@ def test_identify_refuses_out_of_range_mode_label(capsys, tmp_path):
     assert "mode label 3 at step 9 outside 1..2" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_identify_refuses_non_finite_input(capsys, tmp_path, value):
+    # A NaN input used to pass the covariance check (dev > tol is False
+    # for NaN) and score est_err as if the file were clean.
+    traj = tmp_path / "traj.csv"
+    rc, _, _ = run(capsys, "simulate", "--N", "2000", "--seed", "2", "--out", str(traj))
+    assert rc == 0
+    lines = traj.read_text().splitlines()
+    t, y, _, q = lines[10].split(",")
+    lines[10] = ",".join([t, y, value, q])
+    traj.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "identify", "--trajectory", str(traj), "--gamma", "0.6")
+    assert rc == 1
+    assert f"{traj}, line 11: field 'u_1' is not finite: {value!r}" in err
+    assert "est_err" not in out
+
+
 def test_identify_refuses_row_with_missing_field(capsys, tmp_path):
     traj = tmp_path / "traj.csv"
     rc, _, _ = run(capsys, "simulate", "--N", "2000", "--seed", "2", "--out", str(traj))

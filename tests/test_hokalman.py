@@ -210,6 +210,24 @@ def test_est_err_sees_single_entry(bench):
     assert est_err(rr1, rr3) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("field", ["Abar", "Bbar", "Cbar"])
+def test_est_err_propagates_nan(bench, field):
+    # A NaN in any realized matrix must not score as a clean realization:
+    # Python's max(worst, nan) keeps worst.
+    model, _ = bench
+    mm = true_markov_map(model, required_words(BENCH_SEL, 2))
+    rr = realize(build_hankels(mm, BENCH_SEL), mm[()])
+    bad = realize(build_hankels(mm, BENCH_SEL), mm[()])
+    if field == "Cbar":
+        bad.Cbar = np.array([bad.Cbar[0], np.nan])
+    else:
+        mats = getattr(bad, field)
+        mats[0] = mats[0].copy()
+        mats[0].flat[-1] = np.nan
+    assert np.isnan(est_err(bad, rr))
+    assert np.isnan(est_err(rr, bad))
+
+
 def test_est_err_shape_mismatch():
     mk = lambda n: RealizationResult_like(n)
     with pytest.raises(ValueError):

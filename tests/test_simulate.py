@@ -1,7 +1,9 @@
 """Simulator behaviour: exact recursion, determinism, signal laws."""
 
 import csv
+import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -151,6 +153,91 @@ def test_scan_names_the_blowup_step_of_the_longhand_recursion(rng, T):
         simulate_driven(model, u, q, w, v)
 
 
+def test_scan_padding_is_invisible(rng):
+    # T = 5000 is 142 blocks of 35 and a last block of 30 steps, padded to
+    # 35.  Mode 1 grows by 1e30 a step but its label never appears: a pad
+    # step that rolled with it would blow up beyond the data.
+    T = 5000
+    model = scan_model(rng)
+    model = dataclasses.replace(model, A=[1e30 * np.eye(4)] + model.A[1:])
+    u, _, w, v = scan_signals(rng, T)
+    q = rng.integers(2, 4, size=T)
+    expect, blowup = longhand(model, u, q, w, v)
+    assert blowup is None
+    npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("T, start", [(5000, 4975), (12, 4)])
+def test_scan_names_a_blowup_in_the_short_last_block(rng, T, start):
+    # 5000 steps end in a 30-step block from step 4970; 12 steps are one
+    # block, shorter than the 16 steps of the smallest full block.  Mode 3
+    # multiplies the state by 1e4 from step ``start`` on.
+    model = scan_model(rng, growth=1e4)
+    u, _, w, v = scan_signals(rng, T)
+    q = np.where(np.arange(T) < start, rng.integers(1, 3, size=T), 3)
+    _, blowup = longhand(model, u, q, w, v)
+    assert blowup is not None and start <= blowup < T
+    with pytest.raises(DivergenceError, match=rf"state blew up at step {blowup} \("):
+        simulate_driven(model, u, q, w, v)
+
+
+def test_scan_of_no_steps_is_empty(rng):
+    model = scan_model(rng)
+    y = simulate_driven(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
+    assert y.shape == (0,)
+
+
+def test_forcing_adds_input_channels_in_order(rng):
+    # With A = 0 the state is the last forcing, x(t + 1) = F(t), and C = e_i
+    # reads one component out exactly, so y(t + 1) must equal
+    # ((w_i + B_i1 u_1) + B_i2 u_2) + B_i3 u_3 bit for bit.
+    n, m, nQ, T = 2, 3, 2, 3000
+    B = [rng.standard_normal((n, m)) * 10.0 ** rng.integers(-8, 8, size=(n, m)) for _ in range(nQ)]
+    u = rng.uniform(-1, 1, size=(T, m))
+    q = rng.integers(1, nQ + 1, size=T)
+    w = rng.uniform(-1, 1, size=(T, n))
+    Bq = np.stack(B)[q - 1]
+    for i in range(n):
+        model = LssModel(
+            n=n, m=m, nQ=nQ, A=[np.zeros((n, n))] * nQ, B=B, C=np.eye(n)[i], D=np.zeros(m)
+        )
+        in_order = w[:, i].copy()
+        for j in range(m):
+            in_order += Bq[:, i, j] * u[:, j]
+        reversed_order = Bq[:, i, 2] * u[:, 2] + Bq[:, i, 1] * u[:, 1] + Bq[:, i, 0] * u[:, 0]
+        reversed_order += w[:, i]
+        assert not np.array_equal(in_order, reversed_order)  # the order shows
+        y = simulate_driven(model, u, q, w)
+        assert y[0] == 0.0
+        npt.assert_array_equal(y[1:], in_order[:-1])
+
+
+# Peak traced memory of one rollout at T = 100 201 (N = 1e5 plus the
+# burn-in), in units of one length-T float row, T * 8 bytes, with the
+# signals allocated by the caller.  The row-major layout the scan had
+# before peaked at 5.1 units for n = 2, m = 1 and 7.4 for n = 4, m = 2;
+# each bound is that plus one unit.
+PEAK_ROWS = {2: 6.1, 4: 8.4}
+
+
+@pytest.mark.parametrize("n", sorted(PEAK_ROWS))
+def test_scan_memory_stays_within_a_few_rows(rng, n):
+    T = 100_201
+    if n == 2:
+        model, _ = two_mode_benchmark(0.6)
+    else:
+        model = scan_model(rng)
+    u, q, w, v = scan_signals(rng, T, n=n, m=model.m, nQ=model.nQ)
+    simulate_driven(model, u[:100], q[:100], w[:100], v[:100])  # warm any lazy imports
+    tracemalloc.start()
+    try:
+        simulate_driven(model, u, q, w, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * T) <= PEAK_ROWS[n]
+
+
 def test_unexcited_growing_mode_is_not_a_blowup(rng):
     # x_1 grows by 1e30 a step but starts at zero and is never driven, so
     # the state stays bounded; the block products overflow all the same.
@@ -262,7 +349,7 @@ def test_divergence_detected():
 def test_sampleset_validation():
     with pytest.raises(ValueError):
         SampleSet(N=3, y=np.zeros(3), u=np.zeros((4, 1)), q=np.ones(4, dtype=int))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="field 'y' at step 1 is not finite: nan"):
         SampleSet(N=1, y=np.array([0.0, np.nan]), u=np.zeros((2, 1)), q=np.ones(2, dtype=int))
 
 
@@ -473,6 +560,27 @@ def test_load_trajectory_refuses_spellings_numpy_refuses(tmp_path, field, value)
     with pytest.raises(ValueError) as exc:
         load_trajectory(str(path))
     assert str(exc.value) == f"{path}, line 3: field {field!r} is not {kind}: {value!r}"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["y", "u_2"])
+def test_load_trajectory_refuses_non_finite_values(tmp_path, field, value):
+    # numpy reads these spellings as floats; the estimator would turn one
+    # into a NaN Markov estimate, so the file is refused at the field.
+    path = tmp_path / "traj.csv"
+    path.write_text(traj_text(edit_row(2, **{field: value})))
+    with pytest.raises(ValueError) as exc:
+        load_trajectory(str(path))
+    assert str(exc.value) == f"{path}, line 4: field {field!r} is not finite: {value!r}"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sampleset_refuses_non_finite_inputs(value):
+    u = np.zeros((4, 2))
+    u[2, 1] = value
+    with pytest.raises(ValueError) as exc:
+        SampleSet(N=3, y=np.zeros(4), u=u, q=np.ones(4, dtype=int))
+    assert str(exc.value) == f"trajectory field 'u_2' at step 2 is not finite: {value!r}"
 
 
 # Pins recorded before the scan's layout changed: sha256 of the retained
