@@ -38,6 +38,7 @@ from .core import (
 )
 from .experiment import (
     ExperimentConfig,
+    check_N_grid,
     run_experiment,
     write_figures,
     write_results_csv,
@@ -97,7 +98,9 @@ def _resolve_model(args):
 
     File values are the base when --model is given; flag values win
     over file values; remaining gaps get benchmark-style defaults
-    (uniform modes, inputs bounded by 0.8, noise bounded by 1).
+    (uniform modes, inputs bounded by 0.8, noise bounded by 1).  Only
+    --ku-input replaces the input law, so only it resets Sigma_u to the
+    uniform sampler's (Ku_input^2 / 3) I; --ku-noise keeps the file's.
     """
     gamma = args.gamma if args.gamma is not None else DEFAULT_GAMMA
     if args.model is not None:
@@ -111,12 +114,10 @@ def _resolve_model(args):
     ku_noise = getattr(args, "ku_noise", None)
     if signal is None:
         signal = SignalSpec(Ku_input=0.8, Ku_noise=1.0)
-    if ku_input is not None or ku_noise is not None:
-        signal = SignalSpec(
-            Ku_input=ku_input if ku_input is not None else signal.Ku_input,
-            Ku_noise=ku_noise if ku_noise is not None else signal.Ku_noise,
-            Sigma_u=None,
-        )
+    if ku_noise is not None:
+        signal = dataclasses.replace(signal, Ku_noise=ku_noise)
+    if ku_input is not None:
+        signal = dataclasses.replace(signal, Ku_input=ku_input, Sigma_u=None)
     return model, dist, signal, gamma
 
 
@@ -318,6 +319,7 @@ def cmd_experiment(args) -> int:
         delta=args.delta, N_grid=args.N_grid, output_dir=args.out,
     )
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    check_N_grid(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     rows = run_experiment(cfg, progress=print)
     csv_path = os.path.join(cfg.output_dir, "results.csv")

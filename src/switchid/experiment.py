@@ -21,7 +21,6 @@ import functools
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
@@ -182,6 +181,41 @@ def _run_one_trial(
     return err, (time.perf_counter() - t0) * 1e3
 
 
+def _grid_models(cfg: ExperimentConfig):
+    """Yield (gamma, model, dist, selection, required words) for every
+    gamma of the grid, in order."""
+    base_model = base_dist = None
+    if cfg.model_file is not None:
+        base_model, base_dist, _ = load_model_file(cfg.model_file)
+        if base_dist is None:
+            base_dist = SwitchingDistribution(np.full(base_model.nQ, 1.0 / base_model.nQ))
+    for gamma in cfg.gamma_values:
+        if base_model is None:
+            model, dist = two_mode_benchmark(gamma)
+        else:
+            model, dist = base_model, base_dist
+        sel = find_selection(model)
+        yield gamma, model, dist, sel, required_words(sel, model.nQ)
+
+
+def check_N_grid(cfg: ExperimentConfig) -> None:
+    """Refuse an N_grid entry too short for the estimator, before any
+    certificate search or trial.
+
+    A trajectory of N + 1 samples has N - |w| + 1 windows for a word w,
+    so it must be longer than the longest word the Hankel blocks need:
+    the shortest N that runs is that length plus one.  Costs one
+    selection search per gamma.
+    """
+    shortest = max(max(map(len, words)) + 1 for *_, words in _grid_models(cfg))
+    too_short = [N for N in cfg.N_grid if N < shortest]
+    if too_short:
+        raise ValueError(
+            f"N_grid: N = {too_short[0]} is too short: the estimator needs words of "
+            f"length {shortest - 1}, so the shortest N that runs is {shortest}"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
     """Run the whole grid; returns rows sorted by grid point and trial.
 
@@ -193,22 +227,13 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
     (wall clock times aside).
     """
     rows: list[ExperimentRow] = []
-    base_model = base_dist = None
-    if cfg.model_file is not None:
-        base_model, base_dist, _ = load_model_file(cfg.model_file)
-        if base_dist is None:
-            base_dist = SwitchingDistribution(np.full(base_model.nQ, 1.0 / base_model.nQ))
-
     parallel = cfg.threads > 1
+    if parallel:
+        # Imported here: at module level it costs every CLI call ~20 ms.
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=cfg.threads) if parallel else nullcontext() as pool:
         trial_map = functools.partial(pool.map, chunksize=4) if parallel else map
-        for gamma in cfg.gamma_values:
-            if base_model is None:
-                model, dist = two_mode_benchmark(gamma)
-            else:
-                model, dist = base_model, base_dist
-            sel = find_selection(model)
-            words = required_words(sel, model.nQ)
+        for gamma, model, dist, sel, words in _grid_models(cfg):
             mmap_true = true_markov_map(model, words)
             rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
 

@@ -102,7 +102,11 @@ def simulate(cfg: SimConfig) -> SampleSet:
     the first burn_in outputs are discarded.  All randomness comes from
     one generator seeded with cfg.seed, drawn in a fixed order (modes,
     then inputs, then state noise, then output noise), so a given
-    (config, seed) pair always produces the identical trajectory.
+    (config, seed) pair always produces the identical trajectory.  The
+    draws reproduce numpy's streams exactly: the modes are
+    ``rng.choice(nQ, size=T, p=p) + 1`` and each signal is
+    ``rng.uniform(-K, K, size)``, computed without choice's binary
+    search (see :func:`_draw_signals`).
 
     Raises
     ------
@@ -113,22 +117,46 @@ def simulate(cfg: SimConfig) -> SampleSet:
     model, signal = cfg.model, cfg.signal
     n, m = model.n, model.m
     T = cfg.burn_in + cfg.N + 1
-    rng = np.random.default_rng(cfg.seed)
-
-    q = rng.choice(model.nQ, size=T, p=cfg.dist.p) + 1
-    if signal.Ku_input == 0.0:
-        u = np.zeros((T, m))
-    else:
-        u = rng.uniform(-signal.Ku_input, signal.Ku_input, size=(T, m))
-    if signal.Ku_noise == 0.0:
-        w = v = None
-    else:
-        w = rng.uniform(-signal.Ku_noise, signal.Ku_noise, size=(T, n))
-        v = rng.uniform(-signal.Ku_noise, signal.Ku_noise, size=T)
-
+    q, u, w, v = _draw_signals(np.random.default_rng(cfg.seed), cfg.dist.p, signal, T, n, m)
     y = simulate_driven(model, u, q, w, v)
     b = cfg.burn_in
     return SampleSet(N=cfg.N, y=y[b:], u=u[b:], q=q[b:])
+
+
+def _draw_signals(rng, p, signal: SignalSpec, T: int, n: int, m: int):
+    """Modes q (T,), inputs u (T, m), state noise w (T, n) and output
+    noise v (T,), drawn from rng in that order; w and v are None when the
+    noise amplitude is zero, and a zero amplitude draws nothing.
+
+    The numbers and the generator calls are those of
+    ``rng.choice(len(p), size=T, p=p) + 1`` and ``rng.uniform(-K, K, size)``.
+    choice turns one uniform r per step into the label index
+    ``cdf.searchsorted(r, side="right")``, the count of cdf entries <= r;
+    here that count is added up one comparison per entry, which costs a
+    fraction of the search.  The last entry, 1 > r, is never counted.
+    uniform computes low + (high - low) * U, so scaling and then shifting
+    one draw of U rounds every value the same way.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    r = rng.random(T)
+    q = np.ones(T, dtype=np.min_scalar_type(len(cdf)))  # holds every label 1..nQ
+    for c in cdf[:-1]:
+        q += r >= c
+    del r  # freed before the signal rows are drawn
+    q = q.astype(np.int64)
+
+    def uniform(K, size):
+        low, high = -K, K
+        x = rng.random(size)
+        x *= high - low
+        x += low
+        return x
+
+    u = np.zeros((T, m)) if signal.Ku_input == 0.0 else uniform(signal.Ku_input, (T, m))
+    if signal.Ku_noise == 0.0:
+        return q, u, None, None
+    return q, u, uniform(signal.Ku_noise, (T, n)), uniform(signal.Ku_noise, T)
 
 
 def simulate_driven(

@@ -458,6 +458,30 @@ def test_experiment_refuses_settings_before_creating_the_output(capsys, tmp_path
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("N", [3, 4])
+def test_experiment_refuses_too_short_N_before_creating_the_output(capsys, tmp_path, N):
+    # The two-mode family's longest required word has length 4.  Such an N
+    # used to fail in the first trial, after gamma 0.1's selection and
+    # certificate searches, leaving an empty output directory.
+    out_dir = tmp_path / "out"
+    rc, out, err = run(
+        capsys, "experiment", "--N-grid", "1000", str(N), "--trials", "1", "--out", str(out_dir)
+    )
+    assert rc == 1
+    assert (
+        f"error: N_grid: N = {N} is too short: the estimator needs words of length 4, "
+        "so the shortest N that runs is 5"
+    ) in err
+    assert out == "" and not out_dir.exists()
+
+
+def test_experiment_runs_at_the_shortest_N(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    rc, _, _ = run(capsys, "experiment", "--N-grid", "5", "--trials", "1", "--out", str(out_dir))
+    assert rc == 0
+    assert (out_dir / "results.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["identify", "bound"])
 def test_zero_input_amplitude_is_refused_where_sigma_u_is_inverted(capsys, command):
     rc, out, err = run(capsys, command, "--ku-input", "0", "--N", "2000")
@@ -515,6 +539,24 @@ def test_user_model_via_file_matches_builtin(capsys, tmp_path):
     assert rc == 0
     rc2, out_builtin, _ = run(capsys, "selection", "--gamma", "0.6")
     assert out_file == out_builtin
+
+
+@pytest.mark.parametrize("command", ["bound", "identify"])
+def test_ku_noise_keeps_the_model_files_input_covariance(capsys, tmp_path, command):
+    # Sigma_u = 0.22 differs from the sampler's 0.8^2 / 3 = 0.2133 yet
+    # passes identify's covariance check.  Restating the file's own noise
+    # amplitude used to reset Sigma_u and move every number printed.
+    model, dist = two_mode_benchmark(0.6)
+    path, plain = tmp_path / "model.json", tmp_path / "plain.json"
+    save_model_file(str(path), model, dist, SignalSpec(0.8, 1.0, Sigma_u=np.array([[0.22]])))
+    save_model_file(str(plain), model, dist, SignalSpec(0.8, 1.0))
+    base = ("--gamma", "0.6", "--N", "20000")
+    rc, out, _ = run(capsys, command, "--model", str(path), *base)
+    assert rc == 0
+    assert run(capsys, command, "--model", str(path), *base, "--ku-noise", "1.0") == (0, out, "")
+    # --ku-input replaces the input law, and with it Sigma_u.
+    reset = run(capsys, command, "--model", str(path), *base, "--ku-input", "0.8")
+    assert reset == run(capsys, command, "--model", str(plain), *base) != (0, out, "")
 
 
 def test_experiment_end_to_end(capsys, tmp_path):

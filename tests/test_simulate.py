@@ -21,7 +21,7 @@ from switchid import (
     simulate_driven,
     two_mode_benchmark,
 )
-from switchid.simulate import BLOWUP_LIMIT, SampleSet
+from switchid.simulate import BLOWUP_LIMIT, SampleSet, _draw_signals
 
 
 def test_impulse_through_mode_word(bench):
@@ -344,6 +344,92 @@ def test_divergence_detected():
     signal = SignalSpec(Ku_input=1.0, Ku_noise=0.0)
     with pytest.raises(DivergenceError):
         simulate(SimConfig(model=model, dist=dist, signal=signal, N=500, seed=0))
+
+
+# Mode laws for the draw oracle: nQ = 1, 2, 3, 9 and 130 (beyond int8),
+# uniform and not.  [0.5, 0.5, 1e-17] has cdf [0.5, 1.0, 1.0]: its last
+# step rounds away, so mode 3 is never drawn.
+DRAW_LAWS = [
+    [1.0],
+    [0.5, 0.5],
+    [0.7, 0.3],
+    [1 / 3] * 3,
+    [0.5, 0.5, 1e-17],
+    [1 / 9] * 9,
+    list(np.arange(1, 10) / 45),
+    [1 / 130] * 130,
+    list(np.arange(1, 131) / 8515),
+]
+DRAW_SIGNALS = [
+    SignalSpec(Ku_input=0.8, Ku_noise=1.0),
+    SignalSpec(Ku_input=0.0, Ku_noise=1.0),
+    SignalSpec(Ku_input=0.8, Ku_noise=0.0),
+    SignalSpec(Ku_input=0.0, Ku_noise=0.0),
+]
+
+
+def numpy_draws(rng, p, signal, T, n, m):
+    """The trial's signals as numpy's own samplers draw them."""
+    q = rng.choice(len(p), size=T, p=p) + 1
+    Ku, Kn = signal.Ku_input, signal.Ku_noise
+    u = np.zeros((T, m)) if Ku == 0.0 else rng.uniform(-Ku, Ku, size=(T, m))
+    if Kn == 0.0:
+        return q, u, None, None
+    return q, u, rng.uniform(-Kn, Kn, size=(T, n)), rng.uniform(-Kn, Kn, size=T)
+
+
+def assert_same_draws(p, signal, T, n, m, seed):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_signals(rng, p, signal, T, n, m)
+    expect = numpy_draws(twin, p, signal, T, n, m)
+    for a, b in zip(got, expect):
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            npt.assert_array_equal(a, b)
+    # The generator was consumed exactly as numpy's samplers consume it.
+    npt.assert_array_equal(rng.random(4), twin.random(4))
+    return got
+
+
+@pytest.mark.parametrize("T", [1, 17, 1201])
+@pytest.mark.parametrize("p", DRAW_LAWS, ids=lambda p: f"nQ{len(p)}-{p[0]:.3g}")
+def test_draws_are_numpys_choice_and_uniform(p, T):
+    q = assert_same_draws(p, DRAW_SIGNALS[0], T, n=4, m=2, seed=T)[0]
+    assert q.dtype == np.int64
+    assert 1 <= q.min() and q.max() <= len(p)
+    if len(p) == 130 and T == 1201:
+        assert q.max() > 127  # the labels an int8 count would wrap
+    if p[-1] == 1e-17:
+        assert 3 not in q
+
+
+@pytest.mark.parametrize("T", [1, 17, 1201])
+@pytest.mark.parametrize("signal", DRAW_SIGNALS, ids=lambda s: f"{s.Ku_input}-{s.Ku_noise}")
+def test_zero_amplitudes_draw_nothing(signal, T):
+    assert_same_draws([0.7, 0.3], signal, T, n=2, m=3, seed=7)
+
+
+def test_draw_on_a_cdf_entry_takes_the_next_mode():
+    # choice's searchsorted(side="right") puts r == cdf[k] in mode k + 2.
+    # With p = [r, 1 - r] for a value r the generator draws at step 5, cdf
+    # is exactly [r, 1.0], so that step lands on the entry.
+    r = np.random.default_rng(3).random(17)[5]
+    p = [r, 1.0 - r]
+    assert np.cumsum(p)[-1] == 1.0
+    q = assert_same_draws(p, DRAW_SIGNALS[0], 17, n=2, m=1, seed=3)[0]
+    assert q[5] == 2
+
+
+def test_simulate_rolls_out_numpys_draws(bench, bench_signal):
+    model, dist = bench
+    cfg = SimConfig(model=model, dist=dist, signal=bench_signal, N=300, burn_in=50, seed=4)
+    s = simulate(cfg)
+    q, u, w, v = numpy_draws(np.random.default_rng(4), dist.p, bench_signal, 351, 2, 1)
+    npt.assert_array_equal(s.q, q[50:])
+    npt.assert_array_equal(s.u, u[50:])
+    npt.assert_array_equal(s.y, simulate_driven(model, u, q, w, v)[50:])
 
 
 def test_sampleset_validation():
