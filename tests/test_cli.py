@@ -1,5 +1,6 @@
 """Command line behaviour: happy paths, file outputs, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -529,6 +530,26 @@ def test_bound_single_certificate_json(capsys, tmp_path):
     doc = json.loads(out_file.read_text())
     assert doc["N"] == 50000
     assert doc["W_size"] == 10
+
+
+# sha256 of the files `bound --out` writes for the built-in family at the
+# default gamma 0.6: one certificate as JSON, a table over N as CSV.
+BOUND_PINS = [
+    (("--N", "50000"), "b.json", "884db536aa9d6509bc0d623c6e2272b7db0a98160716ae5b3ee794a492a9fe2a"),
+    (
+        ("--N-grid", "1000", "100000"),
+        "t.csv",
+        "54312fe457870fa07d77ce351742f95f64edab9e3566455be25ff0a17e0ce121",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, name, digest", BOUND_PINS)
+def test_bound_outputs_are_pinned(capsys, tmp_path, flags, name, digest):
+    out_file = tmp_path / name
+    rc, _, _ = run(capsys, "bound", *flags, "--out", str(out_file))
+    assert rc == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_user_model_via_file_matches_builtin(capsys, tmp_path):

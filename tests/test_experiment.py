@@ -1,6 +1,7 @@
 """Monte Carlo driver: row layout, determinism, outputs."""
 
 import csv
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -104,6 +105,21 @@ def test_csv_deterministic_bytes_except_wall(tmp_path, tiny_rows):
     write_results_csv(str(p2), rows2)
     strip = lambda p: [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
     assert strip(p1) == strip(p2)
+
+
+# sha256 of results.csv with its wall_ms column cut, from a seeded
+# 3-gamma x 2-N x 2-trial campaign; the file must stay byte-identical.
+RESULTS_PIN = "b921c2bd1c5e34907cd620c75c7754164b0ccd7d70e329a7ef67086889d673dd"
+
+
+def test_results_csv_is_pinned_apart_from_wall_ms(tmp_path):
+    cfg = tiny_config(gamma_values=[0.1, 0.4, 0.6], trials=2, seed_base=7, burn_in=200)
+    path = tmp_path / "results.csv"
+    write_results_csv(str(path), run_experiment(cfg))
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith(",wall_ms")
+    cut = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+    assert hashlib.sha256(cut.encode()).hexdigest() == RESULTS_PIN
 
 
 def test_nan_est_err_survives_csv(tmp_path):
