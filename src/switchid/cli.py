@@ -30,7 +30,7 @@ from .bounds import (
 )
 from .core import (
     SignalSpec,
-    SwitchingDistribution,
+    check_mode_labels,
     load_model_file,
     two_mode_benchmark,
     word_to_str,
@@ -51,11 +51,11 @@ from .hokalman import (
     find_selection,
     load_selection,
     realize,
-    required_words,
     save_realization,
     save_selection,
+    true_realization,
 )
-from .markov import empirical_markov_batch, true_markov_map
+from .markov import empirical_markov_batch
 from .simulate import (
     DEFAULT_BURN_IN,
     DivergenceError,
@@ -96,17 +96,16 @@ def _add_signal_flags(p: _Parser):
 def _resolve_model(args):
     """Model, switching distribution and signal amplitudes from flags.
 
-    File values are the base when --model is given; flag values win
-    over file values; remaining gaps get benchmark-style defaults
-    (uniform modes, inputs bounded by 0.8, noise bounded by 1).  Only
-    --ku-input replaces the input law, so only it resets Sigma_u to the
-    uniform sampler's (Ku_input^2 / 3) I; --ku-noise keeps the file's.
+    File values are the base when --model is given (a file without p
+    has uniform modes); flag values win over file values; remaining
+    gaps get benchmark-style defaults (inputs bounded by 0.8, noise
+    bounded by 1).  Only --ku-input replaces the input law, so only it
+    resets Sigma_u to the uniform sampler's (Ku_input^2 / 3) I;
+    --ku-noise keeps the file's.
     """
     gamma = args.gamma if args.gamma is not None else DEFAULT_GAMMA
     if args.model is not None:
         model, dist, signal = load_model_file(args.model)
-        if dist is None:
-            dist = SwitchingDistribution(np.full(model.nQ, 1.0 / model.nQ))
     else:
         model, dist = two_mode_benchmark(gamma)
         signal = None
@@ -175,6 +174,27 @@ def _check_input_covariance(u: np.ndarray, sigma_u: np.ndarray) -> None:
         )
 
 
+def _check_mode_law(q: np.ndarray, p: np.ndarray) -> None:
+    """Refuse a mode law the trajectory's mode labels contradict.
+
+    The estimator divides every Markov estimate by the word probability
+    p_w, so a wrong p scales each one.  Labels are range-checked first.
+    For labels drawn from p the frequency of mode q has standard
+    deviation sqrt(p_q (1 - p_q) / (N + 1)); the tolerance is six of
+    them plus one count, 1 / (N + 1).
+    """
+    check_mode_labels(q, len(p))
+    freq = np.bincount(q, minlength=len(p) + 1)[1:] / len(q)
+    tol = 6.0 * np.sqrt(p * (1.0 - p) / len(q)) + 1.0 / len(q)
+    if np.any(np.abs(freq - p) > tol):
+        raise ValueError(
+            f"mode law does not match the trajectory: p = "
+            f"{np.array2string(p, precision=4)} but the mode labels occur with "
+            f"frequencies {np.array2string(freq, precision=4)} (tolerance "
+            f"{np.array2string(tol, precision=3)}); check p in the model file"
+        )
+
+
 def cmd_identify(args) -> int:
     if args.trajectory and args.model is None and args.gamma is None:
         raise ValueError(
@@ -209,8 +229,11 @@ def cmd_identify(args) -> int:
         )
     sigma_u = signal.sigma_u(model.m)
     _check_input_covariance(sample.u, sigma_u)
+    _check_mode_law(sample.q, dist.p)
     sel = load_selection(args.selection, model) if args.selection else find_selection(model)
-    words = required_words(sel, model.nQ)
+    # The named model is the truth: the source of a simulated trajectory,
+    # the model a trajectory file is read against.
+    words, rr_ref = true_realization(model, sel)
     mmap = empirical_markov_batch(sample, words, sigma_u, dist)
     rr_hat = realize(build_hankels(mmap, sel), mmap[()])
     print(f"selection rows: {[word_to_str(w) or 'e' for w in sel.alpha]}")
@@ -218,10 +241,6 @@ def cmd_identify(args) -> int:
         "selection cols: "
         f"{[(word_to_str(mu) or 'e', q, l) for (mu, q, l) in sel.beta]}"
     )
-    # The named model is the truth: the source of a simulated trajectory,
-    # the model a trajectory file is read against.
-    mmap_true = true_markov_map(model, words)
-    rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
     print(f"sigma_n(H_ab) estimate = {rr_hat.sigma_n:.6g} (true {rr_ref.sigma_n:.6g})")
     print(f"est_err = {est_err(rr_hat, rr_ref):.6g}")
     if args.out:
@@ -233,17 +252,14 @@ def cmd_identify(args) -> int:
 def cmd_selection(args) -> int:
     model, _, _, _ = _resolve_model(args)
     sel = find_selection(model)
-    words = required_words(sel, model.nQ)
-    mmap_true = true_markov_map(model, words)
-    sigma_n = realize(build_hankels(mmap_true, sel), mmap_true[()]).sigma_n
+    words, rr_ref = true_realization(model, sel)
     print(f"rows (alpha):  {[word_to_str(w) or 'e' for w in sel.alpha]}")
     print(
         "cols (beta):   "
         f"{[(word_to_str(mu) or 'e', q, l) for (mu, q, l) in sel.beta]}"
     )
-    print(f"sigma_n(H_ab) = {sigma_n:.6g}")
-    nwords = len(words)
-    print(f"words required for the estimator: {nwords}")
+    print(f"sigma_n(H_ab) = {rr_ref.sigma_n:.6g}")
+    print(f"words required for the estimator: {len(words)}")
     if args.out:
         save_selection(args.out, sel)
         print(f"selection written to {args.out}")
@@ -270,16 +286,13 @@ def cmd_bound(args) -> int:
     model, dist, signal, gamma = _resolve_model(args)
     _require_input(signal)
     sel = load_selection(args.selection, model) if args.selection else find_selection(model)
-    words = required_words(sel, model.nQ)
-    mmap_true = true_markov_map(model, words)
-    rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
+    _, rr_ref = true_realization(model, sel)
     stability = find_P(model, dist, gamma)
-    N_grid = args.N_grid if args.N_grid else [args.N]
     certs = [
         compute_certificate(
             model, dist, signal, sel, rr_ref.sigma_n, args.delta, N, stability=stability
         )
-        for N in N_grid
+        for N in args.N
     ]
     N_star = min_valid_N(
         model, dist, signal, sel, rr_ref.sigma_n, args.delta, stability=stability
@@ -372,9 +385,11 @@ def build_parser() -> _Parser:
     _add_signal_flags(p)
     p.add_argument("--selection", help="selection JSON (default: search)")
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--N", type=int, default=100_000)
-    p.add_argument("--N-grid", type=int, nargs="+", help="table over several N")
-    p.add_argument("--out", help="certificate JSON (single N) or CSV (grid)")
+    p.add_argument(
+        "--N", "--N-grid", type=int, nargs="+", default=[100_000],
+        help="trajectory length, or several for a table (default 100000)",
+    )
+    p.add_argument("--out", help="certificate JSON (one N) or CSV (several)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("experiment", help="Monte Carlo error-versus-N study")

@@ -275,9 +275,8 @@ def model_to_dict(
     return d
 
 
-def model_from_dict(
-    d: dict,
-) -> tuple[LssModel, SwitchingDistribution | None, SignalSpec | None]:
+def model_from_dict(d: dict) -> tuple[LssModel, SwitchingDistribution, SignalSpec | None]:
+    """Model, mode law and signal spec; without ``"p"`` the modes are uniform."""
     model = LssModel(
         n=int(d["n"]),
         m=int(d["m"]),
@@ -287,7 +286,7 @@ def model_from_dict(
         C=np.asarray(d["C"], dtype=float),
         D=np.asarray(d["D"], dtype=float),
     )
-    dist = SwitchingDistribution(p=np.asarray(d["p"], dtype=float)) if "p" in d else None
+    dist = SwitchingDistribution(p=d["p"] if "p" in d else np.full(model.nQ, 1.0 / model.nQ))
     signal = None
     if "signal" in d:
         s = d["signal"]
@@ -309,7 +308,5 @@ def save_model_file(
     write_json(path, model_to_dict(model, dist, signal))
 
 
-def load_model_file(
-    path: str,
-) -> tuple[LssModel, SwitchingDistribution | None, SignalSpec | None]:
+def load_model_file(path: str) -> tuple[LssModel, SwitchingDistribution, SignalSpec | None]:
     return read_json(path, model_from_dict)

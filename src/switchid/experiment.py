@@ -22,7 +22,7 @@ import numbers
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -44,24 +44,11 @@ from .hokalman import (
     find_selection,
     realize,
     required_words,
+    true_realization,
 )
-from .markov import empirical_markov_batch, true_markov_map
+from .markov import empirical_markov_batch
 from .simulate import DEFAULT_BURN_IN, SimConfig, simulate
 from .svgplot import line_chart
-
-RESULTS_HEADER = [
-    "gamma",
-    "ku_noise",
-    "ku_input",
-    "N",
-    "trial",
-    "seed",
-    "est_err",
-    "bound",
-    "valid",
-    "wall_ms",
-]
-
 
 @dataclass
 class ExperimentConfig:
@@ -142,7 +129,8 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentRow:
-    """One (grid point, trial) outcome."""
+    """One (grid point, trial) outcome: one line of results.csv, whose
+    columns are these fields in order."""
 
     gamma: float
     ku_noise: float
@@ -153,7 +141,15 @@ class ExperimentRow:
     est_err: float
     bound: float
     valid: bool
-    wall_ms: float
+    wall_ms: float = field(metadata={"format": "{:.3f}".format})
+
+
+RESULTS_HEADER = [f.name for f in fields(ExperimentRow)]
+# results.csv cells by field type (annotations are strings here): floats
+# round-trip through repr, flags are 0/1; a field's "format" metadata
+# replaces the writer.
+_WRITE = {"float": lambda x: repr(float(x)), "int": str, "bool": lambda x: str(int(x))}
+_READ = {"float": float, "int": int, "bool": lambda s: bool(int(s))}
 
 
 def _run_one_trial(
@@ -182,20 +178,17 @@ def _run_one_trial(
 
 
 def _grid_models(cfg: ExperimentConfig):
-    """Yield (gamma, model, dist, selection, required words) for every
-    gamma of the grid, in order."""
+    """Yield (gamma, model, dist, selection) for every gamma of the grid,
+    in order."""
     base_model = base_dist = None
     if cfg.model_file is not None:
         base_model, base_dist, _ = load_model_file(cfg.model_file)
-        if base_dist is None:
-            base_dist = SwitchingDistribution(np.full(base_model.nQ, 1.0 / base_model.nQ))
     for gamma in cfg.gamma_values:
         if base_model is None:
             model, dist = two_mode_benchmark(gamma)
         else:
             model, dist = base_model, base_dist
-        sel = find_selection(model)
-        yield gamma, model, dist, sel, required_words(sel, model.nQ)
+        yield gamma, model, dist, find_selection(model)
 
 
 def check_N_grid(cfg: ExperimentConfig) -> None:
@@ -207,7 +200,10 @@ def check_N_grid(cfg: ExperimentConfig) -> None:
     the shortest N that runs is that length plus one.  Costs one
     selection search per gamma.
     """
-    shortest = max(max(map(len, words)) + 1 for *_, words in _grid_models(cfg))
+    shortest = max(
+        max(map(len, required_words(sel, model.nQ))) + 1
+        for _, model, _, sel in _grid_models(cfg)
+    )
     too_short = [N for N in cfg.N_grid if N < shortest]
     if too_short:
         raise ValueError(
@@ -233,9 +229,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=cfg.threads) if parallel else nullcontext() as pool:
         trial_map = functools.partial(pool.map, chunksize=4) if parallel else map
-        for gamma, model, dist, sel, words in _grid_models(cfg):
-            mmap_true = true_markov_map(model, words)
-            rr_ref = realize(build_hankels(mmap_true, sel), mmap_true[()])
+        for gamma, model, dist, sel in _grid_models(cfg):
+            words, rr_ref = true_realization(model, sel)
 
             stability: StabilityCertificate | None
             try:
@@ -296,46 +291,21 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
 
 
 def write_results_csv(path: str, rows: list[ExperimentRow]) -> None:
+    cells = [(f.name, f.metadata.get("format", _WRITE[f.type])) for f in fields(ExperimentRow)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         for r in rows:
-            writer.writerow(
-                [
-                    repr(float(r.gamma)),
-                    repr(float(r.ku_noise)),
-                    repr(float(r.ku_input)),
-                    r.N,
-                    r.trial,
-                    r.seed,
-                    repr(float(r.est_err)),
-                    repr(float(r.bound)),
-                    int(r.valid),
-                    f"{r.wall_ms:.3f}",
-                ]
-            )
+            writer.writerow([write(getattr(r, name)) for name, write in cells])
 
 
 def load_results_csv(path: str) -> list[ExperimentRow]:
-    rows = []
+    cells = [(f.name, _READ[f.type]) for f in fields(ExperimentRow)]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                ExperimentRow(
-                    gamma=float(rec["gamma"]),
-                    ku_noise=float(rec["ku_noise"]),
-                    ku_input=float(rec["ku_input"]),
-                    N=int(rec["N"]),
-                    trial=int(rec["trial"]),
-                    seed=int(rec["seed"]),
-                    est_err=float(rec["est_err"]),
-                    bound=float(rec["bound"]),
-                    valid=bool(int(rec["valid"])),
-                    wall_ms=float(rec["wall_ms"]),
-                )
-            )
-    return rows
+        return [
+            ExperimentRow(**{name: read(rec[name]) for name, read in cells})
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def _mean_series(rows, N_grid, key, value, fixed):

@@ -317,6 +317,15 @@ def realize(hs: HankelSet, M_eps: np.ndarray) -> RealizationResult:
     return RealizationResult(Abar=Abar, Bbar=Bbar, Cbar=Cbar, Dbar=Dbar, sigma_n=float(s[-1]))
 
 
+def true_realization(model: LssModel, sel: Selection) -> tuple[set[Word], RealizationResult]:
+    """The selection's required words, and the realization of the model's
+    true Markov parameters over them: the reference :func:`est_err` scores
+    an estimate from the same selection against."""
+    words = required_words(sel, model.nQ)
+    mmap = true_markov_map(model, words)
+    return words, realize(build_hankels(mmap, sel), mmap[()])
+
+
 def markov_roundtrip(rr: RealizationResult, words) -> dict[Word, np.ndarray]:
     """Markov parameters of the realized model over a word set.
 

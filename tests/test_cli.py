@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import switchid
-from switchid import SignalSpec, save_model_file, two_mode_benchmark
+from switchid import SignalSpec, SwitchingDistribution, save_model_file, two_mode_benchmark
 from switchid.cli import main
 
 
@@ -102,6 +102,34 @@ def test_identify_refuses_out_of_range_mode_label(capsys, tmp_path):
     rc, _, err = run(capsys, "identify", "--trajectory", str(traj), "--gamma", "0.6")
     assert rc == 1
     assert "mode label 3 at step 9 outside 1..2" in err
+
+
+def test_identify_refuses_mode_law_the_trajectory_contradicts(capsys, tmp_path):
+    # Modes drawn with p = [0.8, 0.2] come out 0.8004/0.1996 here.  Read
+    # against a uniform law, stated or by omitting p, every estimate is
+    # divided by the wrong p_w; est_err went from 0.20 to 0.31 and exit 0.
+    model, _ = two_mode_benchmark(0.6)
+    paths = {}
+    for name, p in [("p82", [0.8, 0.2]), ("p55", [0.5, 0.5]), ("nop", None)]:
+        paths[name] = tmp_path / f"{name}.json"
+        save_model_file(str(paths[name]), model, p and SwitchingDistribution(p))
+    traj = tmp_path / "traj.csv"
+    rc, _, _ = run(
+        capsys, "simulate", "--model", str(paths["p82"]), "--N", "20000", "--seed", "3",
+        "--out", str(traj),
+    )
+    assert rc == 0
+    rc, out, _ = run(capsys, "identify", "--model", str(paths["p82"]), "--trajectory", str(traj))
+    assert rc == 0 and "est_err = 0.201484" in out
+    for name in ("p55", "nop"):
+        rc, out, err = run(
+            capsys, "identify", "--model", str(paths[name]), "--trajectory", str(traj)
+        )
+        assert rc == 1 and out == ""
+        assert (
+            "mode law does not match the trajectory: p = [0.5 0.5] but the mode "
+            "labels occur with frequencies [0.8004 0.1996] (tolerance [0.021 0.021])"
+        ) in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -523,6 +551,18 @@ def test_bound_table(capsys, tmp_path):
     assert lines[0].startswith("m_prime,")
 
 
+def test_bound_N_takes_several_lengths(capsys, tmp_path):
+    # --N and --N-grid name one option, so --N with several lengths writes
+    # the same table as --N-grid.
+    grid, several = tmp_path / "grid.csv", tmp_path / "several.csv"
+    rc, out, _ = run(capsys, "bound", "--N-grid", "1000", "100000", "--out", str(grid))
+    assert rc == 0
+    assert run(capsys, "bound", "--N", "1000", "100000", "--out", str(several)) == (
+        0, out.replace(str(grid), str(several)), ""
+    )
+    assert several.read_bytes() == grid.read_bytes()
+
+
 def test_bound_single_certificate_json(capsys, tmp_path):
     out_file = tmp_path / "bound.json"
     rc, _, _ = run(capsys, "bound", "--N", "50000", "--out", str(out_file))
@@ -560,6 +600,40 @@ def test_user_model_via_file_matches_builtin(capsys, tmp_path):
     assert rc == 0
     rc2, out_builtin, _ = run(capsys, "selection", "--gamma", "0.6")
     assert out_file == out_builtin
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identify", "--N", "5000", "--seed", "4"),
+        ("bound", "--N", "1000", "100000"),
+        ("experiment", "--trials", "2", "--N-grid", "300", "1000"),
+    ],
+    ids=["identify", "bound", "experiment"],
+)
+def test_model_file_without_p_has_uniform_modes(capsys, tmp_path, argv):
+    model, dist = two_mode_benchmark(0.6)
+    outputs = []
+    for name, law in [("nop", None), ("p55", dist)]:
+        path = tmp_path / f"{name}.json"
+        save_model_file(str(path), model, law)
+        assert ('"p"' in path.read_text()) == (law is not None)
+        out_path = tmp_path / name / "out"
+        os.makedirs(out_path.parent)
+        rc, out, err = run(capsys, *argv, "--model", str(path), "--out", str(out_path))
+        assert rc == 0 and err == ""
+        if out_path.is_dir():
+            os.remove(out_path / "config.json")  # names the model file
+            files = {
+                f: (out_path / f).read_text().replace(str(out_path), "")
+                for f in sorted(os.listdir(out_path))
+            }
+            # Timings aside.
+            files["results.csv"] = [l.rsplit(",", 1)[0] for l in files["results.csv"].split()]
+        else:
+            files = out_path.read_bytes()
+        outputs.append((out.replace(str(out_path), ""), files))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["bound", "identify"])

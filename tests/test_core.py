@@ -238,7 +238,9 @@ def test_model_file_without_extras(tmp_path, bench):
     path = tmp_path / "model.json"
     save_model_file(str(path), model)
     m2, d2, s2 = load_model_file(str(path))
-    assert d2 is None and s2 is None
+    # Without "p" the mode law is uniform.
+    npt.assert_array_equal(d2.p, [0.5, 0.5])
+    assert s2 is None
     npt.assert_array_equal(m2.C, model.C)
 
 
