@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -118,6 +119,7 @@ def test_results_csv_is_pinned_apart_from_wall_ms(tmp_path):
     write_results_csv(str(path), run_experiment(cfg))
     lines = path.read_text().splitlines()
     assert lines[0].endswith(",wall_ms")
+    assert all(re.fullmatch(r"\d+\.\d{3}", line.rsplit(",", 1)[1]) for line in lines[1:])
     cut = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
     assert hashlib.sha256(cut.encode()).hexdigest() == RESULTS_PIN
 
