@@ -101,11 +101,9 @@ def gamma_from_P(model: LssModel, P: np.ndarray) -> tuple[float, float]:
     except np.linalg.LinAlgError:
         raise ValueError("P must be positive definite") from None
 
-    lam = 0.0
-    for Aq in model.A:
-        S = Aq.T @ P @ Aq
-        # S is symmetric, so solve(L, S).T = S L^{-T}.
-        lam = max(lam, _eigvalsh(np.linalg.solve(L, np.linalg.solve(L, S).T))[-1])
+    S = [Aq.T @ P @ Aq for Aq in model.A]
+    # Each S_q is symmetric, so solve(L, S_q).T = S_q L^{-T}.
+    lam = max(0.0, *(_eigvalsh(np.linalg.solve(L, np.linalg.solve(L, Sq).T))[-1] for Sq in S))
     gamma = model.nQ * math.sqrt(lam)
     if gamma >= 1.0:
         raise CertificateError(
@@ -116,10 +114,7 @@ def gamma_from_P(model: LssModel, P: np.ndarray) -> tuple[float, float]:
         raise CertificateError("certified gamma is not below 1 after inflation")
 
     rho = gamma**2 / model.nQ**2
-    margin = math.inf
-    for Aq in model.A:
-        margin = min(margin, _eigvalsh(rho * P - Aq.T @ P @ Aq)[0])
-    return gamma, margin
+    return gamma, min(_eigvalsh(rho * P - Sq)[0] for Sq in S)
 
 
 def _eigvalsh(M: np.ndarray) -> list[float]:
@@ -146,26 +141,10 @@ def schur_radius(model: LssModel, dist: SwitchingDistribution) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
-def _lmi_P(model: LssModel, target: float) -> np.ndarray | None:
-    """Margin-maximizing semidefinite feasibility search for P.
-
-    Solves max t subject to I <= P <= P_CEILING I and
-    (gamma_s/nQ)^2 P - A_q^T P A_q >= t I for every mode, at a slightly
-    shrunk rate gamma_s, walking the shrink down if the optimal slack is
-    not positive.  Maximizing the slack keeps the numerical solution well
-    inside the feasible set, which is what lets the exact validation in
-    :func:`gamma_from_P` succeed despite solver tolerances.
-    """
-    for shrink in (1e-2, 1e-3, 1e-4):
-        rho = (target * (1.0 - shrink) / model.nQ) ** 2
-        P = _max_slack_P(model.A, rho)
-        if P is not None:
-            return P
-    return None
-
-
 def _max_slack_P(A: list[np.ndarray], rho: float) -> np.ndarray | None:
-    """Log-barrier Newton method for the LMI problem of :func:`_lmi_P`.
+    """Margin-maximizing semidefinite feasibility search for P: max t
+    subject to I <= P <= P_CEILING I and rho P - A_q^T P A_q >= t I for
+    every mode, by a log-barrier Newton method.
 
     The unknowns are x = (upper triangle of P, t); every constraint is a
     block F_j(x) = F0_j + sum_k x_k G_jk >= 0 that is affine in x.  Each
@@ -288,9 +267,13 @@ def find_P(
 ) -> StabilityCertificate:
     """Search for a quadratic stability certificate at a target rate.
 
-    Strategy: one margin-maximizing LMI search (:func:`_lmi_P`, numpy
-    only), whose candidate must pass :func:`certify_P`, so solver
-    tolerances cannot make an unsound certificate.
+    Strategy: one margin-maximizing LMI search (:func:`_max_slack_P`,
+    numpy only) at a slightly shrunk rate gamma_s = target (1 - shrink),
+    walking the shrink down while the optimal slack is not positive.  The
+    first candidate found must pass :func:`certify_P`, so solver
+    tolerances cannot make an unsound certificate.  Maximizing the slack
+    keeps the numerical solution well inside the feasible set, which is
+    what lets that exact validation succeed.
 
     Raises
     ------
@@ -301,12 +284,13 @@ def find_P(
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target rate must lie in (0, 1)")
-    P = _lmi_P(model, target)
-    if P is not None:
-        try:
-            return certify_P(model, dist, P, target)
-        except (ValueError, CertificateError):
-            pass
+    for shrink in (1e-2, 1e-3, 1e-4):
+        P = _max_slack_P(model.A, (target * (1.0 - shrink) / model.nQ) ** 2)
+        if P is not None:
+            try:
+                return certify_P(model, dist, P, target)
+            except (ValueError, CertificateError):
+                break
 
     rad = schur_radius(model, dist)
     raise CertificateError(

@@ -129,17 +129,16 @@ def _require_input(signal: SignalSpec) -> None:
         )
 
 
+def _sim_config(args, model, dist, signal) -> SimConfig:
+    """The simulated run that --N, --burn-in and --seed name."""
+    return SimConfig(
+        model=model, dist=dist, signal=signal, N=args.N, burn_in=args.burn_in, seed=args.seed
+    )
+
+
 def cmd_simulate(args) -> int:
     model, dist, signal, _ = _resolve_model(args)
-    cfg = SimConfig(
-        model=model,
-        dist=dist,
-        signal=signal,
-        N=args.N,
-        burn_in=args.burn_in,
-        seed=args.seed,
-    )
-    sample = simulate(cfg)
+    sample = simulate(_sim_config(args, model, dist, signal))
     counts = np.bincount(sample.q, minlength=model.nQ + 1)[1:]
     freqs = ", ".join(
         f"{c + 1}: {counts[c] / (sample.N + 1):.4f}" for c in range(model.nQ)
@@ -212,16 +211,7 @@ def cmd_identify(args) -> int:
                 f"the model has m = {model.m}"
             )
     else:
-        sample = simulate(
-            SimConfig(
-                model=model,
-                dist=dist,
-                signal=signal,
-                N=args.N,
-                burn_in=args.burn_in,
-                seed=args.seed,
-            )
-        )
+        sample = simulate(_sim_config(args, model, dist, signal))
     if sample.N <= 2 * (2 * model.n + 1):
         raise ValueError(
             f"trajectory too short: N = {sample.N} but more than "
@@ -309,13 +299,11 @@ def cmd_bound(args) -> int:
         if len(certs) == 1:
             write_json(args.out, certs[0].to_dict())
         else:
+            table = [bc.to_dict() for bc in certs]
             with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                keys = list(certs[0].to_dict().keys())
-                writer.writerow(keys)
-                for bc in certs:
-                    d = bc.to_dict()
-                    writer.writerow([d[k] for k in keys])
+                writer = csv.DictWriter(fh, fieldnames=list(table[0]))
+                writer.writeheader()
+                writer.writerows(table)
         print(f"certificate table written to {args.out}")
     return 0
 

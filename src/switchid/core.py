@@ -276,7 +276,11 @@ def model_to_dict(
 
 
 def model_from_dict(d: dict) -> tuple[LssModel, SwitchingDistribution, SignalSpec | None]:
-    """Model, mode law and signal spec; without ``"p"`` the modes are uniform."""
+    """Model, mode law and signal spec; without ``"p"`` the modes are uniform.
+
+    A ``p`` without nQ entries or a ``signal.Sigma_u`` that is not m x m
+    is refused here, so the error names the file that holds it.
+    """
     model = LssModel(
         n=int(d["n"]),
         m=int(d["m"]),
@@ -286,6 +290,8 @@ def model_from_dict(d: dict) -> tuple[LssModel, SwitchingDistribution, SignalSpe
         C=np.asarray(d["C"], dtype=float),
         D=np.asarray(d["D"], dtype=float),
     )
+    if "p" in d and np.size(d["p"]) != model.nQ:
+        raise ValueError(f"p has {np.size(d['p'])} entries, the model has nQ = {model.nQ}")
     dist = SwitchingDistribution(p=d["p"] if "p" in d else np.full(model.nQ, 1.0 / model.nQ))
     signal = None
     if "signal" in d:
@@ -296,6 +302,9 @@ def model_from_dict(d: dict) -> tuple[LssModel, SwitchingDistribution, SignalSpe
             Ku_noise=float(s["Ku_noise"]),
             Sigma_u=sig_u,
         )
+        if signal.Sigma_u is not None and signal.Sigma_u.shape != (model.m, model.m):
+            shape = "x".join(map(str, signal.Sigma_u.shape))
+            raise ValueError(f"signal.Sigma_u is {shape}, the model has m = {model.m}")
     return model, dist, signal
 
 

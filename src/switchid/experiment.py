@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .bounds import CertificateError, StabilityCertificate, compute_certificate, find_P
+from .bounds import CertificateError, compute_certificate, find_P
 from .core import (
     LssModel,
     SignalSpec,
@@ -56,7 +56,9 @@ class ExperimentConfig:
 
     With ``model_file`` unset every gamma value instantiates the
     two-mode benchmark family; with a model file the model is fixed and
-    gamma only sets the stability rate to certify against.
+    gamma only sets the stability rate to certify against.  The file's
+    ``signal`` is not used: inputs and noise always come from
+    ``Ku_input_values`` and ``Ku_noise_values``.
     """
 
     model_file: str | None = None
@@ -180,14 +182,9 @@ def _run_one_trial(
 def _grid_models(cfg: ExperimentConfig):
     """Yield (gamma, model, dist, selection) for every gamma of the grid,
     in order."""
-    base_model = base_dist = None
-    if cfg.model_file is not None:
-        base_model, base_dist, _ = load_model_file(cfg.model_file)
+    fixed = None if cfg.model_file is None else load_model_file(cfg.model_file)[:2]
     for gamma in cfg.gamma_values:
-        if base_model is None:
-            model, dist = two_mode_benchmark(gamma)
-        else:
-            model, dist = base_model, base_dist
+        model, dist = fixed or two_mode_benchmark(gamma)
         yield gamma, model, dist, find_selection(model)
 
 
@@ -218,21 +215,25 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
     ``progress`` may be a callable taking one status string.  A gamma
     with no stability certificate gives its rows bound = NaN and
     valid = False, and ``progress`` is told why once for that gamma.  With
-    cfg.threads > 1 trials run in a process pool; results are gathered
+    cfg.threads > 1 trials run in a process pool of
+    min(cfg.threads, os.cpu_count()) workers; results are gathered
     in submission order so the output is identical to a serial run
     (wall clock times aside).
     """
     rows: list[ExperimentRow] = []
     parallel = cfg.threads > 1
+    pool = nullcontext()
     if parallel:
         # Imported here: at module level it costs every CLI call ~20 ms.
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=cfg.threads) if parallel else nullcontext() as pool:
+
+        # The pool starts all its workers at once, so it gets no more
+        # than there are CPUs to run them.
+        pool = ProcessPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1))
+    with pool:
         trial_map = functools.partial(pool.map, chunksize=4) if parallel else map
         for gamma, model, dist, sel in _grid_models(cfg):
             words, rr_ref = true_realization(model, sel)
-
-            stability: StabilityCertificate | None
             try:
                 stability = find_P(model, dist, gamma)
             except CertificateError as exc:

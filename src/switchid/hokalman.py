@@ -368,13 +368,6 @@ def selection_to_dict(sel: Selection) -> dict:
     }
 
 
-def selection_from_dict(d: dict) -> Selection:
-    return Selection(
-        alpha=tuple(str_to_word(s) for s in d["alpha"]),
-        beta=tuple((str_to_word(mu), int(q), int(l)) for mu, q, l in d["beta"]),
-    )
-
-
 def save_selection(path: str, sel: Selection) -> None:
     write_json(path, selection_to_dict(sel))
 
@@ -384,7 +377,10 @@ def load_selection(path: str, model: LssModel) -> Selection:
     model's Hankel blocks: n rows, modes in 1..nQ, channels in 1..m."""
 
     def parse(doc) -> Selection:
-        sel = selection_from_dict(doc)
+        sel = Selection(
+            alpha=tuple(str_to_word(s) for s in doc["alpha"]),
+            beta=tuple((str_to_word(mu), int(q), int(l)) for mu, q, l in doc["beta"]),
+        )
         if sel.n != model.n:
             raise ValueError(f"alpha: {sel.n} rows, the model has n = {model.n}")
         for name, words in [("alpha", sel.alpha), ("beta", [(q,) + mu for mu, q, _ in sel.beta])]:

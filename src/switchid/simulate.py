@@ -104,9 +104,9 @@ def simulate(cfg: SimConfig) -> SampleSet:
     then inputs, then state noise, then output noise), so a given
     (config, seed) pair always produces the identical trajectory.  The
     draws reproduce numpy's streams exactly: the modes are
-    ``rng.choice(nQ, size=T, p=p) + 1`` and each signal is
-    ``rng.uniform(-K, K, size)``, computed without choice's binary
-    search (see :func:`_draw_signals`).
+    ``rng.choice(nQ, size=T, p=p) + 1``, computed without choice's
+    binary search (see :func:`_draw_signals`), and each signal is
+    ``rng.uniform(-K, K, size)``.
 
     Raises
     ------
@@ -128,14 +128,12 @@ def _draw_signals(rng, p, signal: SignalSpec, T: int, n: int, m: int):
     noise v (T,), drawn from rng in that order; w and v are None when the
     noise amplitude is zero, and a zero amplitude draws nothing.
 
-    The numbers and the generator calls are those of
-    ``rng.choice(len(p), size=T, p=p) + 1`` and ``rng.uniform(-K, K, size)``.
-    choice turns one uniform r per step into the label index
-    ``cdf.searchsorted(r, side="right")``, the count of cdf entries <= r;
-    here that count is added up one comparison per entry, which costs a
-    fraction of the search.  The last entry, 1 > r, is never counted.
-    uniform computes low + (high - low) * U, so scaling and then shifting
-    one draw of U rounds every value the same way.
+    The modes are the numbers and the generator call of
+    ``rng.choice(len(p), size=T, p=p) + 1``.  choice turns one uniform r
+    per step into the label index ``cdf.searchsorted(r, side="right")``,
+    the count of cdf entries <= r; here that count is added up one
+    comparison per entry, which costs a fraction of the search.  The last
+    entry, 1 > r, is never counted.
     """
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
@@ -146,17 +144,11 @@ def _draw_signals(rng, p, signal: SignalSpec, T: int, n: int, m: int):
     del r  # freed before the signal rows are drawn
     q = q.astype(np.int64)
 
-    def uniform(K, size):
-        low, high = -K, K
-        x = rng.random(size)
-        x *= high - low
-        x += low
-        return x
-
-    u = np.zeros((T, m)) if signal.Ku_input == 0.0 else uniform(signal.Ku_input, (T, m))
-    if signal.Ku_noise == 0.0:
+    K_in, K_noise = signal.Ku_input, signal.Ku_noise
+    u = np.zeros((T, m)) if K_in == 0.0 else rng.uniform(-K_in, K_in, (T, m))
+    if K_noise == 0.0:
         return q, u, None, None
-    return q, u, uniform(signal.Ku_noise, (T, n)), uniform(signal.Ku_noise, T)
+    return q, u, rng.uniform(-K_noise, K_noise, (T, n)), rng.uniform(-K_noise, K_noise, T)
 
 
 def simulate_driven(
@@ -319,9 +311,9 @@ def load_trajectory(path: str) -> SampleSet:
 
     numpy's C reader parses the body of every file this accepts.  A file
     it refuses (a changed field count, a field that is not a number, an
-    empty body, any warning) or whose y or u holds nan or inf is scanned
-    row by row by :func:`_fault`, which only names the file, the line and
-    the field at fault.
+    empty body, any warning) or whose y or u :class:`SampleSet` refuses
+    as not finite is scanned row by row by :func:`_fault`, which only
+    names the file, the line and the field at fault.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -344,13 +336,11 @@ def load_trajectory(path: str) -> SampleSet:
                     path, delimiter=",", skiprows=1, ndmin=1, comments=None, quotechar='"',
                     dtype=fields,
                 )
+            # Contiguous copies: the fields of a structured array are strided views.
+            y, u, q = (np.ascontiguousarray(body[name]) for name in ("y", "u", "q"))
+            return SampleSet(N=len(y) - 1, y=y, u=u, q=q)
         except (ValueError, Warning) as exc:
             raise _fault(path, reader, header, exc) from None
-        if not (np.isfinite(body["y"]).all() and np.isfinite(body["u"]).all()):
-            raise _fault(path, reader, header, ValueError("a value is not finite"))
-    # Contiguous copies: the fields of a structured array are strided views.
-    y, u, q = (np.ascontiguousarray(body[name]) for name in ("y", "u", "q"))
-    return SampleSet(N=len(y) - 1, y=y, u=u, q=q)
 
 
 _INT64 = np.iinfo(np.int64)

@@ -367,6 +367,39 @@ def test_non_finite_model_exits_1_naming_the_field(capsys, tmp_path, command, ed
     assert reason in err
 
 
+def set_p_length(doc):
+    doc["p"] = [0.3, 0.3, 0.4]
+
+
+def set_sigma_u_shape(doc):
+    doc["signal"]["Sigma_u"] = [[0.2, 0.0], [0.0, 0.2]]
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (set_p_length, "p has 3 entries, the model has nQ = 2"),
+        (set_sigma_u_shape, "signal.Sigma_u is 2x2, the model has m = 1"),
+    ],
+    ids=["p-length", "Sigma_u-shape"],
+)
+@pytest.mark.parametrize("command", ["selection", "simulate", "experiment"])
+def test_model_of_other_size_exits_1_naming_the_file(capsys, tmp_path, command, edit, reason):
+    # selection ignored both; simulate and experiment ran on the Sigma_u,
+    # and experiment left an empty output directory behind the p.
+    path = tmp_path / "model.json"
+    save_model_file(str(path), *two_mode_benchmark(0.6), SignalSpec(Ku_input=0.8, Ku_noise=1.0))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    extra = ["--trials", "1", "--N-grid", "300"] if command == "experiment" else []
+    rc, _, err = run(capsys, command, "--model", str(path), "--out", str(out), *extra)
+    assert rc == 1
+    assert f"error: malformed file {path}: ValueError: {reason}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_stability_refuses_non_finite_P(capsys, tmp_path, bad):
     path = tmp_path / "P.json"
@@ -395,6 +428,18 @@ def test_runs_without_scipy(tmp_path, argv):
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_out_the_process_pool():
+    # Only experiment --threads > 1 needs concurrent.futures, so the import
+    # that every CLI call pays for does not load it.
+    src = os.path.dirname(os.path.dirname(switchid.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import switchid; "
+        "sys.exit('concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

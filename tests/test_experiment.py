@@ -154,6 +154,39 @@ def test_threads_do_not_change_results():
     assert [r.est_err for r in serial] == [r.est_err for r in parallel]
 
 
+@pytest.mark.parametrize(
+    "threads, cpus, workers", [(100_000, 2, 2), (4, None, 1), (3, 8, 3)],
+    ids=["above-cpus", "cpus-unknown", "below-cpus"],
+)
+def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, threads, cpus, workers):
+    # The pool starts all its workers at its first map; a fake pool that
+    # maps serially records the size asked for, so no process is started.
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rows = run_experiment(tiny_config(trials=2, N_grid=[300], threads=threads))
+    assert sizes == [workers]
+    serial = run_experiment(tiny_config(trials=2, N_grid=[300]))
+    assert [r.est_err for r in rows] == [r.est_err for r in serial]
+
+
 def test_progress_callback_called():
     seen = []
     run_experiment(tiny_config(trials=1, N_grid=[300]), progress=seen.append)
