@@ -637,6 +637,56 @@ def test_bound_outputs_are_pinned(capsys, tmp_path, flags, name, digest):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+# sha256 of identify's stdout and of the realization JSON it writes, for
+# four ways of naming the trajectory and the selection.  Each call runs in
+# an empty directory with relative file names, so the paths printed are
+# the same on every run.  "model.json" is the built-in family at the
+# default gamma 0.6.
+IDENTIFY_PINS = [
+    (
+        (),
+        (),
+        "1674e5ca9dd92238144092fdb42aa16c3a5ef64fea8c8623bca9433d104e6801",
+        "b79ea09bebea391b188d4726fa3f159d46392672ca2073e254ded211605a1222",
+    ),
+    (
+        ("simulate", "--gamma", "0.4", "--N", "20000", "--seed", "4", "--out", "traj.csv"),
+        ("--gamma", "0.4", "--trajectory", "traj.csv"),
+        "0822cc52434d549ca897ea650b7789ae3df12ec6e37b1bfad688b16b79511b33",
+        "fd15d6cae5738b0795589fc76133289a9b2236c44f34b926f11d4b8531a45bfc",
+    ),
+    (
+        ("selection", "--out", "sel.json"),
+        ("--selection", "sel.json", "--N", "5000", "--seed", "2"),
+        "073e08aaf98e19f368ff03cffe629384b398196a7a58d8aa38c38eb379742438",
+        "2998a69a4eaebabf3f4d3c5afa12d1d725e408338c7946e5ceffb1a147a46bd4",
+    ),
+    (
+        ("simulate", "--model", "model.json", "--out", "traj.csv"),
+        ("--model", "model.json", "--trajectory", "traj.csv"),
+        "ae5254f601f5eb82ed5e83654afb2ba8adb5b69737d51a5ecd9c1770f35bd18a",
+        "5dd46caebed88a55c0de86a562a30d3617063cdd48196ba5859ab75b2a3c235e",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "setup, flags, out_digest, json_digest",
+    IDENTIFY_PINS,
+    ids=["simulated", "trajectory", "selection", "model-trajectory"],
+)
+def test_identify_outputs_are_pinned(capsys, tmp_path, monkeypatch, setup, flags, out_digest,
+                                     json_digest):
+    monkeypatch.chdir(tmp_path)
+    save_model_file("model.json", *two_mode_benchmark(0.6))
+    if setup:
+        assert run(capsys, *setup)[0] == 0
+    rc, out, err = run(capsys, "identify", *flags, "--out", "real.json")
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256((tmp_path / "real.json").read_bytes()).hexdigest() == json_digest
+
+
 def test_user_model_via_file_matches_builtin(capsys, tmp_path):
     model, dist = two_mode_benchmark(0.6)
     path = tmp_path / "model.json"
