@@ -16,9 +16,9 @@ from switchid import (
     SignalSpec,
     SimConfig,
     build_hankels,
-    empirical_markov_batch,
     est_err,
     find_selection,
+    identify_sample,
     markov_roundtrip,
     realize,
     required_words,
@@ -54,8 +54,7 @@ def main():
     signal = SignalSpec(Ku_input=0.8, Ku_noise=1.0)
     for N in (1_000, 10_000, 100_000):
         sample = simulate(SimConfig(model=model, dist=dist, signal=signal, N=N, seed=3))
-        est = empirical_markov_batch(sample, words, signal.sigma_u(model.m), dist)
-        rr_hat = realize(build_hankels(est, sel), est[()])
+        _, rr_hat = identify_sample(sample, sel, words, signal.sigma_u(model.m), dist)
         print("N = %6d: EstErr = %.4f  (sigma_n of estimated H_ab: %.3f)"
               % (N, est_err(rr_hat, rr), rr_hat.sigma_n))
 

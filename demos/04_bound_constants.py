@@ -15,14 +15,11 @@ Run:  python3 demos/04_bound_constants.py
 
 from switchid import (
     SignalSpec,
-    build_hankels,
     compute_certificate,
     find_P,
     find_selection,
     min_valid_N,
-    realize,
-    required_words,
-    true_markov_map,
+    true_realization,
     two_mode_benchmark,
 )
 
@@ -31,8 +28,7 @@ def main():
     model, dist = two_mode_benchmark(0.6)
     signal = SignalSpec(Ku_input=0.8, Ku_noise=1.0)
     sel = find_selection(model)
-    truth = true_markov_map(model, required_words(sel, model.nQ))
-    rr = realize(build_hankels(truth, sel), truth[()])
+    _, rr = true_realization(model, sel)
     stability = find_P(model, dist, 0.6)
 
     bc = compute_certificate(model, dist, signal, sel, rr.sigma_n, 0.05, 10_000,

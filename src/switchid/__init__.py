@@ -41,9 +41,11 @@ from .hokalman import (
     build_hankels,
     est_err,
     find_selection,
+    identify_sample,
     markov_roundtrip,
     realize,
     required_words,
+    true_realization,
 )
 from .markov import empirical_markov_batch, true_markov_map
 from .simulate import (
@@ -77,6 +79,7 @@ __all__ = [
     "find_P",
     "find_selection",
     "gamma_from_P",
+    "identify_sample",
     "load_model_file",
     "load_trajectory",
     "markov_roundtrip",
@@ -92,6 +95,7 @@ __all__ = [
     "simulate",
     "simulate_driven",
     "true_markov_map",
+    "true_realization",
     "two_mode_benchmark",
     "word_to_str",
     "write_figures",

@@ -46,16 +46,14 @@ from .experiment import (
 from .hokalman import (
     SelectionRankError,
     SingularHankelError,
-    build_hankels,
     est_err,
     find_selection,
+    identify_sample,
     load_selection,
-    realize,
     save_realization,
     save_selection,
     true_realization,
 )
-from .markov import empirical_markov_batch
 from .simulate import (
     DEFAULT_BURN_IN,
     DivergenceError,
@@ -224,8 +222,7 @@ def cmd_identify(args) -> int:
     # The named model is the truth: the source of a simulated trajectory,
     # the model a trajectory file is read against.
     words, rr_ref = true_realization(model, sel)
-    mmap = empirical_markov_batch(sample, words, sigma_u, dist)
-    rr_hat = realize(build_hankels(mmap, sel), mmap[()])
+    _, rr_hat = identify_sample(sample, sel, words, sigma_u, dist)
     print(f"selection rows: {[word_to_str(w) or 'e' for w in sel.alpha]}")
     print(
         "selection cols: "

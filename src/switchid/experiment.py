@@ -39,14 +39,12 @@ from .hokalman import (
     RealizationResult,
     Selection,
     SingularHankelError,
-    build_hankels,
     est_err,
     find_selection,
-    realize,
+    identify_sample,
     required_words,
     true_realization,
 )
-from .markov import empirical_markov_batch
 from .simulate import DEFAULT_BURN_IN, SimConfig, simulate
 from .svgplot import line_chart
 
@@ -170,9 +168,8 @@ def _run_one_trial(
     sample = simulate(
         SimConfig(model=model, dist=dist, signal=signal, N=N, burn_in=burn_in, seed=seed)
     )
-    mmap = empirical_markov_batch(sample, words, signal.sigma_u(model.m), dist)
     try:
-        rr_hat = realize(build_hankels(mmap, sel), mmap[()])
+        _, rr_hat = identify_sample(sample, sel, words, signal.sigma_u(model.m), dist)
         err = est_err(rr_hat, rr_ref)
     except SingularHankelError:
         err = float("nan")

@@ -28,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LssModel, Word, a_word, model_to_dict, read_json, str_to_word, word_to_str, write_json
+    LssModel, SwitchingDistribution, Word, a_word, model_to_dict, read_json, str_to_word,
+    word_to_str, write_json,
 )
-from .markov import true_markov_map
+from .markov import empirical_markov_batch, true_markov_map
+from .simulate import SampleSet
 
 SINGULAR_RTOL = 1e-10
 
@@ -320,10 +322,32 @@ def realize(hs: HankelSet, M_eps: np.ndarray) -> RealizationResult:
 def true_realization(model: LssModel, sel: Selection) -> tuple[set[Word], RealizationResult]:
     """The selection's required words, and the realization of the model's
     true Markov parameters over them: the reference :func:`est_err` scores
-    an estimate from the same selection against."""
+    an estimate from the same selection against.
+
+    Raises :class:`SingularHankelError`, naming the selection, when the
+    selection's true H_ab is singular for the model."""
     words = required_words(sel, model.nQ)
     mmap = true_markov_map(model, words)
-    return words, realize(build_hankels(mmap, sel), mmap[()])
+    try:
+        return words, realize(build_hankels(mmap, sel), mmap[()])
+    except SingularHankelError as exc:
+        raise SingularHankelError(
+            f"the selection's true H_ab is singular for this model; choose another ({exc})"
+        ) from None
+
+
+def identify_sample(
+    sample: SampleSet,
+    sel: Selection,
+    words,
+    sigma_u: np.ndarray,
+    dist: SwitchingDistribution,
+) -> tuple[dict[Word, np.ndarray], RealizationResult]:
+    """Both stages on one trajectory: the Markov estimates over ``words``
+    (a superset of ``required_words(sel, nQ)``) and their realization.
+    Raises :class:`SingularHankelError` as :func:`realize` does."""
+    mmap = empirical_markov_batch(sample, words, sigma_u, dist)
+    return mmap, realize(build_hankels(mmap, sel), mmap[()])
 
 
 def markov_roundtrip(rr: RealizationResult, words) -> dict[Word, np.ndarray]:

@@ -30,18 +30,18 @@ from switchid import (
     SimConfig,
     build_hankels,
     compute_certificate,
-    empirical_markov_batch,
     est_err,
     find_P,
     find_selection,
     gamma_from_P,
+    identify_sample,
     markov_roundtrip,
     min_valid_N,
-    realize,
     required_words,
     run_experiment,
     simulate,
     true_markov_map,
+    true_realization,
     two_mode_benchmark,
 )
 from switchid.markov import true_markov
@@ -99,9 +99,9 @@ def bench_setup():
     model, dist = two_mode_benchmark(0.6)
     signal = SignalSpec(Ku_input=0.8, Ku_noise=1.0)
     sel = find_selection(model)
-    words = sorted(required_words(sel, model.nQ), key=lambda w: (len(w), w))
+    words, rr_ref = true_realization(model, sel)
+    words = sorted(words, key=lambda w: (len(w), w))
     mm_true = true_markov_map(model, words)
-    rr_ref = realize(build_hankels(mm_true, sel), mm_true[()])
     stability = find_P(model, dist, 0.6)
     return model, dist, signal, sel, words, mm_true, rr_ref, stability
 
@@ -117,11 +117,10 @@ def _run_trials(bench_setup, N, n_trials, seed_base, keep_word_errors):
         sample = simulate(
             SimConfig(model=model, dist=dist, signal=signal, N=N, seed=seed_base + t)
         )
-        mm = empirical_markov_batch(sample, words, sigma_u, dist)
+        mm, rr = identify_sample(sample, sel, words, sigma_u, dist)
         if keep_word_errors:
             for j, w in enumerate(W):
                 word_errs[t, j] = np.linalg.norm(mm[w] - mm_true[w])
-        rr = realize(build_hankels(mm, sel), mm[()])
         errs[t] = est_err(rr, rr_ref)
     return {
         "est_err": errs,
@@ -149,8 +148,8 @@ def test_criterion_1_exact_roundtrip(report):
     for _ in range(5):
         frontier = [w + (c,) for w in frontier for c in (1, 2)]
         words += frontier
-    mm = true_markov_map(model, set(words) | required_words(FIXED_SEL, 2))
-    rr = realize(build_hankels(mm, FIXED_SEL), mm[()])
+    mm = true_markov_map(model, words)
+    rr = true_realization(model, FIXED_SEL)[1]
     rt = markov_roundtrip(rr, words)
     worst = max(float(np.max(np.abs(rt[w] - mm[w]))) for w in words)
     dt = time.perf_counter() - t0
@@ -373,8 +372,7 @@ def test_criterion_8_lti_reduction(report):
             continue
         model = LssModel(n=n, m=1, nQ=1, A=[A], B=[B], C=C, D=D)
         sel = find_selection(model)
-        mm = true_markov_map(model, required_words(sel, 1))
-        est = realize(build_hankels(mm, sel), mm[()]).as_model()
+        est = true_realization(model, sel)[1].as_model()
         for k in range(0, 2 * n + 2):
             w = (1,) * k
             worst = max(worst, float(abs(true_markov(est, w)[0] - true_markov(model, w)[0])))

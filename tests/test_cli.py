@@ -251,6 +251,20 @@ def test_selection_that_does_not_fit_the_model_exits_1(capsys, tmp_path, command
     assert "Traceback" not in err and "est_err" not in out
 
 
+@pytest.mark.parametrize("command", ["identify", "bound"])
+def test_selection_singular_for_the_model_is_named(capsys, tmp_path, command):
+    # Two equal row words fit the model's sizes but give a singular H_ab.
+    # This used to print only "H_ab numerically singular", which does not
+    # say that the user's selection is at fault.
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({**BENCH_SELECTION, "alpha": ["", ""]}))
+    rc, out, err = run(capsys, command, "--selection", str(path), "--N", "2000")
+    assert rc == 2
+    assert "error: the selection's true H_ab is singular for this model" in err
+    assert "sigma_min/sigma_max = 0.000e+00/1.414e+00" in err
+    assert out == ""
+
+
 def test_identify_refuses_short_run(capsys):
     rc, _, err = run(capsys, "identify", "--N", "8")
     assert rc == 1

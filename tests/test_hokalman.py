@@ -1,27 +1,35 @@
 """Hankel block assembly, selection search and realization."""
 
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import switchid
 from switchid import (
     LssModel,
     Selection,
     SelectionRankError,
+    SimConfig,
     SingularHankelError,
     build_hankels,
+    empirical_markov_batch,
     est_err,
     find_selection,
     hokalman,
+    identify_sample,
     markov_roundtrip,
     realize,
     required_words,
+    simulate,
     true_markov_map,
     two_mode_benchmark,
 )
 from switchid.core import a_word
+from switchid.simulate import SampleSet
 from switchid.hokalman import (
     _candidate_rows,
     HankelSet,
@@ -517,3 +525,51 @@ def test_save_realization_contents(tmp_path, bench):
     assert doc["n"] == 2 and doc["nQ"] == 2
     assert doc["selection"]["alpha"] == ["", "1"]
     assert doc["sigma_n"] == pytest.approx(rr.sigma_n)
+
+
+def test_identify_sample_is_estimation_then_realization(bench, bench_signal):
+    model, dist = bench
+    sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=5000, seed=7))
+    words = required_words(BENCH_SEL, model.nQ)
+    sigma_u = bench_signal.sigma_u(model.m)
+    mm, rr = identify_sample(sample, BENCH_SEL, words, sigma_u, dist)
+    mm_expect = empirical_markov_batch(sample, words, sigma_u, dist)
+    rr_expect = realize(build_hankels(mm_expect, BENCH_SEL), mm_expect[()])
+    assert mm.keys() == mm_expect.keys()
+    assert all(mm[w].tobytes() == mm_expect[w].tobytes() for w in words)
+    got = [*rr.Abar, *rr.Bbar, rr.Cbar, rr.Dbar]
+    expect = [*rr_expect.Abar, *rr_expect.Bbar, rr_expect.Cbar, rr_expect.Dbar]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+    assert rr.sigma_n == rr_expect.sigma_n
+
+
+def test_identify_sample_refuses_a_sample_without_input(bench, rng):
+    # With u = 0 every estimate is zero, so the estimated H_ab is too.
+    model, dist = bench
+    N = 400
+    sample = SampleSet(
+        N=N, y=rng.standard_normal(N + 1), u=np.zeros(N + 1), q=rng.integers(1, 3, N + 1)
+    )
+    words = required_words(BENCH_SEL, model.nQ)
+    mm = empirical_markov_batch(sample, words, np.eye(1), dist)
+    assert all(not mm[w].any() for w in words)
+    with pytest.raises(SingularHankelError):
+        identify_sample(sample, BENCH_SEL, words, np.eye(1), dist)
+
+
+def test_only_hokalman_calls_the_identification_stages():
+    # identify_sample and true_realization hold the one copy of the
+    # estimate and truth chains; another module calling these stages has
+    # written a chain out again.
+    stages = {"build_hankels", "realize", "empirical_markov_batch"}
+    calls = []
+    for path in sorted(pathlib.Path(switchid.__file__).parent.glob("*.py")):
+        if path.stem == "hokalman":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in stages:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
