@@ -322,26 +322,19 @@ def realize(hs: HankelSet, M_eps: np.ndarray) -> RealizationResult:
 def true_realization(model: LssModel, sel: Selection) -> tuple[set[Word], RealizationResult]:
     """The selection's required words, and the realization of the model's
     true Markov parameters over them: the reference :func:`est_err` scores
-    an estimate from the same selection against.
-
-    Raises :class:`SingularHankelError`, naming the selection, when the
-    selection's true H_ab is singular for the model."""
+    an estimate from the same selection against.  A singular H_ab is
+    refused as the selection's fault."""
     words = required_words(sel, model.nQ)
     mmap = true_markov_map(model, words)
     try:
         return words, realize(build_hankels(mmap, sel), mmap[()])
     except SingularHankelError as exc:
-        raise SingularHankelError(
-            f"the selection's true H_ab is singular for this model; choose another ({exc})"
-        ) from None
+        msg = f"the selection's true H_ab is singular for this model ({exc})"
+        raise SingularHankelError(msg) from None
 
 
 def identify_sample(
-    sample: SampleSet,
-    sel: Selection,
-    words,
-    sigma_u: np.ndarray,
-    dist: SwitchingDistribution,
+    sample: SampleSet, sel: Selection, words, sigma_u: np.ndarray, dist: SwitchingDistribution
 ) -> tuple[dict[Word, np.ndarray], RealizationResult]:
     """Both stages on one trajectory: the Markov estimates over ``words``
     (a superset of ``required_words(sel, nQ)``) and their realization.

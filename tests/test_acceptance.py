@@ -100,7 +100,6 @@ def bench_setup():
     signal = SignalSpec(Ku_input=0.8, Ku_noise=1.0)
     sel = find_selection(model)
     words, rr_ref = true_realization(model, sel)
-    words = sorted(words, key=lambda w: (len(w), w))
     mm_true = true_markov_map(model, words)
     stability = find_P(model, dist, 0.6)
     return model, dist, signal, sel, words, mm_true, rr_ref, stability
@@ -125,7 +124,6 @@ def _run_trials(bench_setup, N, n_trials, seed_base, keep_word_errors):
     return {
         "est_err": errs,
         "word_errs": word_errs,
-        "W": W,
         "seconds": time.perf_counter() - t0,
     }
 
