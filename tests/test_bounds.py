@@ -30,6 +30,7 @@ from switchid.bounds import (
 )
 from switchid.core import a_word, write_json
 from switchid.hokalman import Selection
+from test_hokalman import certifiable_model
 
 BENCH_SEL = Selection(alpha=((), (1,)), beta=(((), 2, 1), ((1,), 2, 1)))
 
@@ -255,6 +256,25 @@ class TestFindP:
         monkeypatch.setattr("switchid.bounds.gamma_from_P", lambda model, P: (0.5, 0.0))
         with pytest.raises(CertificateError, match="margin"):
             certify_P(model, dist, cert.P, 0.6)
+
+    # Near the barrier's boundary the Newton direction used to end in a
+    # bare LinAlgError ("Singular matrix") or a RuntimeWarning from the
+    # Hessian's rounded diagonal.  Which models hit it depends on the
+    # host's floating-point libraries, so the whole family is run.
+    FAMILY = [(n, nQ, seed) for n in (2, 3, 4) for nQ in (1, 2, 3) for seed in range(8)]
+
+    @pytest.mark.parametrize("target", [0.95, 0.9999])
+    def test_certifiable_family_is_certified(self, target):
+        for key in self.FAMILY:
+            cert = find_P(*certifiable_model(*key), target)
+            assert cert.gamma <= target and cert.margin > 0.0, key
+
+    def test_certifiable_family_min_gamma(self):
+        # A subset: the bisection costs about a dozen searches per model.
+        # P = I certifies 0.9, and the bisection stops within 1e-3.
+        for seed in range(8):
+            model, dist = certifiable_model(2, 2, seed)
+            assert min_gamma_certificate(model, dist).gamma <= 0.9 + 1e-3, seed
 
     def test_min_gamma_bisection(self):
         model = single_mode(0.5)

@@ -12,6 +12,7 @@ import pytest
 import switchid
 from switchid import SignalSpec, SwitchingDistribution, save_model_file, two_mode_benchmark
 from switchid.cli import main
+from test_hokalman import certifiable_model
 
 
 def run(capsys, *argv):
@@ -328,6 +329,17 @@ def test_stability_rejects_bad_user_P(capsys, tmp_path):
     )
     assert rc == 2
     assert "above the target" in err
+
+
+def test_certifiable_models_certify_through_the_cli(capsys, tmp_path):
+    # Some of these used to exit 2 with "error: Singular matrix" at
+    # --gamma 0.95, although P = I certifies 0.9 for every one.
+    path = tmp_path / "model.json"
+    for seed in range(8):
+        save_model_file(str(path), *certifiable_model(2, 2, seed))
+        for command in ("stability", "bound"):
+            rc, _, err = run(capsys, command, "--model", str(path), "--gamma", "0.95")
+            assert (rc, err) == (0, ""), (seed, command)
 
 
 def test_stability_unstable_model_exits_2(capsys, tmp_path):

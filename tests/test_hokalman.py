@@ -15,6 +15,7 @@ from switchid import (
     SelectionRankError,
     SimConfig,
     SingularHankelError,
+    SwitchingDistribution,
     build_hankels,
     empirical_markov_batch,
     est_err,
@@ -335,6 +336,14 @@ def seeded_model(n, nQ, m, seed):
         C=rng.standard_normal(n),
         D=rng.standard_normal(m),
     )
+
+
+def certifiable_model(n, nQ, seed):
+    """seeded_model(n, nQ, 1, seed) scaled to ||A_q||_2 = 0.9 / nQ, with
+    uniform modes: P = I certifies gamma = 0.9."""
+    model = seeded_model(n, nQ, 1, seed)
+    model.A = [Aq * (0.9 / nQ / np.linalg.norm(Aq, 2)) for Aq in model.A]
+    return model, SwitchingDistribution(np.full(nQ, 1.0 / nQ))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
