@@ -192,18 +192,19 @@ def _max_slack_P(A: list[np.ndarray], rho: float) -> np.ndarray | None:
     for _ in range(20):
         f = objective(x, s)  # carried forward from the accepted step below
         for _ in range(50):
-            # Near the boundary a block the line search's Cholesky still
-            # accepts can be singular to inv, or the Hessian to solve or
-            # in its rounded diagonal: centred as far as it goes, as for a
-            # stalled step below.
+            # Near the boundary a block the line search's Cholesky accepted
+            # can be singular to inv, and the Hessian singular to solve or
+            # not positive on its rounded diagonal: centred as far as it
+            # goes, as when the line search stalls below.
             try:
                 W = np.linalg.inv(blocks(x))[:, None] @ G
                 grad = -np.einsum("jkaa->k", W)
                 grad[-1] -= s
                 H = np.einsum("jkab,jlba->kl", W, W)
-                if not (np.diag(H) > 0.0).all():
+                h = np.diag(H)
+                if not (h > 0.0).all():
                     break
-                d = 1.0 / np.sqrt(np.diag(H))
+                d = 1.0 / np.sqrt(h)
                 dx = -d * np.linalg.solve(H * np.outer(d, d), d * grad)
             except np.linalg.LinAlgError:
                 break

@@ -30,7 +30,6 @@ from switchid import (
     two_mode_benchmark,
 )
 from switchid.core import a_word
-from switchid.simulate import SampleSet
 from switchid.hokalman import (
     _candidate_rows,
     HankelSet,
@@ -39,6 +38,7 @@ from switchid.hokalman import (
     save_realization,
     save_selection,
 )
+from switchid.simulate import SampleSet
 
 # The selection used throughout for the benchmark family: row words
 # epsilon and (1), column triples (epsilon, 2, 1) and ((1), 2, 1).
