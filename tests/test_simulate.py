@@ -669,15 +669,19 @@ def test_sampleset_refuses_non_finite_inputs(value):
     assert str(exc.value) == f"trajectory field 'u_2' at step 2 is not finite: {value!r}"
 
 
-# Pins recorded before the scan's layout changed: sha256 of the retained
-# outputs of seeded two-mode trajectories (Ku_input 0.8, Ku_noise 1.0,
-# seed 11), which must stay bit-identical ...
+# Pins recorded before the scan's layout changed (N = 1e4: before the
+# carry became a doubling composition): sha256 of the retained outputs of
+# seeded two-mode trajectories (Ku_input 0.8, Ku_noise 1.0, seed 11),
+# which must stay bit-identical ...
 TWO_MODE_PINS = {
     (0.1, 1_000): "14bbf8e07b5594da5162f2d9353ec2f46d236cd5046abeb3cae1e9a234623dcf",
+    (0.1, 10_000): "a785f5c1767db6c58eaa9de1a93b32f8393143aa840325532503498a2711e207",
     (0.1, 100_000): "02b2ea24d10e7b5a032641f00962718e2bac03819a5e7179ebfda1cad610944a",
     (0.4, 1_000): "52a0508fb256e4cfdc3c6274dcab58e25d351f0e7e6fce363a51910f325e6b9c",
+    (0.4, 10_000): "258c815eaaa6300be71fb6bccd9557ca7774700fb2f5b81eb6dfa981ff7eea8d",
     (0.4, 100_000): "bfe7ee05920611e3a34a208a03ff53639c749c652466783954745df8359d87cf",
     (0.6, 1_000): "c21241da390eb8e4c24b1e4fa6b17df0cd15c74ad9b86e860e5dfe65e7a62614",
+    (0.6, 10_000): "f283dc3e2b3181cc896717279ec885c217c0046ebd5a9c911d6edeb19d196293",
     (0.6, 100_000): "30cefca74ecb034c7e81043ac2005030924be34e0b1d244ad5616cd457575045",
 }
 
