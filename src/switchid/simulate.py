@@ -112,14 +112,21 @@ def simulate(cfg: SimConfig) -> SampleSet:
     ------
     DivergenceError
         If the state infinity-norm ever exceeds 1e12, which signals an
-        unstable configuration rather than a numerical problem here.
+        unstable configuration rather than a numerical problem here.  The
+        step it names counts from the start of the burn-in.
     """
     model, signal = cfg.model, cfg.signal
     n, m = model.n, model.m
-    T = cfg.burn_in + cfg.N + 1
-    q, u, w, v = _draw_signals(np.random.default_rng(cfg.seed), cfg.dist.p, signal, T, n, m)
-    y = simulate_driven(model, u, q, w, v)
     b = cfg.burn_in
+    T = b + cfg.N + 1
+    q, u, w, v = _draw_signals(np.random.default_rng(cfg.seed), cfg.dist.p, signal, T, n, m)
+    try:
+        y = simulate_driven(model, u, q, w, v)
+    except DivergenceError as exc:
+        raise DivergenceError(
+            f"{exc} (steps count from the start of the {b}-step burn-in; "
+            f"retained t = 0 is step {b})"
+        ) from None
     return SampleSet(N=cfg.N, y=y[b:], u=u[b:], q=q[b:])
 
 
@@ -238,24 +245,41 @@ def simulate_driven(
             xphi = np.einsum("ikb,kcb->icb", A.take(labels[j], axis=2), xphi)
             xphi[:, 0] += F[:, :, j]
 
-        # Carry: the true state at the start of every block.  A product that
-        # overflowed (inf * 0 gives NaN) is applied only to the nonzero
-        # state components, as the per-step recursion would: a growing mode
-        # the signals never excite must not read as a blow-up.  The last
-        # block's product starts no block.
-        phi = xphi[:, 1:, :-1].transpose(2, 0, 1).copy()
-        x_end = xphi[:, 0, :-1].T.copy()
-        finite = np.isfinite(phi).all(axis=(1, 2)).tolist()
-        xb = np.zeros(n)
-        starts = [xb]
-        for P, e, ok in zip(phi, x_end, finite):
-            if ok:
-                xb = P.dot(xb) + e
-            else:
-                live = xb != 0
-                xb = P[:, live].dot(xb[live]) + e
-            starts.append(xb)
-        x = np.array(starts).T.copy()
+        # Carry: the true state at the start of every block.  The last
+        # block's map starts no block.  Column b of M is block b's map
+        # [x_end | Phi]; each doubling round composes it with the map k
+        # columns back (Hillis and Steele, "Data parallel algorithms",
+        # 1986), so after ceil(log2(nb - 1)) rounds column b maps the
+        # trajectory start to the end of block b.
+        M = xphi[:, :, :-1].copy()
+        k = 1
+        while k < nb - 1:
+            head = np.einsum("ikb,kcb->icb", M[:, 1:, k:], M[:, :, :-k])
+            head[:, 0] += M[:, 0, k:]
+            M[:, :, k:] = head
+            k *= 2
+        x = np.zeros((n, nb))
+        x[:, 1:] = M[:, 0]
+        if not np.isfinite(x).all():
+            # A product that overflowed (inf * 0 gives NaN) is applied only
+            # to the nonzero state components, as the per-step recursion
+            # would: a growing mode the signals never excite must not read
+            # as a blow-up.  Composition spreads a non-finite block map to
+            # every later start, and can overflow where no block map does,
+            # so these starts are carried again one block at a time.
+            phi = xphi[:, 1:, :-1].transpose(2, 0, 1).copy()
+            x_end = xphi[:, 0, :-1].T.copy()
+            finite = np.isfinite(phi).all(axis=(1, 2)).tolist()
+            xb = np.zeros(n)
+            starts = [xb]
+            for P, e, ok in zip(phi, x_end, finite):
+                if ok:
+                    xb = P.dot(xb) + e
+                else:
+                    live = xb != 0
+                    xb = P[:, live].dot(xb[live]) + e
+                starts.append(xb)
+            x = np.array(starts).T.copy()
 
         # Pass 2: roll every block from its true start, writing C x into
         # the outputs and noting the first in-block step whose state
@@ -313,34 +337,49 @@ def load_trajectory(path: str) -> SampleSet:
     it refuses (a changed field count, a field that is not a number, an
     empty body, any warning) or whose y or u :class:`SampleSet` refuses
     as not finite is scanned row by row by :func:`_fault`, which only
-    names the file, the line and the field at fault.
+    names the file, the line and the field at fault.  A byte that is not
+    text in the file's encoding is named by its line too.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, no header")
-        if header[:2] != ["t", "y"] or header[-1] != "q":
-            raise ValueError(f"unrecognized trajectory header: {header}")
-        m = len(header) - 3
-        # Nothing uses t, so it is read as zero-width text and any value
-        # passes.  Without usecols an extra field is refused, without
-        # comments a '#' line is a field, and an integer field refuses
-        # '2.0'.  A warning (an empty body; an older numpy reading '2.0'
-        # into an integer field) is a refusal too.
-        fields = [("t", "U0"), ("y", "f8"), ("u", "f8", (m,)), ("q", "i8")]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                body = np.loadtxt(
-                    path, delimiter=",", skiprows=1, ndmin=1, comments=None, quotechar='"',
-                    dtype=fields,
-                )
-            # Contiguous copies: the fields of a structured array are strided views.
-            y, u, q = (np.ascontiguousarray(body[name]) for name in ("y", "u", "q"))
-            return SampleSet(N=len(y) - 1, y=y, u=u, q=q)
-        except (ValueError, Warning) as exc:
-            raise _fault(path, reader, header, exc) from None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, no header")
+            if header[:2] != ["t", "y"] or header[-1] != "q":
+                raise ValueError(f"unrecognized trajectory header: {header}")
+            m = len(header) - 3
+            # Nothing uses t, so it is read as zero-width text and any value
+            # passes.  Without usecols an extra field is refused, without
+            # comments a '#' line is a field, and an integer field refuses
+            # '2.0'.  A warning (an empty body; an older numpy reading '2.0'
+            # into an integer field) is a refusal too.
+            fields = [("t", "U0"), ("y", "f8"), ("u", "f8", (m,)), ("q", "i8")]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    body = np.loadtxt(
+                        path, delimiter=",", skiprows=1, ndmin=1, comments=None, quotechar='"',
+                        dtype=fields,
+                    )
+                # Contiguous copies: the fields of a structured array are strided views.
+                y, u, q = (np.ascontiguousarray(body[name]) for name in ("y", "u", "q"))
+                return SampleSet(N=len(y) - 1, y=y, u=u, q=q)
+            except (ValueError, Warning) as exc:
+                raise _fault(path, reader, header, exc) from None
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead in chunks, so the line is found again from
+        # the bytes; no line break is part of a multi-byte character.
+        with open(path, "rb") as fh:
+            for line_num, line in enumerate(fh.read().splitlines(), 1):
+                try:
+                    line.decode(exc.encoding)
+                except UnicodeDecodeError as bad:
+                    raise ValueError(
+                        f"{path}, line {line_num}: byte {line[bad.start]:#04x} "
+                        f"is not {exc.encoding} text"
+                    ) from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 _INT64 = np.iinfo(np.int64)

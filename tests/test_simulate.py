@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,8 @@ from switchid import (
     two_mode_benchmark,
 )
 from switchid.simulate import BLOWUP_LIMIT, SampleSet, _draw_signals
+
+simulate_module = importlib.import_module("switchid.simulate")  # the package exports a function of that name
 
 
 def test_impulse_through_mode_word(bench):
@@ -94,10 +98,9 @@ def longhand(model, u, q, w, v):
     return np.array(y), None
 
 
-def scan_model(rng, growth=None):
-    """n = 4, nQ = 3, m = 2 model whose modes have spectral norm 0.9; with
-    ``growth`` set, mode 3 is growth * identity instead."""
-    n, m, nQ = 4, 2, 3
+def scan_model(rng, growth=None, n=4, m=2, nQ=3):
+    """Model (n = 4, nQ = 3, m = 2 unless given) whose modes have spectral
+    norm 0.9; with ``growth`` set, mode 3 is growth * identity instead."""
     A = []
     for _ in range(nQ):
         G = rng.standard_normal((n, n))
@@ -254,6 +257,103 @@ def test_unexcited_growing_mode_is_not_a_blowup(rng):
     npt.assert_allclose(simulate_driven(model, u, q), expect, rtol=0, atol=1e-12)
 
 
+def carry_family(rng):
+    """Seeded contracting models, one per n = 1..4, nQ = 1..3, m = 1..2."""
+    return [
+        scan_model(rng, n=n, m=m, nQ=nQ)
+        for n in range(1, 5) for nQ in range(1, 4) for m in (1, 2)
+    ]
+
+
+# Blocks are 16 steps long up to T = 1155, so these T leave nb - 1 = 0, 1,
+# 2, 3, 4, 5, 8 and 9 block maps to compose in ceil(log2(nb - 1)) doubling
+# rounds (0 to 4); 12 345 steps are 224 maps of 55 steps, 8 rounds.
+CARRY_T = [10, 20, 40, 50, 70, 90, 130, 150, 12_345]
+
+
+def blocks(T):
+    L = max(16, math.isqrt(T) // 2)
+    return L, max(1, -(-T // L))
+
+
+@pytest.mark.parametrize("T", CARRY_T)
+def test_doubling_carry_matches_longhand_recursion(T):
+    rng = np.random.default_rng(T)
+    models = carry_family(rng)
+    if T > 1_000:  # the longhand oracle is slow; every n, nQ and m still occurs
+        models = models[::5]
+    for model in models:
+        u, q, w, v = scan_signals(rng, T, n=model.n, m=model.m, nQ=model.nQ)
+        expect, blowup = longhand(model, u, q, w, v)
+        assert blowup is None
+        npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("T", [10, 20, 40, 90, 150, 12_345, 100_201])
+def test_carry_costs_log2_rounds(monkeypatch, T):
+    # One einsum per step of each pass, L per pass, and one per doubling
+    # round: a carry that loops over blocks, or a round too many, shows.
+    rng = np.random.default_rng(5)
+    model = scan_model(rng)
+    signals = scan_signals(rng, T)
+    calls = 0
+    einsum = np.einsum
+
+    def counting_einsum(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_module.np, "einsum", counting_einsum)
+    simulate_driven(model, *signals)
+    monkeypatch.undo()
+    L, nb = blocks(T)
+    rounds = math.ceil(math.log2(nb - 1)) if nb > 2 else 0
+    assert calls == 2 * L + rounds
+
+
+def test_growing_mode_unexcited_in_some_blocks_is_not_a_blowup(rng):
+    # Mode 2 multiplies x_1 by 1e30 a step, so the map of every block with
+    # a run of it overflows, but x_1 starts at zero and nothing drives it.
+    # Those blocks are carried one at a time, here with many blocks on
+    # either side of them.
+    T = 600
+    A1 = np.array([[0.5, 0.0], [0.3, 0.5]])
+    model = LssModel(
+        n=2, m=1, nQ=2,
+        A=[A1, np.array([[1e30, 0.0], [0.0, 0.5]])], B=[np.array([[0.0], [1.0]])] * 2,
+        C=np.array([1.0, 1.0]), D=np.array([0.0]),
+    )
+    L, nb = blocks(T)
+    assert nb > 2
+    q = np.ones(T, dtype=int)
+    for start in (3 * L + 2, 7 * L + 5, (nb - 2) * L):
+        q[start : start + 12] = 2
+    u = rng.uniform(-1, 1, size=(T, 1))
+    w = np.zeros((T, 2))
+    w[:, 1] = rng.uniform(-0.1, 0.1, size=T)
+    v = rng.uniform(-0.1, 0.1, size=T)
+    expect, blowup = longhand(model, u, q, w, v)
+    assert blowup is None
+    npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, rtol=0, atol=1e-12)
+
+
+def test_composed_block_maps_that_overflow_are_not_a_blowup(rng):
+    # x_1 grows by 10 a step and is never driven.  One block's map holds
+    # 10**16 and stays finite, but the composition of 60 of them overflows.
+    T = 1_000
+    model = LssModel(
+        n=2, m=1, nQ=1,
+        A=[np.array([[10.0, 0.0], [0.0, 0.5]])], B=[np.array([[0.0], [1.0]])],
+        C=np.array([1.0, 1.0]), D=np.array([0.0]),
+    )
+    u = rng.uniform(-1, 1, size=(T, 1))
+    q = np.ones(T, dtype=int)
+    expect, blowup = longhand(model, u, q, np.zeros((T, 2)), np.zeros(T))
+    assert blowup is None
+    npt.assert_allclose(simulate_driven(model, u, q), expect, rtol=0, atol=1e-12)
+
+
 def test_lti_special_case_is_a_convolution(rng):
     # With one mode and no noise the output is the impulse-response
     # convolution of the input; scipy-free check against the explicit sum
@@ -344,6 +444,14 @@ def test_divergence_detected():
     signal = SignalSpec(Ku_input=1.0, Ku_noise=0.0)
     with pytest.raises(DivergenceError):
         simulate(SimConfig(model=model, dist=dist, signal=signal, N=500, seed=0))
+    # The step is counted from the start of the burn-in: step 74 lies in
+    # it, before the retained t = 0.
+    with pytest.raises(DivergenceError) as exc:
+        simulate(SimConfig(model=model, dist=dist, signal=signal, N=1000, burn_in=200, seed=0))
+    assert str(exc.value) == (
+        "state blew up at step 74 (|x| > 1e+12); the configuration looks unstable "
+        "(steps count from the start of the 200-step burn-in; retained t = 0 is step 200)"
+    )
 
 
 # Mode laws for the draw oracle: nQ = 1, 2, 3, 9 and 130 (beyond int8),
@@ -646,6 +754,20 @@ def test_load_trajectory_refuses_spellings_numpy_refuses(tmp_path, field, value)
     with pytest.raises(ValueError) as exc:
         load_trajectory(str(path))
     assert str(exc.value) == f"{path}, line 3: field {field!r} is not {kind}: {value!r}"
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_load_trajectory_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, line):
+    # The byte used to escape as a UnicodeDecodeError naming only its
+    # offset: numpy's reader refused the body and the row scan hit it too.
+    text = "t,y,u_1,q\r\n0,0.5,0.1,1\r\n1,0.5,0.2,2\r\n2,0.1,0.3,1\r\n".encode()
+    lines = text.split(b"\r\n")
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ValueError) as exc:
+        load_trajectory(str(path))
+    assert str(exc.value) == f"{path}, line {line}: byte 0xff is not utf-8 text"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
