@@ -12,14 +12,18 @@ The state recursion x(t + 1) = A_q(t) x(t) + F(t) is affine, so it is
 computed as a blocked scan rather than one step at a time (Blelloch,
 "Prefix sums and their applications", 1990).  The T steps are cut into
 blocks of L = max(16, isqrt(T) // 2) steps.  Pass 1 rolls every block
-from a zero state while carrying the block's transition product; a short
-sequential carry over the ~2 sqrt(T) blocks gives each block its true
-start state; pass 2 rolls every block again from that start, writing the
-outputs.  The carry adds up the same terms as the step-by-step recursion
-in another order, so outputs agree with it to rounding: the two-mode
-benchmark trajectories measured come out bit-identical, and on the other
-models measured no output moved by more than 4e-16 of the trajectory's
-largest |y|.
+from a zero state while carrying the block's transition product; the
+carry composes the ~2 sqrt(T) block maps by doubling (Hillis and Steele,
+"Data parallel algorithms", 1986), ceil(log2(blocks - 1)) vectorised
+rounds, which give each block its true start state; pass 2 rolls every
+block again from that start, writing the outputs.  The carry adds up the
+same terms as the step-by-step recursion in another order, so outputs
+agree with it to rounding: the pinned two-mode benchmark trajectories are
+bit-identical, and on the models measured no output moved by more than
+4e-16 of the trajectory's largest |y|.  A start the
+composition leaves non-finite (an overflowed product) is carried again
+block by block, applying each product only to the nonzero state
+components, as the step-by-step recursion would.
 
 Both passes are vectorised over blocks, and the block index is the last,
 contiguous axis of every array they step through (structure of arrays):

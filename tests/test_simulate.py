@@ -25,7 +25,8 @@ from switchid import (
 )
 from switchid.simulate import BLOWUP_LIMIT, SampleSet, _draw_signals
 
-simulate_module = importlib.import_module("switchid.simulate")  # the package exports a function of that name
+# The package exports a function named simulate, which shadows the module.
+simulate_module = importlib.import_module("switchid.simulate")
 
 
 def test_impulse_through_mode_word(bench):
@@ -257,14 +258,6 @@ def test_unexcited_growing_mode_is_not_a_blowup(rng):
     npt.assert_allclose(simulate_driven(model, u, q), expect, rtol=0, atol=1e-12)
 
 
-def carry_family(rng):
-    """Seeded contracting models, one per n = 1..4, nQ = 1..3, m = 1..2."""
-    return [
-        scan_model(rng, n=n, m=m, nQ=nQ)
-        for n in range(1, 5) for nQ in range(1, 4) for m in (1, 2)
-    ]
-
-
 # Blocks are 16 steps long up to T = 1155, so these T leave nb - 1 = 0, 1,
 # 2, 3, 4, 5, 8 and 9 block maps to compose in ceil(log2(nb - 1)) doubling
 # rounds (0 to 4); 12 345 steps are 224 maps of 55 steps, 8 rounds.
@@ -278,8 +271,12 @@ def blocks(T):
 
 @pytest.mark.parametrize("T", CARRY_T)
 def test_doubling_carry_matches_longhand_recursion(T):
+    # Seeded contracting models, one per n = 1..4, nQ = 1..3 and m = 1..2.
     rng = np.random.default_rng(T)
-    models = carry_family(rng)
+    models = [
+        scan_model(rng, n=n, m=m, nQ=nQ)
+        for n in range(1, 5) for nQ in range(1, 4) for m in (1, 2)
+    ]
     if T > 1_000:  # the longhand oracle is slow; every n, nQ and m still occurs
         models = models[::5]
     for model in models:
@@ -327,7 +324,7 @@ def test_growing_mode_unexcited_in_some_blocks_is_not_a_blowup(rng):
     L, nb = blocks(T)
     assert nb > 2
     q = np.ones(T, dtype=int)
-    for start in (3 * L + 2, 7 * L + 5, (nb - 2) * L):
+    for start in (3 * L + 2, 7 * L + 4, (nb - 2) * L):
         q[start : start + 12] = 2
     u = rng.uniform(-1, 1, size=(T, 1))
     w = np.zeros((T, 2))
