@@ -20,10 +20,10 @@ block again from that start, writing the outputs.  The carry adds up the
 same terms as the step-by-step recursion in another order, so outputs
 agree with it to rounding: the pinned two-mode benchmark trajectories are
 bit-identical, and on the models measured no output moved by more than
-4e-16 of the trajectory's largest |y|.  A start the
-composition leaves non-finite (an overflowed product) is carried again
-block by block, applying each product only to the nonzero state
-components, as the step-by-step recursion would.
+4e-16 of the trajectory's largest |y|.  A start the composition leaves
+non-finite (an overflowed product) is carried again block by block,
+applying each product only to the nonzero state components, as the
+step-by-step recursion would.
 
 Both passes are vectorised over blocks, and the block index is the last,
 contiguous axis of every array they step through (structure of arrays):
@@ -252,9 +252,8 @@ def simulate_driven(
         # Carry: the true state at the start of every block.  The last
         # block's map starts no block.  Column b of M is block b's map
         # [x_end | Phi]; each doubling round composes it with the map k
-        # columns back (Hillis and Steele, "Data parallel algorithms",
-        # 1986), so after ceil(log2(nb - 1)) rounds column b maps the
-        # trajectory start to the end of block b.
+        # columns back, so after ceil(log2(nb - 1)) rounds column b maps
+        # the trajectory start to the end of block b.
         M = xphi[:, :, :-1].copy()
         k = 1
         while k < nb - 1:
