@@ -25,13 +25,22 @@ non-finite (an overflowed product) is carried again block by block,
 applying each product only to the nonzero state components, as the
 step-by-step recursion would.
 
-Both passes are vectorised over blocks, and the block index is the last,
-contiguous axis of every array they step through (structure of arrays):
-the [x | Phi] stack is (n, n + 1, blocks), the forcing one component-major
-(n, blocks * L) buffer, and the outputs a (blocks, L) view of a padded y.
-A step gathers its A planes for all blocks from one (n, n, nQ + 1) table
-and contracts them with one einsum, so its cost is a few numpy calls over
-contiguous rows rather than a small matrix product per block.
+Both passes are vectorised over blocks.  The [x | Phi] stack is
+(n, n + 1, blocks), with the block index on its last, contiguous axis
+(structure of arrays).  A step gathers its A planes for all blocks from
+one (n, n, nQ + 1) table and contracts them with one einsum, so its cost
+is a few numpy calls rather than a small matrix product per block.  The
+forcing is one step-major (blocks * L, n) buffer and the outputs a
+(blocks, L) view of a padded y.
+
+No length-T row is held twice.  simulate draws the state noise and the
+output noise straight into those two buffers, a few thousand rows per
+generator call, and the input forcing B_q(t) u(t) is gathered through one
+reused row.  At T = 100 201 (N = 1e5 and the burn-in) a whole simulate
+peaks at 6.2 rows of T floats on the two-mode family (n = 2, m = 1) and at
+8.6 rows on an n = 4, m = 1 model: the modes, the m input rows, the n
+forcing rows, the padded outputs and the scan's labels, plus the carry's
+small stacks.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from .core import LssModel, SignalSpec, SwitchingDistribution, check_mode_labels
 
 BLOWUP_LIMIT = 1e12
 DEFAULT_BURN_IN = 200
+_DRAW_ROWS = 8192  # rows of a noise signal drawn per generator call
 
 
 class DivergenceError(RuntimeError):
@@ -87,16 +97,11 @@ class SampleSet:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.ndim == 1:
             self.u = self.u.reshape(-1, 1)
-        self.q = np.asarray(self.q, dtype=np.int64).reshape(-1)
+        self.q = _mode_labels(self.q)
         if not (len(self.y) == len(self.u) == len(self.q) == self.N + 1):
             raise ValueError("y, u, q must all have length N + 1")
-        for name, values in (("y", self.y.reshape(-1, 1)), ("u", self.u)):
-            if not np.isfinite(values).all():
-                t, j = np.argwhere(~np.isfinite(values))[0]
-                field = name if name == "y" else f"u_{j + 1}"
-                raise ValueError(
-                    f"trajectory field {field!r} at step {t} is not finite: {float(values[t, j])!r}"
-                )
+        _check_finite("trajectory field", "y", self.y)
+        _check_finite("trajectory field", "u", self.u)
 
 
 def simulate(cfg: SimConfig) -> SampleSet:
@@ -119,13 +124,14 @@ def simulate(cfg: SimConfig) -> SampleSet:
         unstable configuration rather than a numerical problem here.  The
         step it names counts from the start of the burn-in.
     """
-    model, signal = cfg.model, cfg.signal
-    n, m = model.n, model.m
+    model = cfg.model
     b = cfg.burn_in
     T = b + cfg.N + 1
-    q, u, w, v = _draw_signals(np.random.default_rng(cfg.seed), cfg.dist.p, signal, T, n, m)
+    F, ypad = _scan_buffers(T, model.n)
+    rng = np.random.default_rng(cfg.seed)
+    q, u = _draw_signals(rng, cfg.dist.p, cfg.signal, model.m, F[:T], ypad[:T])
     try:
-        y = simulate_driven(model, u, q, w, v)
+        y = _rollout(model, u, q, F, ypad)
     except DivergenceError as exc:
         raise DivergenceError(
             f"{exc} (steps count from the start of the {b}-step burn-in; "
@@ -134,18 +140,22 @@ def simulate(cfg: SimConfig) -> SampleSet:
     return SampleSet(N=cfg.N, y=y[b:], u=u[b:], q=q[b:])
 
 
-def _draw_signals(rng, p, signal: SignalSpec, T: int, n: int, m: int):
-    """Modes q (T,), inputs u (T, m), state noise w (T, n) and output
-    noise v (T,), drawn from rng in that order; w and v are None when the
-    noise amplitude is zero, and a zero amplitude draws nothing.
+def _draw_signals(rng, p, signal: SignalSpec, m: int, w: np.ndarray, v: np.ndarray):
+    """Return modes q (T,) and inputs u (T, m), then draw the state noise
+    into w (T, n) and the output noise into v (T,), from rng in that
+    order, T = len(v).  A zero amplitude draws nothing: the inputs are
+    zeros, and w and v are left as they are.
 
     The modes are the numbers and the generator call of
     ``rng.choice(len(p), size=T, p=p) + 1``.  choice turns one uniform r
     per step into the label index ``cdf.searchsorted(r, side="right")``,
     the count of cdf entries <= r; here that count is added up one
     comparison per entry, which costs a fraction of the search.  The last
-    entry, 1 > r, is never counted.
+    entry, 1 > r, is never counted.  The noise is drawn _DRAW_ROWS rows
+    per call, which continues one stream, so no full-length copy of it is
+    ever held beside w and v.
     """
+    T = len(v)
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
     r = rng.random(T)
@@ -157,9 +167,12 @@ def _draw_signals(rng, p, signal: SignalSpec, T: int, n: int, m: int):
 
     K_in, K_noise = signal.Ku_input, signal.Ku_noise
     u = np.zeros((T, m)) if K_in == 0.0 else rng.uniform(-K_in, K_in, (T, m))
-    if K_noise == 0.0:
-        return q, u, None, None
-    return q, u, rng.uniform(-K_noise, K_noise, (T, n)), rng.uniform(-K_noise, K_noise, T)
+    if K_noise != 0.0:
+        for out in (w, v):
+            for start in range(0, T, _DRAW_ROWS):
+                chunk = out[start : start + _DRAW_ROWS]
+                chunk[...] = rng.uniform(-K_noise, K_noise, chunk.shape)
+    return q, u
 
 
 def simulate_driven(
@@ -171,16 +184,16 @@ def simulate_driven(
 ) -> np.ndarray:
     """Roll x(t + 1) = A_q x + B_q u + w, y = C x + D u + v out from x = 0.
 
-    The one state recursion of the package, a blocked two-pass scan (see
-    the module docstring): :func:`simulate` draws the signals and calls
-    this.  Missing noise sequences are zero.  Returns the output
-    sequence, same length as the inputs; the caller's arrays are never
-    modified.
+    The state recursion of :func:`simulate` on given signals: both roll
+    out through one blocked two-pass scan (see the module docstring).
+    Missing noise sequences are zero.  Returns the output sequence, same
+    length as the inputs; the caller's arrays are never modified.
 
     Raises
     ------
     ValueError
-        If the sequences differ in length or a mode lies outside 1..nQ.
+        If the sequences differ in length, a mode label is not an integer
+        or lies outside 1..nQ, or a signal holds a nan or an inf.
     DivergenceError
         If the state infinity-norm ever exceeds 1e12 (or turns NaN),
         naming the first step t whose update x(t + 1) does.
@@ -189,56 +202,112 @@ def simulate_driven(
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u.reshape(-1, 1)
-    q = np.asarray(q, dtype=np.int64).reshape(-1)
+    q = _mode_labels(q)
     T = len(q)
     w = None if w is None else np.asarray(w, dtype=float)
-    v = np.zeros(T) if v is None else np.asarray(v, dtype=float).reshape(-1)
+    v = None if v is None else np.asarray(v, dtype=float).reshape(-1)
     if (
-        len(u) != T or u.shape[1] != model.m or len(v) != T
+        len(u) != T or u.shape[1] != model.m
         or (w is not None and w.shape != (T, n))
+        or (v is not None and len(v) != T)
     ):
         raise ValueError(
             f"signal sequences must all have length {T}, u width m = {model.m} "
             f"and w width n = {n}"
         )
     check_mode_labels(q, model.nQ)
+    for name, values in (("u", u), ("w", w), ("v", v)):
+        if values is not None:
+            _check_finite("signal", name, values)
+    F, ypad = _scan_buffers(T, n)
+    if w is not None:
+        F[:T] = w
+    if v is not None:
+        ypad[:T] = v
+    return _rollout(model, u, q, F, ypad)
 
-    # Step j of block b is column b*L + j of the padded buffers, so the
-    # block index is the last, contiguous axis of every array the scan
-    # touches.  Label 0 pads the last block: it indexes a zero plane of the
-    # coefficient tables, so a pad step has zero forcing, moves its block
-    # to the zero state and writes its output beyond y.
-    L = max(16, math.isqrt(T) // 2)
-    nb = max(1, -(-T // L))  # blocks; the last one may be short
+
+def _mode_labels(q) -> np.ndarray:
+    """q as a 1-D int64 array, refusing a label the cast would change: a
+    fraction, a nan or an inf, or a value beyond int64."""
+    q = np.asarray(q).reshape(-1)
+    if q.dtype == np.int64:
+        return q
+    with np.errstate(invalid="ignore"):
+        labels = q.astype(np.int64)
+    changed = labels != q
+    if changed.any():
+        t = int(np.argmax(changed))
+        raise ValueError(f"mode label {q[t].item()!r} at step {t} is not an integer")
+    return labels
+
+
+def _check_finite(kind: str, name: str, values: np.ndarray) -> None:
+    """Refuse a nan or inf in values (T,) or (T, k), naming the first by
+    its step and, for k columns, its column j as name_j."""
+    if not np.isfinite(values).all():
+        at = tuple(np.argwhere(~np.isfinite(values))[0])
+        field = name if len(at) == 1 else f"{name}_{at[1] + 1}"
+        raise ValueError(
+            f"{kind} {field!r} at step {at[0]} is not finite: {float(values[at])!r}"
+        )
+
+
+def _block_length(T: int) -> int:
+    """Steps per scan block for a trajectory of T steps."""
+    return max(16, math.isqrt(T) // 2)
+
+
+def _scan_buffers(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's zeroed forcing (blocks * L, n) and output (blocks * L,)
+    buffers.  Their first T rows take the state and the output noise;
+    the rest pad the short last block."""
+    L = _block_length(T)
+    size = max(1, -(-T // L)) * L
+    return np.zeros((size, n)), np.zeros(size)
+
+
+def _rollout(model: LssModel, u: np.ndarray, q: np.ndarray, F: np.ndarray, ypad: np.ndarray):
+    """The one state recursion of the package: add B_q u to the state
+    noise in F and D u to the output noise in ypad (both from
+    :func:`_scan_buffers`), roll the blocked two-pass scan over them and
+    return the outputs y, a view of ypad.  The labels q must lie in
+    1..nQ."""
+    n = model.n
+    T = len(q)
+    # Step j of block b is row b*L + j of the padded buffers.  Label 0 pads
+    # the last block: it indexes a zero plane of the coefficient tables,
+    # so a pad step has zero forcing, moves its block to the zero state and
+    # writes its output beyond y.
+    L = _block_length(T)
+    nb = len(ypad) // L  # blocks; the last one may be short
     A = np.zeros((n, n, model.nQ + 1))
     A[:, :, 1:] = np.stack(model.A, axis=-1)
     B = np.zeros((model.nQ + 1, n, model.m))
     B[1:] = model.B
 
-    # Mode-dependent forcing F(t) = B_{q(t)} u(t) + w(t), component-major,
-    # so that the recursion is x(t + 1) = A_{q(t)} x(t) + F(t).  Entry
-    # (i, j) of B_{q(t)} is gathered for every step at once, so the only
-    # temporaries are length-T rows; channels are added in order j = 1..m.
-    F = np.zeros((n, nb * L))
-    if w is not None:
-        F[:, :T] = w.T
+    # Mode-dependent forcing F(t) = B_{q(t)} u(t) + w(t), so that the
+    # recursion is x(t + 1) = A_{q(t)} x(t) + F(t).  Entry (i, j) of
+    # B_{q(t)} is gathered for every step at once into one reused row;
+    # channels are added in order j = 1..m.  The labels are in range, so
+    # mode="clip" clips nothing; it spares take the copy that the default
+    # mode="raise" makes of its out buffer.
+    row = np.empty(T)
     for j in range(model.m):
         for i in range(n):
-            Bu = B[:, i, j].take(q)
-            Bu *= u[:, j]
-            F[i, :T] += Bu
-    del Bu  # a length-T row the scan's buffers need not sit on top of
-    ypad = np.zeros(nb * L)
+            np.take(B[:, i, j], q, out=row, mode="clip")
+            row *= u[:, j]
+            F[:T, i] += row
     y = ypad[:T]
-    np.dot(u, model.D, out=y)
-    y += v
+    y += np.dot(u, model.D, out=row)
+    del row  # a length-T row the scan's buffers need not sit on top of
 
     # Labels are stored step-major, so each step gathers with one contiguous row.
     full = (nb - 1) * L
     labels = np.zeros((L, nb), dtype=np.int64)
     labels[:, :-1] = q[:full].reshape(nb - 1, L).T
     labels[: T - full, -1] = q[full:]
-    F = F.reshape(n, nb, L)
+    F = F.reshape(nb, L, n)
     with np.errstate(over="ignore", invalid="ignore"):
         # Pass 1: roll every block from a zero state, carrying its
         # transition product in the same stack, [x | Phi].
@@ -247,7 +316,7 @@ def simulate_driven(
             xphi[i, i + 1] = 1.0
         for j in range(L):
             xphi = np.einsum("ikb,kcb->icb", A.take(labels[j], axis=2), xphi)
-            xphi[:, 0] += F[:, :, j]
+            xphi[:, 0] += F[:, j].T
 
         # Carry: the true state at the start of every block.  The last
         # block's map starts no block.  Column b of M is block b's map
@@ -292,7 +361,7 @@ def simulate_driven(
         for j in range(L):
             Y[:, j] += model.C.dot(x)
             x = np.einsum("ikb,kb->ib", A.take(labels[j], axis=2), x)
-            x += F[:, :, j]
+            x += F[:, j].T
             if not np.abs(x).max() <= BLOWUP_LIMIT:
                 fresh = ~(np.abs(x).max(axis=0) <= BLOWUP_LIMIT) & (first_over == L)
                 first_over[fresh] = j

@@ -61,6 +61,41 @@ def test_driven_refuses_signals_of_other_shape(bench):
             simulate_driven(model, u, q)
 
 
+@pytest.mark.parametrize("value", [1.5, np.nan, np.inf, 2.0**63])
+def test_labels_the_int64_cast_would_change_are_refused(bench, value):
+    # Casting would truncate 1.5 to mode 1, and turn nan, inf or 2**63
+    # into some integer; whole numbers held as floats are labels.
+    model, _ = bench
+    u = np.ones((6, 1))
+    q = np.array([1.0, 2.0, 1.0, value, 1.0, 2.0])
+    message = f"mode label {value!r} at step 3 is not an integer"
+    with pytest.raises(ValueError) as exc:
+        simulate_driven(model, u, q)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        SampleSet(N=5, y=np.zeros(6), u=u, q=q)
+    assert str(exc.value) == message
+    whole = np.array([1.0, 2.0, 1.0, 2.0, 1.0, 2.0])
+    npt.assert_array_equal(simulate_driven(model, u, whole), simulate_driven(model, u, whole.astype(int)))
+    assert SampleSet(N=5, y=np.zeros(6), u=u, q=whole).q.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "name, column, value, field",
+    [("u", 1, np.nan, "u_2"), ("w", 2, np.inf, "w_3"), ("w", 0, -np.inf, "w_1"), ("v", None, np.nan, "v")],
+)
+def test_driven_refuses_non_finite_signals(rng, name, column, value, field):
+    # A nan in u or an inf in w would otherwise read as a blow-up of the
+    # state, and a nan in v pass into y.
+    model = scan_model(rng)
+    signals = dict(zip("uqwv", scan_signals(rng, 40)))
+    index = 10 if column is None else (10, column)
+    signals[name][index] = value
+    with pytest.raises(ValueError) as exc:
+        simulate_driven(model, **signals)
+    assert str(exc.value) == f"signal {field!r} at step 10 is not finite: {value!r}"
+
+
 def test_driven_matches_manual_recursion(rng):
     # Independent dumb oracle: the same recursion written out longhand.
     n, m, nQ, T = 3, 2, 2, 40
@@ -240,6 +275,33 @@ def test_scan_memory_stays_within_a_few_rows(rng, n):
     finally:
         tracemalloc.stop()
     assert peak / (8 * T) <= PEAK_ROWS[n]
+
+
+# Peak traced memory of a whole simulate() at N = 1e5 with the 200-step
+# burn-in, T = 100 201, draws included, in the same units.  The noise is
+# drawn into the scan's own buffers, so the peak is the modes, the inputs,
+# the n forcing rows, the padded outputs and the scan's labels, plus the
+# carry's stacks: 6.24 rows on the two-mode family and 8.65 on an n = 4,
+# m = 1 model.  Each bound is that plus half a unit.  A full copy of the
+# noise held beside the buffers would add n + 1 units.
+SIMULATE_PEAK_ROWS = {2: 6.75, 4: 9.15}
+
+
+@pytest.mark.parametrize("n", sorted(SIMULATE_PEAK_ROWS))
+def test_simulate_holds_no_signal_twice(rng, bench_signal, n):
+    if n == 2:
+        model, dist = two_mode_benchmark(0.6)
+    else:
+        model, dist = scan_model(rng, m=1), SwitchingDistribution(p=[0.5, 0.3, 0.2])
+    cfg = SimConfig(model=model, dist=dist, signal=bench_signal, N=100_000, seed=1)
+    simulate(dataclasses.replace(cfg, N=100))  # warm any lazy imports
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 100_201) <= SIMULATE_PEAK_ROWS[n]
 
 
 def test_unexcited_growing_mode_is_not_a_blowup(rng):
@@ -485,20 +547,26 @@ def numpy_draws(rng, p, signal, T, n, m):
 
 def assert_same_draws(p, signal, T, n, m, seed):
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _draw_signals(rng, p, signal, T, n, m)
+    # The noise is drawn into the leading T rows of longer buffers, as into
+    # the scan's padded ones; nan marks a slot no draw wrote.
+    w_buf, v_buf = np.full((T + 5, n), np.nan), np.full(T + 5, np.nan)
+    q, u = _draw_signals(rng, p, signal, m, w_buf[:T], v_buf[:T])
+    got = q, u, w_buf[:T], v_buf[:T]
     expect = numpy_draws(twin, p, signal, T, n, m)
     for a, b in zip(got, expect):
         if b is None:
-            assert a is None
+            assert np.isnan(a).all()  # a zero amplitude draws nothing
         else:
             assert a.dtype == b.dtype and a.shape == b.shape
             npt.assert_array_equal(a, b)
+    assert np.isnan(w_buf[T:]).all() and np.isnan(v_buf[T:]).all()
     # The generator was consumed exactly as numpy's samplers consume it.
     npt.assert_array_equal(rng.random(4), twin.random(4))
     return got
 
 
-@pytest.mark.parametrize("T", [1, 17, 1201])
+# 20 001 rows span three noise chunks, the last one short.
+@pytest.mark.parametrize("T", [1, 17, 1201, 20_001])
 @pytest.mark.parametrize("p", DRAW_LAWS, ids=lambda p: f"nQ{len(p)}-{p[0]:.3g}")
 def test_draws_are_numpys_choice_and_uniform(p, T):
     q = assert_same_draws(p, DRAW_SIGNALS[0], T, n=4, m=2, seed=T)[0]
@@ -510,7 +578,7 @@ def test_draws_are_numpys_choice_and_uniform(p, T):
         assert 3 not in q
 
 
-@pytest.mark.parametrize("T", [1, 17, 1201])
+@pytest.mark.parametrize("T", [1, 17, 1201, 20_001])
 @pytest.mark.parametrize("signal", DRAW_SIGNALS, ids=lambda s: f"{s.Ku_input}-{s.Ku_noise}")
 def test_zero_amplitudes_draw_nothing(signal, T):
     assert_same_draws([0.7, 0.3], signal, T, n=2, m=3, seed=7)
