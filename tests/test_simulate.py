@@ -76,13 +76,20 @@ def test_labels_the_int64_cast_would_change_are_refused(bench, value):
         SampleSet(N=5, y=np.zeros(6), u=u, q=q)
     assert str(exc.value) == message
     whole = np.array([1.0, 2.0, 1.0, 2.0, 1.0, 2.0])
-    npt.assert_array_equal(simulate_driven(model, u, whole), simulate_driven(model, u, whole.astype(int)))
+    npt.assert_array_equal(
+        simulate_driven(model, u, whole), simulate_driven(model, u, whole.astype(int))
+    )
     assert SampleSet(N=5, y=np.zeros(6), u=u, q=whole).q.dtype == np.int64
 
 
 @pytest.mark.parametrize(
     "name, column, value, field",
-    [("u", 1, np.nan, "u_2"), ("w", 2, np.inf, "w_3"), ("w", 0, -np.inf, "w_1"), ("v", None, np.nan, "v")],
+    [
+        ("u", 1, np.nan, "u_2"),
+        ("w", 2, np.inf, "w_3"),
+        ("w", 0, -np.inf, "w_1"),
+        ("v", None, np.nan, "v"),
+    ],
 )
 def test_driven_refuses_non_finite_signals(rng, name, column, value, field):
     # A nan in u or an inf in w would otherwise read as a blow-up of the
