@@ -182,7 +182,11 @@ def a_word(model: LssModel, w: Word) -> np.ndarray:
 
 
 def check_mode_labels(q: np.ndarray, nQ: int) -> None:
-    """Refuse a mode sequence with a label outside 1..nQ, naming the first."""
+    """Refuse a mode sequence with a label outside 1..nQ, naming the first.
+    The range is read from the extremes; only a sequence outside it is
+    searched for the first label at fault."""
+    if q.size and 1 <= q.min() and q.max() <= nQ:
+        return
     bad = (q < 1) | (q > nQ)
     if bad.any():
         t = int(np.argmax(bad))

@@ -11,11 +11,17 @@ correlates y(t) against the input u(t - k) on the event that the mode
 sequence q(t - k), ..., q(t - 1) spelled out w, then rescales by the
 input covariance and the word probability.  A table of Markov
 parameters is a plain dict from word to row.
+
+The estimator's word tables (the sorted words, the dense prefix ids and
+the per-length bins and prefix tables) depend on the word set and nQ
+alone, so they are built once per word set and kept, read-only, for
+every trajectory estimated over it.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 
 import numpy as np
 
@@ -76,52 +82,85 @@ def empirical_markov_batch(
     sigma_u = np.asarray(sigma_u, dtype=float)
     y, u, N, nQ = sample.y, sample.u, sample.N, dist.nQ
     check_mode_labels(sample.q, nQ)
-    words = sorted(set(tuple(x) for x in words), key=lambda w: (len(w), w))
-    for w in words:
-        if N <= len(w):
-            raise ValueError(f"trajectory too short for |w| = {len(w)}: N = {N}")
-        if not all(1 <= c <= nQ for c in w):
-            raise ValueError(f"word {w} has a letter outside 1..{nQ}")
+    words, lengths, bad, passes = _word_tables(frozenset(tuple(x) for x in words), nQ)
+    # The first word, in order of length, that is too short or has a letter
+    # outside 1..nQ is named; too short wins on the same word.
+    short = bisect.bisect_left(lengths, N)
+    if short < len(words) and short <= bad:
+        raise ValueError(f"trajectory too short for |w| = {lengths[short]}: N = {N}")
+    if bad < len(words):
+        raise ValueError(f"word {words[bad]} has a letter outside 1..{nQ}")
     if not words:
         return {}
     # Window s = 1..N - k of length k is q(s), ..., q(s + k - 1), and pairs
     # the output y(s + k) with the input u(s).  Before length k, ids[s - 1]
-    # holds nQ times the id of the length k - 1 prefix of the word set that
-    # the window spells, or of the sentinel len(prefixes[k - 1]) when it
-    # spells none; adding the next label q(s + k - 1) gives the window's
+    # holds nQ times the dense id of the window's length k - 1 prefix (see
+    # _word_tables); adding the next label q(s + k - 1) gives the window's
     # (prefix, label) pair, which both names the words of length k and,
     # through a table, gives the ids for length k + 1.
+    m, q = u.shape[1], sample.q
+    sums = np.empty((m, len(words)))
+    if lengths[0] == 0:
+        sums[:, 0] = y[1:] @ u[1:]  # the empty word: every window, one bin
+    ids, pairs, weights = np.zeros(N, dtype=np.intp), np.empty(N, dtype=np.intp), np.empty(N)
+    for k, (lo, hi, bins, npairs, table) in enumerate(passes, 1):
+        L = N - k
+        np.add(ids[:L], q[k:N], out=pairs[:L])
+        if hi > lo:
+            for j in range(m):
+                np.multiply(y[k + 1 :], u[1 : L + 1, j], out=weights[:L])
+                by_pair = np.bincount(pairs[:L], weights=weights[:L], minlength=npairs)
+                sums[j, lo:hi] = by_pair[bins]
+        if table is not None:
+            # Every pair indexes the table, so take need not check the range.
+            np.take(table, pairs[:L], out=ids[:L], mode="clip")
+    scale = np.array([(N - len(w)) * p_word(dist, w) for w in words])
+    est = np.linalg.solve(sigma_u, sums) / scale
+    return dict(zip(words, est.T.copy()))
+
+
+@functools.lru_cache(maxsize=32)
+def _word_tables(word_set: frozenset, nQ: int):
+    """The trajectory-free part of :func:`empirical_markov_batch` for one
+    word set and nQ, built once and kept read-only.
+
+    Returns the words sorted by length, then letters; their lengths; the
+    index of the first word with a letter outside 1..nQ (len(words) when
+    none has one, and then the rest is built); and one pass per word
+    length k >= 1: the slice lo:hi of the length-k words, their bins among
+    the (prefix, label) pairs, the number of pairs, and the table from a
+    pair to nQ times the dense id of the length-k prefix it spells (None
+    for the longest length).  The prefixes of length k - 1 have the dense
+    ids 0..P - 1 and the sentinel P, which stands for every window that
+    spells none of them; pair (i, c) is i * nQ + c, so ids stay below
+    (P + 1) * nQ + 1, however long the words.
+    """
+    words = tuple(sorted(word_set, key=lambda w: (len(w), w)))
+    lengths = tuple(len(w) for w in words)
+    bad = next(
+        (i for i, w in enumerate(words) if not all(1 <= c <= nQ for c in w)), len(words)
+    )
+    if bad < len(words):
+        return words, lengths, bad, ()
     prefixes = [{(): 0}]
     for w in words:
         for k in range(1, len(w) + 1):
             if k == len(prefixes):
                 prefixes.append({})
             prefixes[k].setdefault(w[:k], len(prefixes[k]))
-    lengths = [len(w) for w in words]
-    m, q = u.shape[1], sample.q
-    sums = np.empty((m, len(words)))
-    if lengths[0] == 0:
-        sums[:, 0] = y[1:] @ u[1:]  # the empty word: every window, one bin
-    ids, pairs, weights = np.zeros(N, dtype=np.intp), np.empty(N, dtype=np.intp), np.empty(N)
+    passes = []
     for k in range(1, len(prefixes)):
-        L, parent = N - k, prefixes[k - 1]
-        np.add(ids[:L], q[k:N], out=pairs[:L])
+        parent = prefixes[k - 1]
+        npairs = (len(parent) + 1) * nQ + 1
         lo, hi = bisect.bisect_left(lengths, k), bisect.bisect_right(lengths, k)
-        if hi > lo:
-            bins = [parent[w[:-1]] * nQ + w[-1] for w in words[lo:hi]]
-            for j in range(m):
-                np.multiply(y[k + 1 :], u[1 : L + 1, j], out=weights[:L])
-                by_pair = np.bincount(
-                    pairs[:L], weights=weights[:L], minlength=(len(parent) + 1) * nQ + 1
-                )
-                sums[j, lo:hi] = by_pair[bins]
+        bins = np.array([parent[w[:-1]] * nQ + w[-1] for w in words[lo:hi]], dtype=np.intp)
+        table = None
         if k + 1 < len(prefixes):
             here = prefixes[k]
-            table = np.full((len(parent) + 1) * nQ + 1, len(here) * nQ, dtype=np.intp)
+            table = np.full(npairs, len(here) * nQ, dtype=np.intp)
             for p, i in here.items():
                 table[parent[p[:-1]] * nQ + p[-1]] = i * nQ
-            # Every pair indexes the table, so take need not check the range.
-            np.take(table, pairs[:L], out=ids[:L], mode="clip")
-    scale = np.array([(N - len(w)) * p_word(dist, w) for w in words])
-    est = np.linalg.solve(sigma_u, sums) / scale
-    return dict(zip(words, est.T.copy()))
+            table.flags.writeable = False
+        bins.flags.writeable = False
+        passes.append((lo, hi, bins, npairs, table))
+    return words, lengths, bad, tuple(passes)

@@ -31,7 +31,12 @@ Both passes are vectorised over blocks.  The [x | Phi] stack is
 one (n, n, nQ + 1) table and contracts them with one einsum, so its cost
 is a few numpy calls rather than a small matrix product per block.  The
 forcing is one step-major (blocks * L, n) buffer and the outputs a
-(blocks, L) view of a padded y.
+(blocks, L) view of a padded y.  No step allocates: every gather, product
+and contraction writes into a buffer made once per rollout.  Pass 1
+contracts into a second stack and the two swap; pass 2 keeps its states
+in a window of 2(n + 1) steps stored in those two stacks, and checks the
+divergence limit once per window, searching step by step only a window
+that is over it.
 
 No length-T row is held twice.  simulate draws the state noise and the
 output noise straight into those two buffers, a few thousand rows per
@@ -93,11 +98,11 @@ class SampleSet:
     q: np.ndarray
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float).reshape(-1)
+        self.y = _vector("trajectory field", "y", self.y, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
         if self.u.ndim == 1:
             self.u = self.u.reshape(-1, 1)
-        self.q = _mode_labels(self.q)
+        self.q = _mode_labels(_vector("trajectory field", "q", self.q))
         if not (len(self.y) == len(self.u) == len(self.q) == self.N + 1):
             raise ValueError("y, u, q must all have length N + 1")
         _check_finite("trajectory field", "y", self.y)
@@ -192,8 +197,9 @@ def simulate_driven(
     Raises
     ------
     ValueError
-        If the sequences differ in length, a mode label is not an integer
-        or lies outside 1..nQ, or a signal holds a nan or an inf.
+        If the sequences differ in length, q or v is not 1-D, a mode label
+        is not an integer or lies outside 1..nQ, or a signal holds a nan or
+        an inf.
     DivergenceError
         If the state infinity-norm ever exceeds 1e12 (or turns NaN),
         naming the first step t whose update x(t + 1) does.
@@ -202,10 +208,10 @@ def simulate_driven(
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u.reshape(-1, 1)
-    q = _mode_labels(q)
+    q = _mode_labels(_vector("signal", "q", q))
     T = len(q)
     w = None if w is None else np.asarray(w, dtype=float)
-    v = None if v is None else np.asarray(v, dtype=float).reshape(-1)
+    v = None if v is None else _vector("signal", "v", v, dtype=float)
     if (
         len(u) != T or u.shape[1] != model.m
         or (w is not None and w.shape != (T, n))
@@ -227,10 +233,17 @@ def simulate_driven(
     return _rollout(model, u, q, F, ypad)
 
 
-def _mode_labels(q) -> np.ndarray:
-    """q as a 1-D int64 array, refusing a label the cast would change: a
-    fraction, a nan or an inf, or a value beyond int64."""
-    q = np.asarray(q).reshape(-1)
+def _vector(kind: str, name: str, values, dtype=None) -> np.ndarray:
+    """values as an array, refusing one that is not 1-D by its shape."""
+    values = np.asarray(values, dtype=dtype)
+    if values.ndim != 1:
+        raise ValueError(f"{kind} {name!r} must be 1-D, not of shape {values.shape}")
+    return values
+
+
+def _mode_labels(q: np.ndarray) -> np.ndarray:
+    """The 1-D labels q as int64, refusing a label the cast would change:
+    a fraction, a nan or an inf, or a value beyond int64."""
     if q.dtype == np.int64:
         return q
     with np.errstate(invalid="ignore"):
@@ -307,23 +320,32 @@ def _rollout(model: LssModel, u: np.ndarray, q: np.ndarray, F: np.ndarray, ypad:
     labels = np.zeros((L, nb), dtype=np.int64)
     labels[:, :-1] = q[:full].reshape(nb - 1, L).T
     labels[: T - full, -1] = q[full:]
-    F = F.reshape(nb, L, n)
+    F = F.reshape(nb, L, n).transpose(1, 2, 0)  # F[j] is step j's (n, nb) forcing
     with np.errstate(over="ignore", invalid="ignore"):
         # Pass 1: roll every block from a zero state, carrying its
-        # transition product in the same stack, [x | Phi].
-        xphi = np.zeros((n, n + 1, nb))
+        # transition product in the same stack, [x | Phi].  A step gathers
+        # its A planes into Aj (the labels are in range, so mode="clip"
+        # clips nothing) and contracts into the other stack; the two then
+        # swap, so no step allocates.
+        stacks = np.zeros((2, n, n + 1, nb))
+        xphi, other = stacks
         for i in range(n):
             xphi[i, i + 1] = 1.0
+        Aj = np.empty((n, n, nb))
         for j in range(L):
-            xphi = np.einsum("ikb,kcb->icb", A.take(labels[j], axis=2), xphi)
-            xphi[:, 0] += F[:, j].T
+            A.take(labels[j], axis=2, out=Aj, mode="clip")
+            np.einsum("ikb,kcb->icb", Aj, xphi, out=other)
+            xphi, other = other, xphi
+            xphi[:, 0] += F[j]
+        del Aj  # freed while the carry's rounds allocate, as the peak is there
 
         # Carry: the true state at the start of every block.  The last
         # block's map starts no block.  Column b of M is block b's map
         # [x_end | Phi]; each doubling round composes it with the map k
         # columns back, so after ceil(log2(nb - 1)) rounds column b maps
         # the trajectory start to the end of block b.
-        M = xphi[:, :, :-1].copy()
+        M = other[:, :, :-1]  # the stack pass 1 no longer needs
+        M[...] = xphi[:, :, :-1]
         k = 1
         while k < nb - 1:
             head = np.einsum("ikb,kcb->icb", M[:, 1:, k:], M[:, :, :-k])
@@ -355,16 +377,34 @@ def _rollout(model: LssModel, u: np.ndarray, q: np.ndarray, F: np.ndarray, ypad:
 
         # Pass 2: roll every block from its true start, writing C x into
         # the outputs and noting the first in-block step whose state
-        # leaves the limit.
+        # leaves the limit.  The states go round a window of K = 2(n + 1)
+        # slots, the storage of pass 1's stacks, the state before step j in
+        # slot j % K.  The limit is checked once per window of K steps, and
+        # only a window over it is searched step by step.
+        K = 2 * (n + 1)
+        window = stacks.reshape(K, n, nb)
+        window[0] = x
+        xs = list(window)  # the slots' views, made once
+        Aj, cx = np.empty((n, n, nb)), np.empty(nb)
         first_over = np.full(nb, L)
-        Y = ypad.reshape(nb, L)
+        Y = ypad.reshape(nb, L).T  # Y[j] is step j's (nb,) outputs
         for j in range(L):
-            Y[:, j] += model.C.dot(x)
-            x = np.einsum("ikb,kb->ib", A.take(labels[j], axis=2), x)
-            x += F[:, j].T
-            if not np.abs(x).max() <= BLOWUP_LIMIT:
-                fresh = ~(np.abs(x).max(axis=0) <= BLOWUP_LIMIT) & (first_over == L)
-                first_over[fresh] = j
+            s, t = j % K, (j + 1) % K
+            Y[j] += np.dot(model.C, xs[s], out=cx)
+            A.take(labels[j], axis=2, out=Aj, mode="clip")
+            np.einsum("ikb,kb->ib", Aj, xs[s], out=xs[t])
+            xs[t] += F[j]
+            if t == 0 or j == L - 1:
+                # A full window holds the states after its K steps in slots
+                # 1..K - 1, 0; the short last one fills slots 1..t.  The
+                # check reads the window's extremes rather than a |x| copy
+                # of it; a NaN fails it too.
+                held = window if t == 0 else window[1 : t + 1]
+                if not (-BLOWUP_LIMIT <= held.min() and held.max() <= BLOWUP_LIMIT):
+                    slots = [*range(1, K), 0] if t == 0 else range(1, t + 1)
+                    for step, i in enumerate(slots, j + 1 - len(slots)):
+                        fresh = ~(np.abs(xs[i]).max(axis=0) <= BLOWUP_LIMIT)
+                        first_over[fresh & (first_over == L)] = step
     over = np.flatnonzero(first_over < L)
     if len(over):
         t = over[0] * L + first_over[over[0]]

@@ -325,3 +325,79 @@ def test_estimator_refusals_name_the_fault(bench, bench_signal):
         empirical_markov_batch(bad, [(1,)], sigma_u, dist)
     with pytest.raises(ValueError, match=r"word \(1, 3\) has a letter outside 1\.\.2"):
         empirical_markov_batch(sample, [(1, 3)], sigma_u, dist)
+
+
+def test_word_tables_are_built_once_per_word_set():
+    rng = np.random.default_rng(4)
+    nQ, N = 2, 500
+    sample = SampleSet(
+        N=N, y=rng.standard_normal(N + 1), u=rng.standard_normal((N + 1, 1)),
+        q=rng.integers(1, nQ + 1, size=N + 1),
+    )
+    dist = SwitchingDistribution(p=[0.5, 0.5])
+    words = [(), (1,), (2, 1), (1, 2, 2)]
+    markov._word_tables.cache_clear()
+    # The same set in another order, with a repeat, is the same word set.
+    for same in (words, words[::-1], words + [(2, 1)]):
+        empirical_markov_batch(sample, same, np.eye(1), dist)
+    empirical_markov_batch(sample, words[:3], np.eye(1), dist)
+    assert markov._word_tables.cache_info().misses == 2
+
+
+def test_estimator_matches_the_oracle_on_a_warm_cache():
+    # One word set, estimated at nQ = 2 and at nQ = 3, twice over: the
+    # tables of one nQ must never serve the other.
+    rng = np.random.default_rng(9)
+    words = random_words(rng, 2, count=10, longest=5)
+    N = 3_000
+    samples = {
+        nQ: SampleSet(
+            N=N, y=rng.standard_normal(N + 1), u=rng.standard_normal((N + 1, 1)),
+            q=rng.integers(1, nQ + 1, size=N + 1),
+        )
+        for nQ in (2, 3)
+    }
+    dists = {2: SwitchingDistribution(p=[0.4, 0.6]), 3: SwitchingDistribution(p=[0.2, 0.3, 0.5])}
+    for _ in range(2):
+        for nQ in (2, 3, 2):
+            sample, dist = samples[nQ], dists[nQ]
+            assert_matches_oracle(
+                empirical_markov_batch(sample, words, np.eye(1), dist),
+                masked_dot_estimates(sample, words, np.eye(1), dist),
+            )
+
+
+def test_cached_word_tables_refuse_writes():
+    words = frozenset([(), (1,), (2,), (1, 2), (2, 1, 2)])
+    _, _, _, passes = markov._word_tables(words, 2)
+    arrays = [a for step in passes for a in (step[2], step[4]) if a is not None]
+    assert len(arrays) == 5  # bins at lengths 1..3, tables at lengths 1..2
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_estimator_refusals_hold_on_a_cache_hit(bench, bench_signal):
+    # Each word set is estimated once first, so the refusals below read
+    # tables that are already built.  The first word, shortest first, that
+    # is too short or has a letter outside 1..nQ is named; too short wins
+    # on one word.
+    model, dist = bench
+    sigma_u = bench_signal.sigma_u(1)
+    long = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=50, seed=0))
+    short = SampleSet(N=3, y=long.y[:4], u=long.u[:4], q=long.q[:4])
+    too_short = [(1,), (1, 2, 1), (1, 2, 1, 1)]
+    empirical_markov_batch(long, too_short, sigma_u, dist)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^trajectory too short for \|w\| = 3: N = 3$"):
+            empirical_markov_batch(short, too_short, sigma_u, dist)
+    cases = [
+        ([(1, 3)], long, r"^word \(1, 3\) has a letter outside 1\.\.2$"),
+        ([(3,), (1, 1, 1, 1)], short, r"^word \(3,\) has a letter outside 1\.\.2$"),
+        ([(1, 1, 1), (1, 1, 1, 3)], short, r"^trajectory too short for \|w\| = 3: N = 3$"),
+        ([(1,), (1, 1, 3)], short, r"^trajectory too short for \|w\| = 3: N = 3$"),
+    ]
+    for words, sample, message in cases:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                empirical_markov_batch(sample, words, sigma_u, dist)

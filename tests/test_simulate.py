@@ -61,6 +61,16 @@ def test_driven_refuses_signals_of_other_shape(bench):
             simulate_driven(model, u, q)
 
 
+def test_driven_refuses_signals_that_are_not_1d(bench):
+    # Six entries in a (3, 2) v would be read row by row as six steps.
+    model, _ = bench
+    u, q = np.ones((6, 1)), [1, 2, 1, 2, 1, 2]
+    with pytest.raises(ValueError, match=r"^signal 'v' must be 1-D, not of shape \(3, 2\)$"):
+        simulate_driven(model, u, q, v=np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ValueError, match=r"^signal 'q' must be 1-D, not of shape \(2, 3\)$"):
+        simulate_driven(model, u, np.reshape(q, (2, 3)))
+
+
 @pytest.mark.parametrize("value", [1.5, np.nan, np.inf, 2.0**63])
 def test_labels_the_int64_cast_would_change_are_refused(bench, value):
     # Casting would truncate 1.5 to mode 1, and turn nan, inf or 2**63
@@ -311,6 +321,59 @@ def test_simulate_holds_no_signal_twice(rng, bench_signal, n):
     assert peak / (8 * 100_201) <= SIMULATE_PEAK_ROWS[n]
 
 
+def blowup_model(rng, n):
+    """Model (nQ = 3, m = 1) whose mode 1 contracts (spectral norm 0.9),
+    mode 2 multiplies the state by 1e18, past the limit in one step, and
+    mode 3 zeroes it, so the state falls back under the limit a step on."""
+    G = rng.standard_normal((n, n))
+    return LssModel(
+        n=n, m=1, nQ=3, A=[0.9 * G / np.linalg.norm(G, 2), 1e18 * np.eye(n), np.zeros((n, n))],
+        B=[rng.standard_normal((n, 1)) for _ in range(3)],
+        C=rng.standard_normal(n), D=rng.standard_normal(1),
+    )
+
+
+def assert_names_the_longhand_step(model, steps, fall_back, T=1200):
+    """Blow up at every step of ``steps`` (the state falling back the step
+    after when ``fall_back``) and check the scan names the step the
+    longhand recursion does, which must be the first of them."""
+    rng = np.random.default_rng(list(steps))
+    u, _, w, v = scan_signals(rng, T, n=model.n, m=1, nQ=3)
+    q = np.ones(T, dtype=int)
+    for t in steps:
+        q[t] = 2
+        if fall_back and t + 1 < T:
+            q[t + 1] = 3
+    _, blowup = longhand(model, u, q, w, v)
+    assert blowup == min(steps)
+    with pytest.raises(DivergenceError, match=rf"state blew up at step {blowup} \("):
+        simulate_driven(model, u, q, w, v)
+
+
+# T = 1200 is 70 blocks of L = 17 steps and a short last block of 10.  The
+# limit is checked once per window of steps, so every in-block step of a
+# full block and of the short last block is tried: that takes in the first,
+# a middle and the last step of every window and the short last window of
+# a block, whatever the window's length.
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("fall_back", [False, True])
+def test_windowed_check_names_the_step_of_the_per_step_check(n, fall_back):
+    model = blowup_model(np.random.default_rng(n), n)
+    for j in range(17):
+        assert_names_the_longhand_step(model, [7 * 17 + j], fall_back)
+    for j in range(10):
+        assert_names_the_longhand_step(model, [70 * 17 + j], fall_back)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_windowed_check_names_the_lower_of_two_blocks(n):
+    # The lower block wins, also when its in-block step comes later.
+    model = blowup_model(np.random.default_rng(n), n)
+    for steps in ([10 * 17 + 15, 40 * 17 + 3], [10 * 17 + 3, 11 * 17 + 2], [70 * 17 + 9, 69 * 17]):
+        for fall_back in (False, True):
+            assert_names_the_longhand_step(model, steps, fall_back)
+
+
 def test_unexcited_growing_mode_is_not_a_blowup(rng):
     # x_1 grows by 1e30 a step but starts at zero and is never driven, so
     # the state stays bounded; the block products overflow all the same.
@@ -376,6 +439,29 @@ def test_carry_costs_log2_rounds(monkeypatch, T):
     L, nb = blocks(T)
     rounds = math.ceil(math.log2(nb - 1)) if nb > 2 else 0
     assert calls == 2 * L + rounds
+
+
+@pytest.mark.parametrize("T", [10, 40, 150, 5000, 12_345, 100_201])
+def test_scan_steps_allocate_no_einsum_result(monkeypatch, T):
+    # Every einsum the scan makes without an out= buffer is a doubling
+    # round of the carry: the steps of both passes write into buffers
+    # they hold for the whole scan.
+    rng = np.random.default_rng(6)
+    model = scan_model(rng)
+    signals = scan_signals(rng, T)
+    fresh = 0
+    einsum = np.einsum
+
+    def counting_einsum(*args, **kwargs):
+        nonlocal fresh
+        fresh += kwargs.get("out") is None
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_module.np, "einsum", counting_einsum)
+    simulate_driven(model, *signals)
+    monkeypatch.undo()
+    _, nb = blocks(T)
+    assert fresh <= (math.ceil(math.log2(nb - 1)) if nb > 2 else 0)
 
 
 def test_growing_mode_unexcited_in_some_blocks_is_not_a_blowup(rng):
@@ -617,6 +703,16 @@ def test_sampleset_validation():
         SampleSet(N=3, y=np.zeros(3), u=np.zeros((4, 1)), q=np.ones(4, dtype=int))
     with pytest.raises(ValueError, match="field 'y' at step 1 is not finite: nan"):
         SampleSet(N=1, y=np.array([0.0, np.nan]), u=np.zeros((2, 1)), q=np.ones(2, dtype=int))
+
+
+def test_sampleset_refuses_fields_that_are_not_1d():
+    u = np.ones((6, 1))
+    with pytest.raises(ValueError, match=r"^trajectory field 'y' must be 1-D, not of shape \(3, 2\)$"):
+        SampleSet(N=5, y=np.zeros((3, 2)), u=u, q=[[1, 2], [1, 2], [1, 2]])
+    with pytest.raises(ValueError, match=r"^trajectory field 'q' must be 1-D, not of shape \(3, 2\)$"):
+        SampleSet(N=5, y=np.zeros(6), u=u, q=[[1, 2], [1, 2], [1, 2]])
+    # A 1-D u is still one input column.
+    assert SampleSet(N=5, y=np.zeros(6), u=np.ones(6), q=[1, 2] * 3).u.shape == (6, 1)
 
 
 def test_simconfig_validation(bench, bench_signal):
