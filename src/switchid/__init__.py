@@ -54,7 +54,6 @@ from .simulate import (
     load_trajectory,
     save_trajectory,
     simulate,
-    simulate_driven,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +92,6 @@ __all__ = [
     "save_trajectory",
     "schur_radius",
     "simulate",
-    "simulate_driven",
     "true_markov_map",
     "true_realization",
     "two_mode_benchmark",

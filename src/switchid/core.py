@@ -17,6 +17,7 @@ empty word epsilon.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,6 +182,13 @@ def a_word(model: LssModel, w: Word) -> np.ndarray:
     return M
 
 
+def check_integer(name: str, x) -> int:
+    """x as an int, refusing by name a bool or a value that is not an integer (2.0 too)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name}: {x!r} is not an integer")
+    return int(x)
+
+
 def check_mode_labels(q: np.ndarray, nQ: int) -> None:
     """Refuse a mode sequence with a label outside 1..nQ, naming the first.
     The range is read from the extremes; only a sequence outside it is
@@ -285,10 +293,9 @@ def model_from_dict(d: dict) -> tuple[LssModel, SwitchingDistribution, SignalSpe
     A ``p`` without nQ entries or a ``signal.Sigma_u`` that is not m x m
     is refused here, so the error names the file that holds it.
     """
+    dims = {name: check_integer(name, d[name]) for name in ("n", "m", "nQ")}
     model = LssModel(
-        n=int(d["n"]),
-        m=int(d["m"]),
-        nQ=int(d["nQ"]),
+        **dims,
         A=[np.asarray(Aq, dtype=float) for Aq in d["A"]],
         B=[np.asarray(Bq, dtype=float) for Bq in d["B"]],
         C=np.asarray(d["C"], dtype=float),

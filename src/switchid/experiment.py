@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import numbers
 import os
 import time
 from contextlib import nullcontext
@@ -31,6 +30,7 @@ from .core import (
     LssModel,
     SignalSpec,
     SwitchingDistribution,
+    check_integer,
     load_model_file,
     read_json,
     two_mode_benchmark,
@@ -72,17 +72,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        counts = {
-            "trials": [self.trials],
-            "N_grid": self.N_grid,
-            "seed_base": [self.seed_base],
-            "burn_in": [self.burn_in],
-            "threads": [self.threads],
-        }
-        for name, values in counts.items():
-            for x in values:
-                if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-                    raise ValueError(f"{name}: {x!r} is not an integer")
+        check_integer("trials", self.trials)
+        for x in self.N_grid:
+            check_integer("N_grid", x)
+        for name in ("seed_base", "burn_in", "threads"):
+            check_integer(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         for name in ("N_grid", "gamma_values", "Ku_noise_values", "Ku_input_values"):

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LssModel, SignalSpec, SwitchingDistribution, check_mode_labels
+from .core import LssModel, SignalSpec, SwitchingDistribution
 
 BLOWUP_LIMIT = 1e12
 DEFAULT_BURN_IN = 200
@@ -84,6 +84,8 @@ class SimConfig:
             raise ValueError("N must be at least 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.dist.nQ != self.model.nQ:
             raise ValueError("switching distribution does not match model mode count")
 
@@ -98,15 +100,15 @@ class SampleSet:
     q: np.ndarray
 
     def __post_init__(self):
-        self.y = _vector("trajectory field", "y", self.y, dtype=float)
+        self.y = _vector("y", self.y, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
         if self.u.ndim == 1:
             self.u = self.u.reshape(-1, 1)
-        self.q = _mode_labels(_vector("trajectory field", "q", self.q))
+        self.q = _mode_labels(_vector("q", self.q))
         if not (len(self.y) == len(self.u) == len(self.q) == self.N + 1):
             raise ValueError("y, u, q must all have length N + 1")
-        _check_finite("trajectory field", "y", self.y)
-        _check_finite("trajectory field", "u", self.u)
+        _check_finite("y", self.y)
+        _check_finite("u", self.u)
 
 
 def simulate(cfg: SimConfig) -> SampleSet:
@@ -135,13 +137,7 @@ def simulate(cfg: SimConfig) -> SampleSet:
     F, ypad = _scan_buffers(T, model.n)
     rng = np.random.default_rng(cfg.seed)
     q, u = _draw_signals(rng, cfg.dist.p, cfg.signal, model.m, F[:T], ypad[:T])
-    try:
-        y = _rollout(model, u, q, F, ypad)
-    except DivergenceError as exc:
-        raise DivergenceError(
-            f"{exc} (steps count from the start of the {b}-step burn-in; "
-            f"retained t = 0 is step {b})"
-        ) from None
+    y = _rollout(model, u, q, F, ypad, b)
     return SampleSet(N=cfg.N, y=y[b:], u=u[b:], q=q[b:])
 
 
@@ -180,64 +176,11 @@ def _draw_signals(rng, p, signal: SignalSpec, m: int, w: np.ndarray, v: np.ndarr
     return q, u
 
 
-def simulate_driven(
-    model: LssModel,
-    u: np.ndarray,
-    q: np.ndarray,
-    w: np.ndarray | None = None,
-    v: np.ndarray | None = None,
-) -> np.ndarray:
-    """Roll x(t + 1) = A_q x + B_q u + w, y = C x + D u + v out from x = 0.
-
-    The state recursion of :func:`simulate` on given signals: both roll
-    out through one blocked two-pass scan (see the module docstring).
-    Missing noise sequences are zero.  Returns the output sequence, same
-    length as the inputs; the caller's arrays are never modified.
-
-    Raises
-    ------
-    ValueError
-        If the sequences differ in length, q or v is not 1-D, a mode label
-        is not an integer or lies outside 1..nQ, or a signal holds a nan or
-        an inf.
-    DivergenceError
-        If the state infinity-norm ever exceeds 1e12 (or turns NaN),
-        naming the first step t whose update x(t + 1) does.
-    """
-    n = model.n
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u.reshape(-1, 1)
-    q = _mode_labels(_vector("signal", "q", q))
-    T = len(q)
-    w = None if w is None else np.asarray(w, dtype=float)
-    v = None if v is None else _vector("signal", "v", v, dtype=float)
-    if (
-        len(u) != T or u.shape[1] != model.m
-        or (w is not None and w.shape != (T, n))
-        or (v is not None and len(v) != T)
-    ):
-        raise ValueError(
-            f"signal sequences must all have length {T}, u width m = {model.m} "
-            f"and w width n = {n}"
-        )
-    check_mode_labels(q, model.nQ)
-    for name, values in (("u", u), ("w", w), ("v", v)):
-        if values is not None:
-            _check_finite("signal", name, values)
-    F, ypad = _scan_buffers(T, n)
-    if w is not None:
-        F[:T] = w
-    if v is not None:
-        ypad[:T] = v
-    return _rollout(model, u, q, F, ypad)
-
-
-def _vector(kind: str, name: str, values, dtype=None) -> np.ndarray:
+def _vector(name: str, values, dtype=None) -> np.ndarray:
     """values as an array, refusing one that is not 1-D by its shape."""
     values = np.asarray(values, dtype=dtype)
     if values.ndim != 1:
-        raise ValueError(f"{kind} {name!r} must be 1-D, not of shape {values.shape}")
+        raise ValueError(f"trajectory field {name!r} must be 1-D, not of shape {values.shape}")
     return values
 
 
@@ -255,14 +198,14 @@ def _mode_labels(q: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _check_finite(kind: str, name: str, values: np.ndarray) -> None:
+def _check_finite(name: str, values: np.ndarray) -> None:
     """Refuse a nan or inf in values (T,) or (T, k), naming the first by
     its step and, for k columns, its column j as name_j."""
     if not np.isfinite(values).all():
         at = tuple(np.argwhere(~np.isfinite(values))[0])
         field = name if len(at) == 1 else f"{name}_{at[1] + 1}"
         raise ValueError(
-            f"{kind} {field!r} at step {at[0]} is not finite: {float(values[at])!r}"
+            f"trajectory field {field!r} at step {at[0]} is not finite: {float(values[at])!r}"
         )
 
 
@@ -280,12 +223,15 @@ def _scan_buffers(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((size, n)), np.zeros(size)
 
 
-def _rollout(model: LssModel, u: np.ndarray, q: np.ndarray, F: np.ndarray, ypad: np.ndarray):
-    """The one state recursion of the package: add B_q u to the state
-    noise in F and D u to the output noise in ypad (both from
-    :func:`_scan_buffers`), roll the blocked two-pass scan over them and
-    return the outputs y, a view of ypad.  The labels q must lie in
-    1..nQ."""
+def _rollout(
+    model: LssModel, u: np.ndarray, q: np.ndarray, F: np.ndarray, ypad: np.ndarray, burn_in: int
+):
+    """The one state recursion of the package, entered from simulate
+    alone: add B_q u to the state noise in F and D u to the output noise
+    in ypad (both from :func:`_scan_buffers`), roll the blocked two-pass
+    scan over them and return the outputs y, a view of ypad.  The labels
+    q must lie in 1..nQ; a blow-up's step counts from the start of the
+    burn_in steps that simulate discards."""
     n = model.n
     T = len(q)
     # Step j of block b is row b*L + j of the padded buffers.  Label 0 pads
@@ -409,8 +355,9 @@ def _rollout(model: LssModel, u: np.ndarray, q: np.ndarray, F: np.ndarray, ypad:
     if len(over):
         t = over[0] * L + first_over[over[0]]
         raise DivergenceError(
-            f"state blew up at step {t} (|x| > {BLOWUP_LIMIT:g}); "
-            "the configuration looks unstable"
+            f"state blew up at step {t} (|x| > {BLOWUP_LIMIT:g}); the configuration "
+            f"looks unstable (steps count from the start of the {burn_in}-step "
+            f"burn-in; retained t = 0 is step {burn_in})"
         )
     return y
 

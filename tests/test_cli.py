@@ -401,18 +401,26 @@ def set_sigma_u_shape(doc):
     doc["signal"]["Sigma_u"] = [[0.2, 0.0], [0.0, 0.2]]
 
 
+def set_dimensions(**dims):
+    return lambda doc: doc.update(dims)
+
+
 @pytest.mark.parametrize(
     "edit, reason",
     [
         (set_p_length, "p has 3 entries, the model has nQ = 2"),
         (set_sigma_u_shape, "signal.Sigma_u is 2x2, the model has m = 1"),
+        (set_dimensions(n=2.5), "n: 2.5 is not an integer"),
+        (set_dimensions(m=True), "m: True is not an integer"),
+        (set_dimensions(nQ=2.0), "nQ: 2.0 is not an integer"),
     ],
-    ids=["p-length", "Sigma_u-shape"],
+    ids=["p-length", "Sigma_u-shape", "n-fraction", "m-bool", "nQ-float"],
 )
 @pytest.mark.parametrize("command", ["selection", "simulate", "experiment"])
 def test_model_of_other_size_exits_1_naming_the_file(capsys, tmp_path, command, edit, reason):
-    # selection ignored both; simulate and experiment ran on the Sigma_u,
-    # and experiment left an empty output directory behind the p.
+    # selection ignored the p and the Sigma_u; simulate and experiment ran
+    # on the Sigma_u, and experiment left an empty output directory behind
+    # the p.  A dimension was read through int(), so n = 2.5 ran as n = 2.
     path = tmp_path / "model.json"
     save_model_file(str(path), *two_mode_benchmark(0.6), SignalSpec(Ku_input=0.8, Ku_noise=1.0))
     doc = json.loads(path.read_text())
@@ -533,6 +541,14 @@ def test_experiment_flags_are_checked_as_config_values(capsys, tmp_path, flags, 
     assert rc == 1
     assert f"error: {reason}" in err
     assert not (out_dir / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command, seed", [("simulate", "-1"), ("identify", "-3")])
+def test_negative_seed_is_refused_by_name(capsys, command, seed):
+    # numpy's generator refused it first, as "expected non-negative integer".
+    rc, _, err = run(capsys, command, "--seed", seed, "--N", "300")
+    assert rc == 1
+    assert "error: seed must be nonnegative" in err
 
 
 @pytest.mark.parametrize(

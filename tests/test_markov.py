@@ -323,6 +323,9 @@ def test_estimator_refusals_name_the_fault(bench, bench_signal):
     bad = SampleSet(N=3, y=sample.y, u=sample.u, q=[1, 2, 3, 1])
     with pytest.raises(ValueError, match=r"mode label 3 at step 2 outside 1\.\.2"):
         empirical_markov_batch(bad, [(1,)], sigma_u, dist)
+    bad = SampleSet(N=3, y=sample.y, u=sample.u, q=[1, 0, 1, 1])
+    with pytest.raises(ValueError, match=r"mode label 0 at step 1 outside 1\.\.2"):
+        empirical_markov_batch(bad, [(1,)], sigma_u, dist)
     with pytest.raises(ValueError, match=r"word \(1, 3\) has a letter outside 1\.\.2"):
         empirical_markov_batch(sample, [(1, 3)], sigma_u, dist)
 

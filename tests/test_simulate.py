@@ -1,16 +1,19 @@
 """Simulator behaviour: exact recursion, determinism, signal laws."""
 
+import ast
 import csv
 import dataclasses
 import hashlib
 import importlib
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import switchid
 from switchid import (
     DivergenceError,
     LssModel,
@@ -20,13 +23,44 @@ from switchid import (
     load_trajectory,
     save_trajectory,
     simulate,
-    simulate_driven,
     two_mode_benchmark,
 )
-from switchid.simulate import BLOWUP_LIMIT, SampleSet, _draw_signals
+from switchid.simulate import BLOWUP_LIMIT, SampleSet, _draw_signals, _rollout, _scan_buffers
 
 # The package exports a function named simulate, which shadows the module.
 simulate_module = importlib.import_module("switchid.simulate")
+
+
+def rollout(model, u, q, w=None, v=None):
+    """The scan of simulate on given signals: the state noise w and the
+    output noise v (zero when not given) are copied into the scan's
+    buffers, where simulate draws them, and u may be one column."""
+    u = np.asarray(u, dtype=float)
+    F, ypad = _scan_buffers(len(q), model.n)
+    if w is not None:
+        F[: len(q)] = w
+    if v is not None:
+        ypad[: len(q)] = v
+    return _rollout(model, u.reshape(-1, 1) if u.ndim == 1 else u, q, F, ypad, 0)
+
+
+def test_only_simulate_enters_the_rollout():
+    # simulate draws signals the scan can take unchecked: in-range labels,
+    # finite values, one row per step.  Any other function or import naming
+    # _rollout is a second way in that would need an input gate of its own.
+    uses = []
+    for path in sorted(pathlib.Path(switchid.__file__).parent.glob("*.py")):
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = node.name
+            elif "_rollout" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+                uses.append(f"{path.name}:{scope}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(), str(path)), "<module>")
+    assert uses == ["simulate.py:simulate"]
 
 
 def test_impulse_through_mode_word(bench):
@@ -36,7 +70,7 @@ def test_impulse_through_mode_word(bench):
     model, _ = bench
     u = np.array([1.0, 0.0, 0.0, 0.0])
     q = np.array([2, 2, 1, 1])
-    y = simulate_driven(model, u, q)
+    y = rollout(model, u, q)
     npt.assert_allclose(y, [0.0, 0.0, 0.0, 0.27], atol=1e-15)
 
 
@@ -45,72 +79,21 @@ def test_impulse_other_mode_is_invisible(bench):
     model, _ = bench
     u = np.array([1.0, 0.0, 0.0, 0.0])
     q = np.array([1, 2, 1, 1])
-    npt.assert_allclose(simulate_driven(model, u, q), np.zeros(4), atol=1e-15)
-    # A label outside 1..nQ names no mode at all and is refused.
-    with pytest.raises(ValueError, match="mode label 0 at step 1 outside 1..2"):
-        simulate_driven(model, u, np.array([1, 0, 1, 1]))
-
-
-def test_driven_refuses_signals_of_other_shape(bench):
-    # An input of the wrong width would otherwise leave channels out of
-    # the forcing or fail in numpy's broadcasting.
-    model, _ = bench
-    q = np.array([1, 2, 1, 1])
-    for u in (np.zeros((4, 2)), np.zeros((3, 1))):
-        with pytest.raises(ValueError, match="length 4, u width m = 1 and w width n = 2"):
-            simulate_driven(model, u, q)
-
-
-def test_driven_refuses_signals_that_are_not_1d(bench):
-    # Six entries in a (3, 2) v would be read row by row as six steps.
-    model, _ = bench
-    u, q = np.ones((6, 1)), [1, 2, 1, 2, 1, 2]
-    with pytest.raises(ValueError, match=r"^signal 'v' must be 1-D, not of shape \(3, 2\)$"):
-        simulate_driven(model, u, q, v=np.arange(6.0).reshape(3, 2))
-    with pytest.raises(ValueError, match=r"^signal 'q' must be 1-D, not of shape \(2, 3\)$"):
-        simulate_driven(model, u, np.reshape(q, (2, 3)))
+    npt.assert_allclose(rollout(model, u, q), np.zeros(4), atol=1e-15)
 
 
 @pytest.mark.parametrize("value", [1.5, np.nan, np.inf, 2.0**63])
-def test_labels_the_int64_cast_would_change_are_refused(bench, value):
+def test_labels_the_int64_cast_would_change_are_refused(value):
     # Casting would truncate 1.5 to mode 1, and turn nan, inf or 2**63
     # into some integer; whole numbers held as floats are labels.
-    model, _ = bench
     u = np.ones((6, 1))
     q = np.array([1.0, 2.0, 1.0, value, 1.0, 2.0])
     message = f"mode label {value!r} at step 3 is not an integer"
     with pytest.raises(ValueError) as exc:
-        simulate_driven(model, u, q)
-    assert str(exc.value) == message
-    with pytest.raises(ValueError) as exc:
         SampleSet(N=5, y=np.zeros(6), u=u, q=q)
     assert str(exc.value) == message
     whole = np.array([1.0, 2.0, 1.0, 2.0, 1.0, 2.0])
-    npt.assert_array_equal(
-        simulate_driven(model, u, whole), simulate_driven(model, u, whole.astype(int))
-    )
     assert SampleSet(N=5, y=np.zeros(6), u=u, q=whole).q.dtype == np.int64
-
-
-@pytest.mark.parametrize(
-    "name, column, value, field",
-    [
-        ("u", 1, np.nan, "u_2"),
-        ("w", 2, np.inf, "w_3"),
-        ("w", 0, -np.inf, "w_1"),
-        ("v", None, np.nan, "v"),
-    ],
-)
-def test_driven_refuses_non_finite_signals(rng, name, column, value, field):
-    # A nan in u or an inf in w would otherwise read as a blow-up of the
-    # state, and a nan in v pass into y.
-    model = scan_model(rng)
-    signals = dict(zip("uqwv", scan_signals(rng, 40)))
-    index = 10 if column is None else (10, column)
-    signals[name][index] = value
-    with pytest.raises(ValueError) as exc:
-        simulate_driven(model, **signals)
-    assert str(exc.value) == f"signal {field!r} at step 10 is not finite: {value!r}"
 
 
 def test_driven_matches_manual_recursion(rng):
@@ -133,7 +116,7 @@ def test_driven_matches_manual_recursion(rng):
         x = A[q[t] - 1] @ x + B[q[t] - 1] @ u[t] + w[t]
 
     w_before = w.copy()
-    npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, atol=1e-12)
+    npt.assert_allclose(rollout(model, u, q, w, v), expect, atol=1e-12)
     npt.assert_array_equal(w, w_before)  # the forcing is built in a copy
 
 
@@ -184,16 +167,7 @@ def test_scan_matches_longhand_recursion(rng, T):
     u, q, w, v = scan_signals(rng, T)
     expect, blowup = longhand(model, u, q, w, v)
     assert blowup is None
-    npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, rtol=0, atol=1e-12)
-
-
-def test_scan_leaves_inputs_untouched(rng):
-    model = scan_model(rng)
-    signals = scan_signals(rng, 5000)
-    before = [s.copy() for s in signals]
-    simulate_driven(model, *signals)
-    for s, s0 in zip(signals, before):
-        npt.assert_array_equal(s, s0)
+    npt.assert_allclose(rollout(model, u, q, w, v), expect, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("T", [200, 701, 5000])
@@ -206,7 +180,7 @@ def test_scan_names_the_blowup_step_of_the_longhand_recursion(rng, T):
     _, blowup = longhand(model, u, q, w, v)
     assert blowup is not None and blowup > T // 2
     with pytest.raises(DivergenceError, match=rf"state blew up at step {blowup} \("):
-        simulate_driven(model, u, q, w, v)
+        rollout(model, u, q, w, v)
 
 
 def test_scan_padding_is_invisible(rng):
@@ -220,7 +194,7 @@ def test_scan_padding_is_invisible(rng):
     q = rng.integers(2, 4, size=T)
     expect, blowup = longhand(model, u, q, w, v)
     assert blowup is None
-    npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, rtol=0, atol=1e-12)
+    npt.assert_allclose(rollout(model, u, q, w, v), expect, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("T, start", [(5000, 4975), (12, 4)])
@@ -234,12 +208,12 @@ def test_scan_names_a_blowup_in_the_short_last_block(rng, T, start):
     _, blowup = longhand(model, u, q, w, v)
     assert blowup is not None and start <= blowup < T
     with pytest.raises(DivergenceError, match=rf"state blew up at step {blowup} \("):
-        simulate_driven(model, u, q, w, v)
+        rollout(model, u, q, w, v)
 
 
 def test_scan_of_no_steps_is_empty(rng):
     model = scan_model(rng)
-    y = simulate_driven(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
+    y = rollout(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
     assert y.shape == (0,)
 
 
@@ -263,7 +237,7 @@ def test_forcing_adds_input_channels_in_order(rng):
         reversed_order = Bq[:, i, 2] * u[:, 2] + Bq[:, i, 1] * u[:, 1] + Bq[:, i, 0] * u[:, 0]
         reversed_order += w[:, i]
         assert not np.array_equal(in_order, reversed_order)  # the order shows
-        y = simulate_driven(model, u, q, w)
+        y = rollout(model, u, q, w)
         assert y[0] == 0.0
         npt.assert_array_equal(y[1:], in_order[:-1])
 
@@ -284,10 +258,10 @@ def test_scan_memory_stays_within_a_few_rows(rng, n):
     else:
         model = scan_model(rng)
     u, q, w, v = scan_signals(rng, T, n=n, m=model.m, nQ=model.nQ)
-    simulate_driven(model, u[:100], q[:100], w[:100], v[:100])  # warm any lazy imports
+    rollout(model, u[:100], q[:100], w[:100], v[:100])  # warm any lazy imports
     tracemalloc.start()
     try:
-        simulate_driven(model, u, q, w, v)
+        rollout(model, u, q, w, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -347,7 +321,7 @@ def assert_names_the_longhand_step(model, steps, fall_back, T=1200):
     _, blowup = longhand(model, u, q, w, v)
     assert blowup == min(steps)
     with pytest.raises(DivergenceError, match=rf"state blew up at step {blowup} \("):
-        simulate_driven(model, u, q, w, v)
+        rollout(model, u, q, w, v)
 
 
 # T = 1200 is 70 blocks of L = 17 steps and a short last block of 10.  The
@@ -387,7 +361,7 @@ def test_unexcited_growing_mode_is_not_a_blowup(rng):
     q = np.ones(T, dtype=int)
     expect, blowup = longhand(model, u, q, np.zeros((T, 2)), np.zeros(T))
     assert blowup is None
-    npt.assert_allclose(simulate_driven(model, u, q), expect, rtol=0, atol=1e-12)
+    npt.assert_allclose(rollout(model, u, q), expect, rtol=0, atol=1e-12)
 
 
 # Blocks are 16 steps long up to T = 1155, so these T leave nb - 1 = 0, 1,
@@ -415,7 +389,7 @@ def test_doubling_carry_matches_longhand_recursion(T):
         u, q, w, v = scan_signals(rng, T, n=model.n, m=model.m, nQ=model.nQ)
         expect, blowup = longhand(model, u, q, w, v)
         assert blowup is None
-        npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, rtol=0, atol=1e-12)
+        npt.assert_allclose(rollout(model, u, q, w, v), expect, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("T", [10, 20, 40, 90, 150, 12_345, 100_201])
@@ -434,7 +408,7 @@ def test_carry_costs_log2_rounds(monkeypatch, T):
         return einsum(*args, **kwargs)
 
     monkeypatch.setattr(simulate_module.np, "einsum", counting_einsum)
-    simulate_driven(model, *signals)
+    rollout(model, *signals)
     monkeypatch.undo()
     L, nb = blocks(T)
     rounds = math.ceil(math.log2(nb - 1)) if nb > 2 else 0
@@ -458,7 +432,7 @@ def test_scan_steps_allocate_no_einsum_result(monkeypatch, T):
         return einsum(*args, **kwargs)
 
     monkeypatch.setattr(simulate_module.np, "einsum", counting_einsum)
-    simulate_driven(model, *signals)
+    rollout(model, *signals)
     monkeypatch.undo()
     _, nb = blocks(T)
     assert fresh <= (math.ceil(math.log2(nb - 1)) if nb > 2 else 0)
@@ -487,7 +461,7 @@ def test_growing_mode_unexcited_in_some_blocks_is_not_a_blowup(rng):
     v = rng.uniform(-0.1, 0.1, size=T)
     expect, blowup = longhand(model, u, q, w, v)
     assert blowup is None
-    npt.assert_allclose(simulate_driven(model, u, q, w, v), expect, rtol=0, atol=1e-12)
+    npt.assert_allclose(rollout(model, u, q, w, v), expect, rtol=0, atol=1e-12)
 
 
 def test_composed_block_maps_that_overflow_are_not_a_blowup(rng):
@@ -503,7 +477,7 @@ def test_composed_block_maps_that_overflow_are_not_a_blowup(rng):
     q = np.ones(T, dtype=int)
     expect, blowup = longhand(model, u, q, np.zeros((T, 2)), np.zeros(T))
     assert blowup is None
-    npt.assert_allclose(simulate_driven(model, u, q), expect, rtol=0, atol=1e-12)
+    npt.assert_allclose(rollout(model, u, q), expect, rtol=0, atol=1e-12)
 
 
 def test_lti_special_case_is_a_convolution(rng):
@@ -524,7 +498,7 @@ def test_lti_special_case_is_a_convolution(rng):
     ]
     expect = [sum(h[k] * u[t - k, 0] for k in range(t + 1)) for t in range(T)]
 
-    npt.assert_allclose(simulate_driven(model, u, q), expect, atol=1e-10)
+    npt.assert_allclose(rollout(model, u, q), expect, atol=1e-10)
 
 
 def test_simulate_is_deterministic(bench, bench_signal):
@@ -695,7 +669,7 @@ def test_simulate_rolls_out_numpys_draws(bench, bench_signal):
     q, u, w, v = numpy_draws(np.random.default_rng(4), dist.p, bench_signal, 351, 2, 1)
     npt.assert_array_equal(s.q, q[50:])
     npt.assert_array_equal(s.u, u[50:])
-    npt.assert_array_equal(s.y, simulate_driven(model, u, q, w, v)[50:])
+    npt.assert_array_equal(s.y, rollout(model, u, q, w, v)[50:])
 
 
 def test_sampleset_validation():
@@ -721,6 +695,8 @@ def test_simconfig_validation(bench, bench_signal):
         SimConfig(model=model, dist=dist, signal=bench_signal, N=0)
     with pytest.raises(ValueError):
         SimConfig(model=model, dist=dist, signal=bench_signal, N=10, burn_in=-1)
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        SimConfig(model=model, dist=dist, signal=bench_signal, N=10, seed=-1)
     other = SwitchingDistribution(p=[1.0])
     with pytest.raises(ValueError):
         SimConfig(model=model, dist=other, signal=bench_signal, N=10)
