@@ -19,6 +19,7 @@ valid once N > 2(2n + 1) and K(delta, N) <= sigma_n(H_ab) / (2 |W| sqrt(n)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,6 +33,8 @@ GAMMA_INFLATION = 1e-9
 P_CEILING = 1e6
 # Bracket and width at which min_gamma_certificate stops bisecting.
 MIN_GAMMA_LO, MIN_GAMMA_HI, MIN_GAMMA_TOL = 1e-4, 0.9999, 1e-3
+# A float at or past this one has a square that overflows.
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 class CertificateError(RuntimeError):
@@ -294,6 +297,16 @@ def find_P(
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target rate must lie in (0, 1)")
+    # With I <= P <= c I and A^T P A < P, every |A_ij| <= ||A||_2 < sqrt(c):
+    # a larger entry has no certificate in the search box, and its squares
+    # could overflow the search and the spectral radius.
+    big = max(float(np.abs(Aq).max()) for Aq in model.A)
+    if big >= math.sqrt(P_CEILING):
+        raise CertificateError(
+            f"no quadratic stability certificate found for gamma = {target}: an entry "
+            f"of A has magnitude {big:.6g}, and no P with I <= P <= {P_CEILING:g} I "
+            f"certifies one of {math.sqrt(P_CEILING):g} or more"
+        )
     for shrink in (1e-2, 1e-3, 1e-4):
         P = _max_slack_P(model.A, (target * (1.0 - shrink) / model.nQ) ** 2)
         if P is not None:
@@ -345,17 +358,19 @@ def compute_KM(model: LssModel, cert: StabilityCertificate) -> float:
     n = model.n
     evals = np.linalg.eigvalsh(cert.P)
     cond = evals[-1] / evals[0]
-    b_norm = max(
-        float(np.linalg.norm(np.hstack([Bq, np.eye(n), np.zeros((n, 1))]), 2))
-        for Bq in model.B
-    )
-    first = (
-        float(np.linalg.norm(model.C))
-        * b_norm
-        * (model.nQ / cert.gamma)
-        * math.sqrt(cond)
-    )
-    second = math.sqrt(float(model.D @ model.D) + 1.0)
+    # A norm that overflows comes out inf, which compute_certificate refuses.
+    with np.errstate(over="ignore"):
+        b_norm = max(
+            float(np.linalg.norm(np.hstack([Bq, np.eye(n), np.zeros((n, 1))]), 2))
+            for Bq in model.B
+        )
+        first = (
+            float(np.linalg.norm(model.C))
+            * b_norm
+            * (model.nQ / cert.gamma)
+            * math.sqrt(cond)
+        )
+        second = math.sqrt(float(model.D @ model.D) + 1.0)
     return max(first, second)
 
 
@@ -420,11 +435,18 @@ def compute_certificate(
         raise ValueError("N must be positive")
     if sigma_n_H <= 0.0:
         raise ValueError("sigma_n_H must be positive")
+    # The chain squares K_u and divides by sigma_n_H**2: a square past
+    # float max raises OverflowError, one that underflows to 0 divides by
+    # zero.  Whatever else leaves the float range is refused at the end.
+    K_u = signal.K_u
+    if not K_u < _SQRT_FLOAT_MAX:
+        raise ValueError(f"K_u = max(Ku_input, Ku_noise) = {K_u!r}: its square overflows a float")
+    if not (sigma_n_H < _SQRT_FLOAT_MAX and sigma_n_H**2 > 0.0):
+        raise ValueError(f"sigma_n(H_ab) = {sigma_n_H!r}: its square leaves the float range")
 
     n, m, nQ = model.n, model.m, model.nQ
     gamma = stability.gamma
     m_prime = m + n + 1
-    K_u = signal.K_u
     K_u_prime = max(K_u, K_u**2)
     K_M = float(compute_KM(model, stability))
     K_y = math.sqrt(m_prime) * K_M * K_u / (1.0 - gamma)
@@ -454,6 +476,12 @@ def compute_certificate(
     thr = sigma_n_H / (2.0 * len(W) * math.sqrt(n))
     N_min_basic = 2 * (2 * n + 1) + 1
     c_over = math.sqrt(m) * K_minus1 * K_0 * math.sqrt(8.0 * log_term)
+    bound_EstErr = K_2 * K_deltaN
+    if not (math.isfinite(c_over) and math.isfinite(bound_EstErr)):
+        raise ValueError(
+            f"the bound's constants leave the float range: K_M = {K_M:.6g}, "
+            f"K_u = max(Ku_input, Ku_noise) = {K_u!r}, delta = {delta!r}"
+        )
     N_min_hankel = _ceil_threshold(c_over, thr)
 
     return BoundCertificate(
@@ -476,7 +504,7 @@ def compute_certificate(
         K_tilde=K_tilde,
         K_deltaN=K_deltaN,
         K_2=K_2,
-        bound_EstErr=K_2 * K_deltaN,
+        bound_EstErr=bound_EstErr,
         N_min_basic=N_min_basic,
         N_min_hankel=N_min_hankel,
         valid_basic=N > 2 * (2 * n + 1),

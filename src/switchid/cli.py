@@ -318,8 +318,9 @@ def cmd_experiment(args) -> int:
     )
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     check_N_grid(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     rows = run_experiment(cfg, progress=print)
+    # Made only now, so that a run refused on the way leaves no directory.
+    os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, "results.csv")
     write_results_csv(csv_path, rows)
     fig_paths = write_figures(cfg, rows)

@@ -17,7 +17,9 @@ empty word epsilon.
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +167,18 @@ class SignalSpec:
             if self.Sigma_u.shape != (m, m):
                 raise ValueError(f"Sigma_u must be {m}x{m}")
             return self.Sigma_u
-        return (self.Ku_input**2 / 3.0) * np.eye(m)
+        # The estimator and the bound invert Sigma_u, so a positive
+        # amplitude must give a variance whose inverse is finite too.
+        try:
+            var = self.Ku_input**2 / 3.0
+        except OverflowError:
+            var = math.inf
+        if self.Ku_input > 0 and not 1.0 / sys.float_info.max < var < math.inf:
+            raise ValueError(
+                f"Ku_input = {self.Ku_input!r} is out of range: Sigma_u = (Ku_input^2 / 3) I "
+                "or its inverse leaves the float range"
+            )
+        return var * np.eye(m)
 
 
 def a_word(model: LssModel, w: Word) -> np.ndarray:

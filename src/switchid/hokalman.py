@@ -362,14 +362,16 @@ def est_err(rr_hat: RealizationResult, rr_ref: RealizationResult) -> float:
     """
     if len(rr_hat.Abar) != len(rr_ref.Abar):
         raise ValueError("mode counts differ")
-    norms = [float(np.linalg.norm(rr_hat.Cbar - rr_ref.Cbar))]
-    for q in range(len(rr_ref.Abar)):
-        if rr_hat.Abar[q].shape != rr_ref.Abar[q].shape:
-            raise ValueError("A shapes differ")
-        if rr_hat.Bbar[q].shape != rr_ref.Bbar[q].shape:
-            raise ValueError("B shapes differ")
-        norms.append(float(np.linalg.norm(rr_hat.Abar[q] - rr_ref.Abar[q])))
-        norms.append(float(np.linalg.norm(rr_hat.Bbar[q] - rr_ref.Bbar[q])))
+    # A deviation whose square overflows a float reads inf.
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(rr_hat.Cbar - rr_ref.Cbar))]
+        for q in range(len(rr_ref.Abar)):
+            if rr_hat.Abar[q].shape != rr_ref.Abar[q].shape:
+                raise ValueError("A shapes differ")
+            if rr_hat.Bbar[q].shape != rr_ref.Bbar[q].shape:
+                raise ValueError("B shapes differ")
+            norms.append(float(np.linalg.norm(rr_hat.Abar[q] - rr_ref.Abar[q])))
+            norms.append(float(np.linalg.norm(rr_hat.Bbar[q] - rr_ref.Bbar[q])))
     # Python's max(1.0, nan) is 1.0, so a NaN is returned by name.
     return math.nan if any(map(math.isnan, norms)) else max(norms)
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LssModel, SignalSpec, SwitchingDistribution
+from .core import LssModel, SignalSpec, SwitchingDistribution, check_integer
 
 BLOWUP_LIMIT = 1e12
 DEFAULT_BURN_IN = 200
@@ -80,6 +80,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("N", "burn_in", "seed"):
+            check_integer(name, getattr(self, name))
         if self.N < 1:
             raise ValueError("N must be at least 1")
         if self.burn_in < 0:
@@ -245,29 +247,31 @@ def _rollout(
     B = np.zeros((model.nQ + 1, n, model.m))
     B[1:] = model.B
 
-    # Mode-dependent forcing F(t) = B_{q(t)} u(t) + w(t), so that the
-    # recursion is x(t + 1) = A_{q(t)} x(t) + F(t).  Entry (i, j) of
-    # B_{q(t)} is gathered for every step at once into one reused row;
-    # channels are added in order j = 1..m.  The labels are in range, so
-    # mode="clip" clips nothing; it spares take the copy that the default
-    # mode="raise" makes of its out buffer.
-    row = np.empty(T)
-    for j in range(model.m):
-        for i in range(n):
-            np.take(B[:, i, j], q, out=row, mode="clip")
-            row *= u[:, j]
-            F[:T, i] += row
-    y = ypad[:T]
-    y += np.dot(u, model.D, out=row)
-    del row  # a length-T row the scan's buffers need not sit on top of
-
-    # Labels are stored step-major, so each step gathers with one contiguous row.
-    full = (nb - 1) * L
-    labels = np.zeros((L, nb), dtype=np.int64)
-    labels[:, :-1] = q[:full].reshape(nb - 1, L).T
-    labels[: T - full, -1] = q[full:]
-    F = F.reshape(nb, L, n).transpose(1, 2, 0)  # F[j] is step j's (n, nb) forcing
+    # From the forcing on, a value that overflows comes out inf: a state
+    # that does is refused by the divergence check, an output by SampleSet.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Mode-dependent forcing F(t) = B_{q(t)} u(t) + w(t), so that the
+        # recursion is x(t + 1) = A_{q(t)} x(t) + F(t).  Entry (i, j) of
+        # B_{q(t)} is gathered for every step at once into one reused row;
+        # channels are added in order j = 1..m.  The labels are in range, so
+        # mode="clip" clips nothing; it spares take the copy that the default
+        # mode="raise" makes of its out buffer.
+        row = np.empty(T)
+        for j in range(model.m):
+            for i in range(n):
+                np.take(B[:, i, j], q, out=row, mode="clip")
+                row *= u[:, j]
+                F[:T, i] += row
+        y = ypad[:T]
+        y += np.dot(u, model.D, out=row)
+        del row  # a length-T row the scan's buffers need not sit on top of
+
+        # Labels are stored step-major, so each step gathers with one contiguous row.
+        full = (nb - 1) * L
+        labels = np.zeros((L, nb), dtype=np.int64)
+        labels[:, :-1] = q[:full].reshape(nb - 1, L).T
+        labels[: T - full, -1] = q[full:]
+        F = F.reshape(nb, L, n).transpose(1, 2, 0)  # F[j] is step j's (n, nb) forcing
         # Pass 1: roll every block from a zero state, carrying its
         # transition product in the same stack, [x | Phi].  A step gathers
         # its A planes into Aj (the labels are in range, so mode="clip"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -235,6 +236,13 @@ class TestFindP:
         with pytest.raises(CertificateError, match="spectral radius"):
             find_P(model, dist, 0.9)
 
+    def test_entry_beyond_the_search_box_is_refused_without_a_search(self):
+        # I <= P <= 1e6 I and A^T P A < P bound every |A_ij| below 1e3;
+        # at 1e200 the search and the spectral radius used to overflow.
+        for entry in (1e3, 1e200):
+            with pytest.raises(CertificateError, match=re.escape(f"magnitude {entry:g},")):
+                find_P(single_mode(0.5, entry), SwitchingDistribution(p=[1.0]), 0.9)
+
     def test_bad_target(self, bench):
         model, dist = bench
         for target in (0.0, 1.0, -1.0):
@@ -443,6 +451,20 @@ class TestBoundCertificate:
             compute_certificate(model, dist, signal, sel, SIGMA_N, 0.05, 0, stability=cert)
         with pytest.raises(ValueError):
             compute_certificate(model, dist, signal, sel, -1.0, 0.05, 100, stability=cert)
+
+    def test_constants_outside_the_float_range_are_refused_by_name(self, bench_chain):
+        # Each used to end in OverflowError or ZeroDivisionError.
+        model, dist, signal, cert, sel = bench_chain
+        loud = SignalSpec(Ku_input=0.8, Ku_noise=1e200)
+        cases = [
+            (loud, SIGMA_N, 0.05, "K_u = max(Ku_input, Ku_noise) = 1e+200: its square overflows"),
+            (signal, 1e200, 0.05, "sigma_n(H_ab) = 1e+200: its square leaves the float range"),
+            (signal, 1e-200, 0.05, "sigma_n(H_ab) = 1e-200: its square leaves the float range"),
+            (signal, SIGMA_N, 1e-310, "leave the float range: K_M = "),
+        ]
+        for sig, sigma_n, delta, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                compute_certificate(model, dist, sig, sel, sigma_n, delta, 100, stability=cert)
 
     def test_to_dict_is_json_ready(self, bench_chain, tmp_path):
         model, dist, signal, cert, sel = bench_chain

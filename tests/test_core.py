@@ -156,6 +156,13 @@ class TestSignalSpec:
         S = SignalSpec(Ku_input=0.8, Ku_noise=1.0).sigma_u(3)
         npt.assert_allclose(S, (0.64 / 3.0) * np.eye(3))
 
+    @pytest.mark.parametrize("ku", [1e200, 1e-200, 5e-324])
+    def test_default_sigma_u_outside_the_float_range_is_refused(self, ku):
+        # 1e200 used to raise OverflowError, the others gave a Sigma_u of 0.
+        with pytest.raises(ValueError, match=re.escape(f"Ku_input = {ku!r} is out of range")):
+            SignalSpec(Ku_input=ku, Ku_noise=1.0).sigma_u(1)
+        npt.assert_array_equal(SignalSpec(Ku_input=0.0, Ku_noise=1.0).sigma_u(2), np.zeros((2, 2)))
+
     def test_explicit_sigma_u_checked(self):
         with pytest.raises(ValueError):
             SignalSpec(Ku_input=1.0, Ku_noise=1.0, Sigma_u=np.array([[1.0, 2.0], [0.0, 1.0]]))

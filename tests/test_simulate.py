@@ -700,6 +700,11 @@ def test_simconfig_validation(bench, bench_signal):
     other = SwitchingDistribution(p=[1.0])
     with pytest.raises(ValueError):
         SimConfig(model=model, dist=other, signal=bench_signal, N=10)
+    # N=True used to simulate 2 samples; the floats ended in numpy's TypeError.
+    cfg = dict(model=model, dist=dist, signal=bench_signal, N=10)
+    for field, value in [("N", True), ("N", 100.5), ("burn_in", 10.5), ("seed", 1.5)]:
+        with pytest.raises(ValueError, match=f"^{field}: {value!r} is not an integer$"):
+            SimConfig(**{**cfg, field: value})
 
 
 def test_trajectory_csv_roundtrip(tmp_path, bench, bench_signal):
