@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .core import (
 )
 from .experiment import (
     ExperimentConfig,
-    check_N_grid,
     run_experiment,
     write_figures,
     write_results_csv,
@@ -317,10 +317,18 @@ def cmd_experiment(args) -> int:
         delta=args.delta, N_grid=args.N_grid, output_dir=args.out,
     )
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    check_N_grid(cfg)
-    rows = run_experiment(cfg, progress=print)
-    # Made only now, so that a run refused on the way leaves no directory.
+    # Made before the first trial, so that an unusable location is refused
+    # before any work; a run refused on the way removes what it made (a
+    # `..` in the path names no directory of its own).
+    out = Path(cfg.output_dir).absolute()
+    made = [path for path in (out, *out.parents) if path.name != ".." and not path.exists()]
     os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        rows = run_experiment(cfg, progress=print)
+    except BaseException:
+        for path in made:
+            os.rmdir(path)
+        raise
     csv_path = os.path.join(cfg.output_dir, "results.csv")
     write_results_csv(csv_path, rows)
     fig_paths = write_figures(cfg, rows)

@@ -22,6 +22,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
+from itertools import product
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .hokalman import (
     est_err,
     find_selection,
     identify_sample,
-    required_words,
     true_realization,
 )
 from .simulate import DEFAULT_BURN_IN, SimConfig, simulate
@@ -110,6 +110,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"an experiment config is a JSON object, not {type(d).__name__}")
         known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
@@ -150,6 +152,7 @@ def _run_one_trial(
     model: LssModel,
     dist: SwitchingDistribution,
     signal: SignalSpec,
+    sigma_u: np.ndarray,
     N: int,
     burn_in: int,
     sel: Selection,
@@ -163,35 +166,35 @@ def _run_one_trial(
         SimConfig(model=model, dist=dist, signal=signal, N=N, burn_in=burn_in, seed=seed)
     )
     try:
-        _, rr_hat = identify_sample(sample, sel, words, signal.sigma_u(model.m), dist)
+        _, rr_hat = identify_sample(sample, sel, words, sigma_u, dist)
         err = est_err(rr_hat, rr_ref)
     except SingularHankelError:
         err = float("nan")
     return err, (time.perf_counter() - t0) * 1e3
 
 
-def _grid_models(cfg: ExperimentConfig):
-    """Yield (gamma, model, dist, selection) for every gamma of the grid,
-    in order."""
-    fixed = None if cfg.model_file is None else load_model_file(cfg.model_file)[:2]
-    for gamma in cfg.gamma_values:
-        model, dist = fixed or two_mode_benchmark(gamma)
-        yield gamma, model, dist, find_selection(model)
+def _plan(cfg: ExperimentConfig) -> list[tuple[str | None, dict, functools.partial]]:
+    """Resolve every grid point, in run order, before the first trial.
 
-
-def check_N_grid(cfg: ExperimentConfig) -> None:
-    """Refuse an N_grid entry too short for the estimator, before any
-    certificate search or trial.
-
-    A trajectory of N + 1 samples has N - |w| + 1 windows for a word w,
-    so it must be longer than the longest word the Hankel blocks need:
-    the shortest N that runs is that length plus one.  Costs one
-    selection search per gamma.
+    A point is the note to report before it (a gamma's missing
+    certificate, at that gamma's first point), the row fields it fixes
+    and its trial as a function of the seed.  Each distinct model is
+    searched and realized once: per gamma for the built-in family, once
+    for a model file.  Every refusal the config decides is raised here:
+    an N too short for the estimator, and a bound or Sigma_u outside the
+    float range.
     """
-    shortest = max(
-        max(map(len, required_words(sel, model.nQ))) + 1
-        for _, model, _, sel in _grid_models(cfg)
-    )
+    fixed = None if cfg.model_file is None else load_model_file(cfg.model_file)[:2]
+    truths = {}
+    for gamma in cfg.gamma_values:
+        key = None if fixed else gamma
+        if key not in truths:
+            model, dist = fixed or two_mode_benchmark(gamma)
+            sel = find_selection(model)
+            truths[key] = (model, dist, sel, *true_realization(model, sel))
+    # A trajectory of N + 1 samples has N - |w| + 1 windows for a word w,
+    # so the shortest N that runs is the longest required word plus one.
+    shortest = max(len(w) for *_, words, _ in truths.values() for w in words) + 1
     too_short = [N for N in cfg.N_grid if N < shortest]
     if too_short:
         raise ValueError(
@@ -199,19 +202,48 @@ def check_N_grid(cfg: ExperimentConfig) -> None:
             f"length {shortest - 1}, so the shortest N that runs is {shortest}"
         )
 
+    plan = []
+    for gamma in cfg.gamma_values:
+        model, dist, sel, words, rr_ref = truths[None if fixed else gamma]
+        try:
+            stability, note = find_P(model, dist, gamma), None
+        except CertificateError as exc:
+            stability, note = None, f"gamma={gamma}: no certificate ({exc}): bound = NaN"
+        for ku_noise, ku_input, N in product(cfg.Ku_noise_values, cfg.Ku_input_values, cfg.N_grid):
+            signal = SignalSpec(Ku_input=ku_input, Ku_noise=ku_noise)
+            point = dict(gamma=gamma, ku_noise=ku_noise, ku_input=ku_input, N=N)
+            if stability is None:
+                point.update(bound=float("nan"), valid=False)
+            else:
+                bc = compute_certificate(
+                    model, dist, signal, sel, rr_ref.sigma_n, cfg.delta, N, stability=stability
+                )
+                point.update(bound=bc.bound_EstErr, valid=bc.valid)
+            run_trial = functools.partial(
+                _run_one_trial, model, dist, signal, signal.sigma_u(model.m), N, cfg.burn_in,
+                sel, words, rr_ref,
+            )
+            plan.append((note, point, run_trial))
+            note = None
+    return plan
+
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
     """Run the whole grid; returns rows sorted by grid point and trial.
 
-    ``progress`` may be a callable taking one status string.  A gamma
-    with no stability certificate gives its rows bound = NaN and
-    valid = False, and ``progress`` is told why once for that gamma.  With
-    cfg.threads > 1 trials run in a process pool of
+    ``progress`` may be a callable taking one status string.  The grid is
+    planned first, so a refusal the config decides comes before any
+    trial.  A gamma with no stability certificate gives its rows
+    bound = NaN and valid = False, and ``progress`` is told why once for
+    that gamma.  With cfg.threads > 1 trials run in a process pool of
     min(cfg.threads, os.cpu_count()) workers; results are gathered
     in submission order so the output is identical to a serial run
     (wall clock times aside).
     """
+    plan = _plan(cfg)
+    progress = progress or (lambda _: None)
     rows: list[ExperimentRow] = []
+    seeds = range(cfg.seed_base, cfg.seed_base + cfg.trials)
     parallel = cfg.threads > 1
     pool = nullcontext()
     if parallel:
@@ -223,62 +255,20 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
         pool = ProcessPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1))
     with pool:
         trial_map = functools.partial(pool.map, chunksize=4) if parallel else map
-        for gamma, model, dist, sel in _grid_models(cfg):
-            words, rr_ref = true_realization(model, sel)
-            try:
-                stability = find_P(model, dist, gamma)
-            except CertificateError as exc:
-                stability = None
-                if progress is not None:
-                    progress(f"gamma={gamma}: no certificate ({exc}): bound = NaN")
-
-            for ku_noise in cfg.Ku_noise_values:
-                for ku_input in cfg.Ku_input_values:
-                    signal = SignalSpec(Ku_input=ku_input, Ku_noise=ku_noise)
-                    for N in cfg.N_grid:
-                        if stability is not None:
-                            bc = compute_certificate(
-                                model,
-                                dist,
-                                signal,
-                                sel,
-                                rr_ref.sigma_n,
-                                cfg.delta,
-                                N,
-                                stability=stability,
-                            )
-                            bound, valid = bc.bound_EstErr, bc.valid
-                        else:
-                            bound, valid = float("nan"), False
-
-                        run_trial = functools.partial(
-                            _run_one_trial, model, dist, signal, N, cfg.burn_in, sel, words,
-                            rr_ref,
-                        )
-                        seeds = range(cfg.seed_base, cfg.seed_base + cfg.trials)
-                        outcomes = list(trial_map(run_trial, seeds))
-                        for trial, (err, wall) in enumerate(outcomes):
-                            rows.append(
-                                ExperimentRow(
-                                    gamma=gamma,
-                                    ku_noise=ku_noise,
-                                    ku_input=ku_input,
-                                    N=N,
-                                    trial=trial,
-                                    seed=seeds[trial],
-                                    est_err=err,
-                                    bound=bound,
-                                    valid=valid,
-                                    wall_ms=wall,
-                                )
-                            )
-                        if progress is not None:
-                            good = [o[0] for o in outcomes if np.isfinite(o[0])]
-                            mean = float(np.mean(good)) if good else float("nan")
-                            progress(
-                                f"gamma={gamma} ku={ku_noise} ku_inp={ku_input} N={N}: "
-                                f"mean est_err {mean:.4g} over {len(good)}/{len(outcomes)} trials"
-                            )
+        for note, point, run_trial in plan:
+            if note is not None:
+                progress(note)
+            outcomes = list(trial_map(run_trial, seeds))
+            rows += [
+                ExperimentRow(**point, trial=trial, seed=seed, est_err=err, wall_ms=wall)
+                for trial, (seed, (err, wall)) in enumerate(zip(seeds, outcomes))
+            ]
+            good = [err for err, _ in outcomes if np.isfinite(err)]
+            mean = float(np.mean(good)) if good else float("nan")
+            progress(
+                "gamma={gamma} ku={ku_noise} ku_inp={ku_input} N={N}: ".format(**point)
+                + f"mean est_err {mean:.4g} over {len(good)}/{len(outcomes)} trials"
+            )
     return rows
 
 

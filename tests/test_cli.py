@@ -595,6 +595,52 @@ def test_experiment_refuses_too_short_N_before_creating_the_output(capsys, tmp_p
     assert out == "" and not out_dir.exists()
 
 
+def test_experiment_refuses_an_unusable_output_location_before_the_first_trial(capsys, tmp_path):
+    # It used to be found only when the results were written, after every
+    # trial had run and printed its progress line.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    rc, out, err = run(
+        capsys, "experiment", "--trials", "1", "--N-grid", "300", "--out", str(afile)
+    )
+    assert rc == 3
+    assert out == "" and err.count("error:") == 1 and "File exists" in err
+
+
+@pytest.mark.parametrize(
+    "ku_noise, code, reason, out",
+    [
+        (1e200, 1, "K_u = max(Ku_input, Ku_noise) = 1e+200", "a/b"),
+        (1e13, 2, "state blew up", "a/b"),
+        (1e200, 1, "K_u = max(Ku_input, Ku_noise) = 1e+200", "a/../b"),
+    ],
+    ids=["planned", "in-a-trial", "dot-dot"],
+)
+def test_experiment_refused_on_the_way_removes_the_directories_it_made(
+    capsys, tmp_path, ku_noise, code, reason, out
+):
+    # The output directory, and the parents made for it, exist before the
+    # first trial; a refusal takes them away again and nothing else.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N_grid": [300], "trials": 1, "Ku_noise_values": [ku_noise]}))
+    (tmp_path / "kept").mkdir()
+    out_dir = f"{tmp_path / 'kept'}/{out}"
+    rc, _, err = run(capsys, "experiment", "--config", str(path), "--out", out_dir)
+    assert rc == code and reason in err
+    assert os.listdir(tmp_path / "kept") == []
+
+
+@pytest.mark.parametrize("text, kind", [('"abc"', "str"), ("[1, 2]", "list"), ("3", "int")])
+def test_experiment_config_that_is_not_an_object_is_refused_as_such(capsys, tmp_path, text, kind):
+    # "abc" was refused as unknown keys ['a', 'b', 'c'].
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, "experiment", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert rc == 1 and out == ""
+    assert f"error: malformed file {path}: ValueError: an experiment config is a JSON " in err
+    assert f"object, not {kind}" in err
+
+
 def test_experiment_runs_at_the_shortest_N(capsys, tmp_path):
     out_dir = tmp_path / "out"
     rc, _, _ = run(capsys, "experiment", "--N-grid", "5", "--trials", "1", "--out", str(out_dir))

@@ -2,9 +2,13 @@
 
 Every call exits 0, 1, 2 or 3.  A nonzero exit prints exactly one
 ``error:`` line and no traceback (an exception escaping ``cli.main``
-fails the test), and a successful call prints no nan.  Flag values and
-mutated model files are drawn by hypothesis, derandomized with a fixed
-example budget; trajectories stay at N <= 1e4 and no call starts a pool.
+fails the test), and a successful call prints no nan, except where
+``experiment`` names a gamma without a certificate or a grid point whose
+trials all failed.  Flag values,
+mutated model files and mutated experiment configs are drawn by
+hypothesis, derandomized with a fixed example budget; trajectories stay
+at N <= 1e4 and no call starts a pool.  An experiment refused with exit
+1 or 3 has printed nothing and left no output directory.
 """
 
 import copy
@@ -94,3 +98,68 @@ def test_every_exit_keeps_the_contract(call, tmp_path):
     else:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
         assert "Traceback" not in err, err
+
+
+# Experiment config documents: one entry mutated, first or last in a
+# list, or a document that is not an object.  Every value a run accepts
+# keeps it small: at most 2 trials of N <= 1000, in the calling process.
+CONFIG = {
+    "gamma_values": [0.4, 0.6], "Ku_input_values": [0.8, 0.5], "Ku_noise_values": [1.0, 0.5],
+    "N_grid": [300, 1000], "delta": 0.05, "trials": 1, "burn_in": 50, "seed_base": 0,
+    "threads": 1,
+}
+AMPLITUDES = [0, -1, 0.5, 1e13, 1e150, 1e200, 1e-200, 5e-324, float("nan"), "x", None]
+COUNTS = [0, -1, 1, 2, 2.5, True, 1e200, "x", None, []]
+CONFIG_VALUES = {
+    "gamma_values": [0, 1, -0.5, 1e-200, 0.999, 0.1, float("nan"), "x", None],
+    "Ku_input_values": AMPLITUDES,
+    "Ku_noise_values": AMPLITUDES,
+    "N_grid": [0, -1, 3, 4, 5, 2.5, True, 1e200, "x", None],
+    "delta": [0, 1, 1e-310, 1e-200, 0.5, float("nan"), float("inf"), "x", None],
+    "trials": COUNTS,
+    "burn_in": COUNTS,
+    "seed_base": COUNTS + [2**64],
+}
+NOT_OBJECTS = ['"abc"', "[1, 2]", "3", "null", "true"]
+PROGRESS = r"gamma=\S+ ku=\S+ ku_inp=\S+ N=\d+: mean est_err (\S+) over (\d+)/\d+ trials"
+# A gamma without a certificate, and the lines that close a run.
+NOTES = r"gamma=\S+: no certificate \(.*\): bound = NaN|(results|figure) written to .*"
+
+
+@st.composite
+def config_files(draw):
+    doc = copy.deepcopy(CONFIG)
+    key = draw(st.sampled_from(sorted(CONFIG_VALUES)))
+    value = draw(st.sampled_from(CONFIG_VALUES[key]))
+    if isinstance(doc[key], list):
+        doc[key][draw(st.sampled_from([0, -1]))] = value
+    else:
+        doc[key] = value
+    return json.dumps(doc)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(text=config_files() | st.sampled_from(NOT_OBJECTS))
+# Each of these was refused only after trials had run.
+@example(text=json.dumps({**CONFIG, "Ku_input_values": [0.8, 1e200]}))
+@example(text=json.dumps({**CONFIG, "Ku_noise_values": [1.0, 1e200]}))
+@example(text='"abc"')
+def test_every_experiment_exit_keeps_the_contract(text, tmp_path_factory):
+    work = tmp_path_factory.mktemp("experiment")
+    path, out_dir = work / "cfg.json", work / "out"
+    path.write_text(text)
+    rc, out, err = run_cli(["experiment", "--config", str(path), "--out", str(out_dir)])
+    assert rc in (0, 1, 2, 3), (rc, err)
+    if rc == 0:
+        # A grid point's mean is nan only when every one of its trials failed.
+        for line in out.splitlines():
+            progress = re.fullmatch(PROGRESS, line)
+            assert progress or re.fullmatch(NOTES, line), line
+            assert not progress or (progress[1] == "nan") == (progress[2] == "0"), line
+    else:
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+        assert "Traceback" not in err, err
+        # Exit 2 may follow trials: a diverging trajectory is only found
+        # by simulating it.
+        assert rc == 2 or out == "", out
+        assert not out_dir.exists()

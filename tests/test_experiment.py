@@ -16,6 +16,7 @@ from switchid import (
     write_figures,
     write_results_csv,
 )
+from switchid import experiment
 from switchid.experiment import RESULTS_HEADER, ExperimentRow, _mean_series, load_results_csv
 
 
@@ -216,6 +217,20 @@ def test_uncertifiable_gamma_reports_why_bound_is_nan(tmp_path):
     assert len(notes) == 1
     assert notes[0].startswith("gamma=0.1: no certificate (no quadratic stability certificate")
     assert notes[0].endswith("bound = NaN")
+
+
+def test_one_selection_search_per_distinct_model(monkeypatch, tmp_path):
+    calls = []
+    search = experiment.find_selection
+    monkeypatch.setattr(experiment, "find_selection", lambda m: calls.append(m) or search(m))
+    gammas = [0.1, 0.4, 0.6]
+    run_experiment(tiny_config(gamma_values=gammas, trials=1, N_grid=[300]))
+    assert len(calls) == 3
+    path = tmp_path / "model.json"
+    save_model_file(str(path), *two_mode_benchmark(0.6))
+    calls.clear()
+    run_experiment(tiny_config(model_file=str(path), gamma_values=gammas, trials=1, N_grid=[300]))
+    assert len(calls) == 1
 
 
 class TestExperimentConfig:
