@@ -5,9 +5,9 @@ Subcommands cover the pipeline stages: ``simulate`` a trajectory,
 for the two offline searches, ``bound`` for finite-sample certificate
 tables and ``experiment`` for the Monte Carlo study.
 
-Exit codes: 0 success, 1 bad usage or configuration, 2 numerical
-refusal (no stability certificate, singular Hankel matrix, diverging
-simulation), 3 file I/O failure.
+Exit codes: 0 success, 1 bad usage, configuration or out of memory,
+2 numerical refusal (no stability certificate, singular Hankel matrix,
+diverging simulation), 3 file I/O failure.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def _check_input_covariance(u: np.ndarray, sigma_u: np.ndarray) -> None:
     about sqrt((m - 0.2) / (N + 1)), so the tolerance, never below
     8 / sqrt(N + 1), is more than four of them for m <= 3.
     """
-    sigma_hat = u.T @ u / len(u)
+    sigma_hat = np.einsum("ti,tj->ij", u, u) / len(u)
     tol = max(0.25, 8.0 / np.sqrt(len(u)))
     dev = np.linalg.norm(sigma_hat - sigma_u) / np.linalg.norm(sigma_u)
     if dev > tol:
@@ -422,6 +422,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -63,15 +63,15 @@ def empirical_markov_batch(
         (1 / (N - k)) sum_{t=k+1}^N y(t) z_w(t)^T Sigma_u^{-1} / p_w,
 
     where z_w(t) is u(t - k) when the modes q(t - k), ..., q(t - 1)
-    spell w and zero otherwise.  The sums take one pass per word length,
-    however many words there are.  Every window of k - 1 modes carries
-    the dense id of the prefix of the word set it spells, or one sentinel
-    id when it spells none; with the window's next mode label that id
-    names a (prefix, label) pair.  One ``np.bincount`` per input channel
-    sums y(t) u_j(t - k) over the pairs, which reads off every word of
-    length k, and a small table maps the pairs to the length-k ids.  Ids
-    stay below the number of prefixes, so no window code can overflow,
-    however long the words.
+    spell w and zero otherwise.  The empty word's sum is the product
+    row y(t) u_j(t) summed, per input channel; the others take one pass
+    per word length, however many words there are.  Every window of
+    k - 1 modes carries the dense id of the prefix it spells, or a
+    sentinel id; with its next mode label that id names a (prefix, label)
+    pair.  One ``np.bincount`` per input channel sums y(t) u_j(t - k) over
+    the pairs, reading off every word of length k, and a small table maps
+    the pairs to the length-k ids, below the number of prefixes however
+    long the words.  No sum goes through BLAS: no bit depends on its threads.
 
     Raises
     ------
@@ -100,9 +100,9 @@ def empirical_markov_batch(
     # through a table, gives the ids for length k + 1.
     m, q = u.shape[1], sample.q
     sums = np.empty((m, len(words)))
-    if lengths[0] == 0:
-        sums[:, 0] = y[1:] @ u[1:]  # the empty word: every window, one bin
     ids, pairs, weights = np.zeros(N, dtype=np.intp), np.empty(N, dtype=np.intp), np.empty(N)
+    if lengths[0] == 0:  # the empty word: every window, one sum per input channel
+        sums[:, 0] = [np.multiply(y[1:], u[1:, j], out=weights).sum() for j in range(m)]
     for k, (lo, hi, bins, npairs, table) in enumerate(passes, 1):
         L = N - k
         np.add(ids[:L], q[k:N], out=pairs[:L])

@@ -253,17 +253,17 @@ def _rollout(
         # Mode-dependent forcing F(t) = B_{q(t)} u(t) + w(t), so that the
         # recursion is x(t + 1) = A_{q(t)} x(t) + F(t).  Entry (i, j) of
         # B_{q(t)} is gathered for every step at once into one reused row;
-        # channels are added in order j = 1..m.  The labels are in range, so
-        # mode="clip" clips nothing; it spares take the copy that the default
-        # mode="raise" makes of its out buffer.
+        # channels are added in order j = 1..m, D_j u_j to the outputs too.
+        # The labels are in range, so mode="clip" clips nothing; it spares
+        # take the copy that the default mode="raise" makes of its out buffer.
         row = np.empty(T)
+        y = ypad[:T]
         for j in range(model.m):
             for i in range(n):
                 np.take(B[:, i, j], q, out=row, mode="clip")
                 row *= u[:, j]
                 F[:T, i] += row
-        y = ypad[:T]
-        y += np.dot(u, model.D, out=row)
+            y += np.multiply(u[:, j], model.D[j], out=row)
         del row  # a length-T row the scan's buffers need not sit on top of
 
         # Labels are stored step-major, so each step gathers with one contiguous row.

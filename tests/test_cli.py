@@ -1,5 +1,6 @@
 """Command line behaviour: happy paths, file outputs, exit codes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -630,6 +631,33 @@ def test_experiment_refused_on_the_way_removes_the_directories_it_made(
     assert os.listdir(tmp_path / "kept") == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--N", "1000"],
+        ["identify", "--N", "1000"],
+        ["experiment", "--trials", "1", "--N-grid", "300", "--out", "kept/a/b"],
+    ],
+    ids=["simulate", "identify", "experiment"],
+)
+def test_running_out_of_memory_exits_1_naming_the_allocation(capsys, tmp_path, monkeypatch, argv):
+    # A trajectory too long for the host ended in numpy's MemoryError
+    # traceback.  The scan's buffers stand in for the allocation that
+    # fails: a real one would depend on the host's overcommit setting.
+    says = "Unable to allocate 14.6 TiB for an array with shape (2000000000201,)"
+
+    def no_memory(T, n):
+        raise MemoryError(says)
+
+    monkeypatch.setattr(importlib.import_module("switchid.simulate"), "_scan_buffers", no_memory)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept").mkdir()
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert err.count("error:") == 1 and f"error: out of memory: {says}" in err
+    assert os.listdir(tmp_path / "kept") == []  # an experiment removes what it made
+
+
 @pytest.mark.parametrize("text, kind", [('"abc"', "str"), ("[1, 2]", "list"), ("3", "int")])
 def test_experiment_config_that_is_not_an_object_is_refused_as_such(capsys, tmp_path, text, kind):
     # "abc" was refused as unknown keys ['a', 'b', 'c'].
@@ -673,6 +701,30 @@ def test_python_m_switchid_runs_the_cli():
     )
     assert proc.returncode == 0
     assert "usage:" in proc.stdout and "experiment" in proc.stdout
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # BLAS reads its thread count when numpy loads, so each count needs a
+    # process of its own.  At N = 15 000 real.json moved with the count
+    # while the empty word's sum went through BLAS; on one CPU the test
+    # holds trivially.
+    src = os.path.dirname(os.path.dirname(switchid.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    runs = []
+    for threads in ("1", "2"):
+        where = tmp_path / threads
+        where.mkdir()
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join(path),
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "switchid", "identify", "--N", "15000", "--out", "real.json"],
+            cwd=where, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, (where / "real.json").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_bound_table(capsys, tmp_path):

@@ -63,6 +63,37 @@ def test_only_simulate_enters_the_rollout():
     assert uses == ["simulate.py:simulate"]
 
 
+def test_no_sum_over_the_time_axis_goes_through_blas():
+    # BLAS splits a long product across its threads, so the last bits of a
+    # sum over the time axis would depend on the thread count.  The BLAS
+    # products left are over a model's dimensions: true_markov's C A_w B,
+    # pass 2's C x over (n, blocks) and the non-finite carry's per-block P x.
+    blas = {"dot", "matmul", "inner", "vdot", "tensordot"}
+    uses = []
+    for name in ("cli.py", "markov.py", "simulate.py"):
+        path = pathlib.Path(switchid.__file__).with_name(name)
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = node.name
+            elif isinstance(getattr(node, "op", None), ast.MatMult) or (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) in blas
+            ):
+                uses.append(f"{name}:{scope}:{ast.unparse(node)}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(), str(path)), "<module>")
+    assert uses == [
+        "markov.py:true_markov:model.C @ a_word(model, tail) @ model.B[head - 1]",
+        "markov.py:true_markov:model.C @ a_word(model, tail)",
+        "simulate.py:_rollout:P.dot(xb)",
+        "simulate.py:_rollout:P[:, live].dot(xb[live])",
+        "simulate.py:_rollout:np.dot(model.C, xs[s], out=cx)",
+    ]
+
+
 def test_impulse_through_mode_word(bench):
     # Unit input at t = 0 with modes (2, 2, 1) afterwards: the input
     # enters through B_2, survives one step of A_2, one step of A_1, and
@@ -220,26 +251,34 @@ def test_scan_of_no_steps_is_empty(rng):
 def test_forcing_adds_input_channels_in_order(rng):
     # With A = 0 the state is the last forcing, x(t + 1) = F(t), and C = e_i
     # reads one component out exactly, so y(t + 1) must equal
-    # ((w_i + B_i1 u_1) + B_i2 u_2) + B_i3 u_3 bit for bit.
+    # ((w_i + B_i1 u_1) + B_i2 u_2) + B_i3 u_3 plus the feedthrough, bit for
+    # bit.  The feedthrough, zero or not, is added in the same order:
+    # y(t) = (((v + D_1 u_1) + D_2 u_2) + D_3 u_3) + C x(t).
     n, m, nQ, T = 2, 3, 2, 3000
     B = [rng.standard_normal((n, m)) * 10.0 ** rng.integers(-8, 8, size=(n, m)) for _ in range(nQ)]
     u = rng.uniform(-1, 1, size=(T, m))
     q = rng.integers(1, nQ + 1, size=T)
     w = rng.uniform(-1, 1, size=(T, n))
+    v = rng.uniform(-1, 1, size=T)
     Bq = np.stack(B)[q - 1]
-    for i in range(n):
-        model = LssModel(
-            n=n, m=m, nQ=nQ, A=[np.zeros((n, n))] * nQ, B=B, C=np.eye(n)[i], D=np.zeros(m)
-        )
-        in_order = w[:, i].copy()
+    for D in (np.zeros(m), rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, size=m)):
+        direct = v.copy()
         for j in range(m):
-            in_order += Bq[:, i, j] * u[:, j]
-        reversed_order = Bq[:, i, 2] * u[:, 2] + Bq[:, i, 1] * u[:, 1] + Bq[:, i, 0] * u[:, 0]
-        reversed_order += w[:, i]
-        assert not np.array_equal(in_order, reversed_order)  # the order shows
-        y = rollout(model, u, q, w)
-        assert y[0] == 0.0
-        npt.assert_array_equal(y[1:], in_order[:-1])
+            direct += D[j] * u[:, j]
+        if D.any():
+            reversed_direct = v + (D[2] * u[:, 2] + D[1] * u[:, 1] + D[0] * u[:, 0])
+            assert not np.array_equal(direct, reversed_direct)  # the order shows
+        for i in range(n):
+            model = LssModel(n=n, m=m, nQ=nQ, A=[np.zeros((n, n))] * nQ, B=B, C=np.eye(n)[i], D=D)
+            in_order = w[:, i].copy()
+            for j in range(m):
+                in_order += Bq[:, i, j] * u[:, j]
+            reversed_order = Bq[:, i, 2] * u[:, 2] + Bq[:, i, 1] * u[:, 1] + Bq[:, i, 0] * u[:, 0]
+            reversed_order += w[:, i]
+            assert not np.array_equal(in_order, reversed_order)  # the order shows
+            y = rollout(model, u, q, w, v)
+            assert y[0] == direct[0]
+            npt.assert_array_equal(y[1:], direct[1:] + in_order[:-1])
 
 
 # Peak traced memory of one rollout at T = 100 201 (N = 1e5 plus the
