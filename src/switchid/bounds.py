@@ -408,6 +408,11 @@ class BoundCertificate:
     def valid(self) -> bool:
         return self.valid_basic and self.valid_hankel
 
+    @property
+    def N_min(self) -> int:
+        """Smallest N at which both validity conditions hold."""
+        return max(self.N_min_basic, self.N_min_hankel)
+
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["stability"] = self.stability.to_dict()
@@ -470,11 +475,15 @@ def compute_certificate(
     )
 
     log_term = math.log(2.0 * m * len(W) / delta)
-    K_tilde = K_0 * math.sqrt(8.0 * log_term / N)
-    K_deltaN = math.sqrt(m) * K_minus1 * K_tilde
 
+    def K_tilde_and_K(N: int) -> tuple[float, float]:
+        K_tilde = K_0 * math.sqrt(8.0 * log_term / N)
+        return K_tilde, math.sqrt(m) * K_minus1 * K_tilde
+
+    K_tilde, K_deltaN = K_tilde_and_K(N)
     thr = sigma_n_H / (2.0 * len(W) * math.sqrt(n))
     N_min_basic = 2 * (2 * n + 1) + 1
+    # K(delta, N) = c_over / sqrt(N) up to rounding: (c_over / thr)^2 starts the search.
     c_over = math.sqrt(m) * K_minus1 * K_0 * math.sqrt(8.0 * log_term)
     bound_EstErr = K_2 * K_deltaN
     if not (math.isfinite(c_over) and math.isfinite(bound_EstErr)):
@@ -482,7 +491,7 @@ def compute_certificate(
             f"the bound's constants leave the float range: K_M = {K_M:.6g}, "
             f"K_u = max(Ku_input, Ku_noise) = {K_u!r}, delta = {delta!r}"
         )
-    N_min_hankel = _ceil_threshold(c_over, thr)
+    N_min_hankel = _ceil_threshold(c_over / thr, lambda N: K_tilde_and_K(N)[1] <= thr)
 
     return BoundCertificate(
         m_prime=m_prime,
@@ -507,22 +516,28 @@ def compute_certificate(
         bound_EstErr=bound_EstErr,
         N_min_basic=N_min_basic,
         N_min_hankel=N_min_hankel,
-        valid_basic=N > 2 * (2 * n + 1),
-        valid_hankel=K_deltaN <= thr,
+        valid_basic=N >= N_min_basic,
+        valid_hankel=N >= N_min_hankel,
         stability=stability,
     )
 
 
-def _ceil_threshold(c_over: float, thr: float) -> int:
-    """Smallest integer N with c_over / sqrt(N) <= thr."""
-    z = (c_over / thr) ** 2
+def _ceil_threshold(ratio: float, holds) -> int:
+    """Smallest N >= 1 from which on ``holds(N)``, searched from ceil(ratio^2);
+    a ratio whose square leaves the float range is refused."""
+    if not ratio < _SQRT_FLOAT_MAX:
+        raise ValueError(
+            f"the bound's constants leave the float range: the smallest valid N, "
+            f"({ratio:.6g})^2, is past float max"
+        )
+    z = ratio**2
     N = max(1, math.ceil(z))
-    # Float ceil can land one off near the boundary; nudge exactly when
-    # the magnitudes still allow integer arithmetic to mean anything.
+    # Float ceil can land off the crossing; nudge exactly when the
+    # magnitudes still allow integer arithmetic to mean anything.
     if z < 2**52:
-        while c_over / math.sqrt(N) > thr:
+        while not holds(N):
             N += 1
-        while N > 1 and c_over / math.sqrt(N - 1) <= thr:
+        while N > 1 and holds(N - 1):
             N -= 1
     return N
 
@@ -538,13 +553,12 @@ def min_valid_N(
 ) -> int:
     """Smallest N at which the bound's validity conditions both hold.
 
-    Both thresholds are independent of N, so this reads them off one
+    Both thresholds are independent of N, so this reads ``N_min`` off one
     :func:`compute_certificate` call at an arbitrary N.
     """
-    bc = compute_certificate(
+    return compute_certificate(
         model, dist, signal, sel, sigma_n_H, delta, 1, stability=stability
-    )
-    return max(bc.N_min_basic, bc.N_min_hankel)
+    ).N_min
 
 
 def load_P_matrix(path: str) -> np.ndarray:

@@ -26,7 +26,6 @@ from .bounds import (
     certify_P,
     compute_certificate,
     find_P,
-    min_valid_N,
     load_P_matrix,
 )
 from .core import (
@@ -281,9 +280,6 @@ def cmd_bound(args) -> int:
         )
         for N in args.N
     ]
-    N_star = min_valid_N(
-        model, dist, signal, sel, rr_ref.sigma_n, args.delta, stability=stability
-    )
     print(f"sigma_n(H_ab) = {rr_ref.sigma_n:.6g}, delta = {args.delta}")
     print(f"{'N':>12}  {'K(delta,N)':>12}  {'bound':>12}  valid")
     for bc in certs:
@@ -291,7 +287,7 @@ def cmd_bound(args) -> int:
             f"{bc.N:>12}  {bc.K_deltaN:>12.4g}  {bc.bound_EstErr:>12.4g}  "
             f"{'yes' if bc.valid else 'no'}"
         )
-    print(f"smallest N with a valid bound: {N_star}")
+    print(f"smallest N with a valid bound: {certs[0].N_min}")
     if args.out:
         if len(certs) == 1:
             write_json(args.out, certs[0].to_dict())

@@ -202,6 +202,13 @@ def check_integer(name: str, x) -> int:
     return int(x)
 
 
+def check_real(name: str, x) -> float:
+    """x as a float, refusing by name a bool or a value that is not a real number."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name}: {x!r} is not a number")
+    return float(x)
+
+
 def check_mode_labels(q: np.ndarray, nQ: int) -> None:
     """Refuse a mode sequence with a label outside 1..nQ, naming the first.
     The range is read from the extremes; only a sequence outside it is
@@ -320,12 +327,9 @@ def model_from_dict(d: dict) -> tuple[LssModel, SwitchingDistribution, SignalSpe
     signal = None
     if "signal" in d:
         s = d["signal"]
+        ku = {name: check_real(f"signal.{name}", s[name]) for name in ("Ku_input", "Ku_noise")}
         sig_u = np.asarray(s["Sigma_u"], dtype=float) if "Sigma_u" in s else None
-        signal = SignalSpec(
-            Ku_input=float(s["Ku_input"]),
-            Ku_noise=float(s["Ku_noise"]),
-            Sigma_u=sig_u,
-        )
+        signal = SignalSpec(**ku, Sigma_u=sig_u)
         if signal.Sigma_u is not None and signal.Sigma_u.shape != (model.m, model.m):
             shape = "x".join(map(str, signal.Sigma_u.shape))
             raise ValueError(f"signal.Sigma_u is {shape}, the model has m = {model.m}")

@@ -32,6 +32,7 @@ from .core import (
     SignalSpec,
     SwitchingDistribution,
     check_integer,
+    check_real,
     load_model_file,
     read_json,
     two_mode_benchmark,
@@ -72,34 +73,29 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        check_integer("trials", self.trials)
-        for x in self.N_grid:
-            check_integer("N_grid", x)
-        for name in ("seed_base", "burn_in", "threads"):
-            check_integer(name, getattr(self, name))
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        # open() takes an int as a file descriptor (0 is stdin, True is 1).
+        for name, kinds in [("model_file", (str, type(None))), ("output_dir", str)]:
+            if not isinstance(getattr(self, name), kinds):
+                raise ValueError(f"{name}: {getattr(self, name)!r} is not a path string")
+        for name, low in [("trials", 1), ("threads", 1), ("seed_base", 0), ("burn_in", 0)]:
+            if check_integer(name, getattr(self, name)) < low:
+                raise ValueError(f"{name} must be " + ("at least 1" if low else "nonnegative"))
+        for N in self.N_grid:
+            if check_integer("N_grid", N) < 1:
+                raise ValueError("trajectory lengths must be positive")
         for name in ("N_grid", "gamma_values", "Ku_noise_values", "Ku_input_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        if any(N < 1 for N in self.N_grid):
-            raise ValueError("trajectory lengths must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
-        if self.seed_base < 0:
-            raise ValueError("seed_base must be nonnegative")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), not {self.delta!r}")
         for gamma in self.gamma_values:
             if not 0.0 < gamma < 1.0:
                 raise ValueError(f"gamma_values: {gamma!r} does not lie in (0, 1)")
         for ku in self.Ku_noise_values:
-            if not 0.0 <= ku < np.inf:
+            if not 0.0 <= check_real("Ku_noise_values", ku) < np.inf:
                 raise ValueError(f"Ku_noise_values: {ku!r} is not a finite nonnegative amplitude")
         for ku in self.Ku_input_values:
-            if not 0.0 < ku < np.inf:
+            if not 0.0 < check_real("Ku_input_values", ku) < np.inf:
                 raise ValueError(
                     f"Ku_input_values: {ku!r} is not a finite positive amplitude; the "
                     "estimator inverts Sigma_u = Ku_input^2 / 3 I"

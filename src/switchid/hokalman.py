@@ -170,10 +170,6 @@ def _candidate_rows(model: LssModel) -> list[Word]:
 SCORE_CHUNK = 64
 
 
-def _sigma_min(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(stack, compute_uv=False)[:, -1]
-
-
 def _best_pair(full: np.ndarray, I: list[int], J: list[int], allowance: float) -> tuple[int, int]:
     """One greedy step: the free (row, column) pair (r, c) maximizing the
     smallest singular value of full[I + [r], J + [c]], the earliest such
@@ -186,20 +182,11 @@ def _best_pair(full: np.ndarray, I: list[int], J: list[int], allowance: float) -
     new_col = full[np.ix_(I, free_cols)].T
     corner = full[np.ix_(free_rows, free_cols)]
     # Upper bounds on sigma_k of M = [[S, new_col], [new_row, corner]]:
-    # the norm of its last row and of its last column, and sigma_{k-1} of
-    # M without its last row or without its last column (interlacing).
+    # the norm of its last row and of its last column.
     bound = np.minimum(
         np.hypot(np.hypot.reduce(new_row, axis=1)[:, None], corner),
         np.hypot(np.hypot.reduce(new_col, axis=1), corner),
     )
-    if k > 1:
-        wide = np.empty((len(free_cols), k - 1, k))
-        wide[:, :, :-1] = S
-        wide[:, :, -1] = new_col
-        tall = np.empty((len(free_rows), k, k - 1))
-        tall[:, :-1, :] = S
-        tall[:, -1, :] = new_row
-        bound = np.minimum(bound, np.minimum.outer(_sigma_min(tall), _sigma_min(wide)))
 
     # Score in descending bound order until no unscored bound comes within
     # the allowance of the best score.  Flat indices run in (row, column)
@@ -217,7 +204,7 @@ def _best_pair(full: np.ndarray, I: list[int], J: list[int], allowance: float) -
         stack[:, :-1, -1] = new_col[j]
         stack[:, -1, :-1] = new_row[i]
         stack[:, -1, -1] = corner[i, j]
-        v = _sigma_min(stack)
+        v = np.linalg.svd(stack, compute_uv=False)[:, -1]
         v[np.isnan(v)] = -np.inf
         best = max(best, v.max())
         scored.append(idx)
@@ -240,17 +227,15 @@ def find_selection(model: LssModel) -> Selection:
     Each step is a branch-and-bound that picks exactly what scoring every
     free pair would.  With S the (k-1) x (k-1) part already chosen, the
     k x k matrix M of candidate (r, c) adds row r and column c to S, and
-    sigma_k(M) is at most each of: the norm of M's new row, the norm of
-    its new column, sigma_{k-1}([S | col_c]) and sigma_{k-1}([S ; row_r]).
-    The last two follow from singular-value interlacing when a row or a
-    column is deleted, and take one batched SVD each.  Candidates are
-    then scored exactly in descending bound order, SCORE_CHUNK at a time,
-    each M laid out chosen rows and columns first and the new ones last,
-    until the next bound falls below the best score by more than the
-    allowance 16 k^2 eps max|H|, where H is the full candidate matrix.
-    Rounding in an SVD scales with ||M|| <= k max|H|, not with the score,
-    so the allowance is absolute.  The pick is the earliest maximum over
-    the scored candidates in (row, column) order, with NaN never winning.
+    sigma_k(M) is at most the norm of M's new row and the norm of its new
+    column.  Candidates are scored exactly in descending bound order,
+    SCORE_CHUNK at a time, each M laid out chosen rows and columns first
+    and the new ones last, until the next bound falls below the best
+    score by more than the allowance 16 k^2 eps max|H|, where H is the
+    full candidate matrix.  Rounding in an SVD scales with
+    ||M|| <= k max|H|, not with the score, so the allowance is absolute.
+    The pick is the earliest maximum over the scored candidates in
+    (row, column) order, with NaN never winning.
 
     Raises
     ------

@@ -29,8 +29,8 @@ from switchid.bounds import (
     compute_KM,
     load_P_matrix,
 )
-from switchid.core import a_word, write_json
-from switchid.hokalman import Selection
+from switchid.core import a_word, model_from_dict, write_json
+from switchid.hokalman import Selection, true_realization
 from test_hokalman import certifiable_model
 
 BENCH_SEL = Selection(alpha=((), (1,)), beta=(((), 2, 1), ((1,), 2, 1)))
@@ -344,6 +344,20 @@ def bench_chain():
 
 SIGMA_N = 0.874  # approximate sigma_n(H_ab) for the 0.6 benchmark
 
+# Single-mode models and their Ku_input (Ku_noise 1.0), certified at 0.9.
+CROSSING_MODELS = [
+    (
+        {"n": 2, "m": 1, "nQ": 1, "A": [[[0.23, -0.05], [0.25, -0.26]]],
+         "B": [[[-0.3], [0.1]]], "C": [1.8, -1.0], "D": [0.0]},
+        0.8,
+    ),
+    (
+        {"n": 2, "m": 1, "nQ": 1, "A": [[[-0.03, -0.08], [0.05, 0.27]]],
+         "B": [[[1.6], [-0.5]]], "C": [-0.9, 1.5], "D": [0.0]},
+        1.0,
+    ),
+]
+
 
 class TestBoundCertificate:
     def test_static_constants_frozen(self, bench_chain):
@@ -420,17 +434,29 @@ class TestBoundCertificate:
 
     def test_min_valid_N_crossing_is_exact(self, bench_chain):
         # Pick sigma_n so the Hankel condition, not the basic floor,
-        # binds; the returned N must be the exact crossing point.
-        model, dist, signal, cert, sel = bench_chain
-        sigma = 2.0e5
-        N_star = min_valid_N(model, dist, signal, sel, sigma, 0.05, stability=cert)
-        assert N_star > 11
-        at = compute_certificate(model, dist, signal, sel, sigma, 0.05, N_star, stability=cert)
-        before = compute_certificate(
-            model, dist, signal, sel, sigma, 0.05, N_star - 1, stability=cert
-        )
-        assert at.valid
-        assert not before.valid
+        # binds; the returned N must be the exact crossing point, where
+        # K(delta, N) as the table prints it first falls to the threshold.
+        # On the two single-mode models, with the true sigma_n, the crossing
+        # lies just under 2^52, where c_over / sqrt(N) and K(delta, N) round
+        # apart: once they put the flag at N - 1, once past N.
+        chains = [(*bench_chain, 2.0e5)]
+        for doc, ku_input in CROSSING_MODELS:
+            model, dist, _ = model_from_dict(doc)
+            sel = find_selection(model)
+            signal = SignalSpec(Ku_input=ku_input, Ku_noise=1.0)
+            sigma = true_realization(model, sel)[1].sigma_n
+            chains.append((model, dist, signal, find_P(model, dist, 0.9), sel, sigma))
+        for model, dist, signal, cert, sel, sigma in chains:
+            N_star = min_valid_N(model, dist, signal, sel, sigma, 0.05, stability=cert)
+            assert N_star > 11
+            at = compute_certificate(model, dist, signal, sel, sigma, 0.05, N_star, stability=cert)
+            before = compute_certificate(
+                model, dist, signal, sel, sigma, 0.05, N_star - 1, stability=cert
+            )
+            assert at.valid, N_star
+            assert not before.valid, N_star
+            thr = sigma / (2.0 * at.W_size * math.sqrt(model.n))
+            assert before.K_deltaN > thr >= at.K_deltaN, N_star
 
     def test_realistic_sigma_needs_astronomical_N(self, bench_chain):
         # At the true sigma_n the constants put the validity threshold

@@ -11,6 +11,8 @@ import pytest
 
 import switchid
 from switchid import SignalSpec, SwitchingDistribution, save_model_file, two_mode_benchmark
+from switchid import bounds, cli, experiment
+from switchid.core import model_to_dict
 from switchid.cli import main
 from test_hokalman import certifiable_model
 
@@ -669,6 +671,51 @@ def test_experiment_config_that_is_not_an_object_is_refused_as_such(capsys, tmp_
     assert f"object, not {kind}" in err
 
 
+@pytest.mark.parametrize(
+    "doc, says",
+    [
+        ({"model_file": 0}, "model_file: 0 is not a path string"),
+        ({"model_file": True}, "model_file: True is not a path string"),
+        ({"model_file": ["a"]}, "model_file: ['a'] is not a path string"),
+        ({"output_dir": 5}, "output_dir: 5 is not a path string"),
+        ({"Ku_noise_values": [True]}, "Ku_noise_values: True is not a number"),
+        ({"Ku_input_values": [True]}, "Ku_input_values: True is not a number"),
+    ],
+    ids=["model_file-0", "model_file-true", "model_file-list", "output_dir-5", "ku-noise-true",
+         "ku-input-true"],
+)
+def test_experiment_config_value_of_the_wrong_type_is_refused_by_name(
+    capsys, tmp_path, monkeypatch, doc, says
+):
+    # model_file 0 read the model from stdin, and true opened and closed
+    # file descriptor 1; output_dir 5 and a list ended in a TypeError
+    # traceback; an amplitude true ran as 1.0.  No model file is opened.
+    def no_model_file(path):
+        raise AssertionError(f"model file {path!r} opened")
+
+    monkeypatch.setattr(experiment, "load_model_file", no_model_file)
+    monkeypatch.chdir(tmp_path)
+    cfg = {"gamma_values": [0.6], "N_grid": [300], "trials": 1, "output_dir": "out", **doc}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    rc, out, err = run(capsys, "experiment", "--config", "cfg.json")
+    assert rc == 1 and out == ""
+    assert err.count("error:") == 1 and says in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("key", ["Ku_input", "Ku_noise"])
+def test_model_file_amplitude_that_is_a_bool_is_refused_by_name(capsys, tmp_path, key):
+    # It ran as amplitude 1.0.
+    model, dist = two_mode_benchmark(0.6)
+    doc = model_to_dict(model, dist, SignalSpec(Ku_input=0.8, Ku_noise=1.0))
+    doc["signal"][key] = True
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "identify", "--model", str(path), "--N", "2000")
+    assert rc == 1 and out == ""
+    assert f"error: malformed file {path}: ValueError: signal.{key}: True is not a number" in err
+
+
 def test_experiment_runs_at_the_shortest_N(capsys, tmp_path):
     out_dir = tmp_path / "out"
     rc, _, _ = run(capsys, "experiment", "--N-grid", "5", "--trials", "1", "--out", str(out_dir))
@@ -767,6 +814,38 @@ def test_bound_names_a_delta_that_overflows_its_constants(capsys):
     assert rc == 1 and out == ""
     assert err.startswith("error: the bound's constants leave the float range: K_M = ")
     assert err.endswith(", K_u = max(Ku_input, Ku_noise) = 1.0, delta = 1e-310\n")
+
+
+def test_bound_names_a_smallest_N_past_the_float_range(capsys, tmp_path):
+    # C ~ 1e-150 puts sigma_n(H_ab) near 1e-150: every constant is finite,
+    # but the smallest valid N, the square of ~1e157, is not.
+    model, dist = two_mode_benchmark(0.6)
+    model.C = np.array([1e-150, 0.0])
+    path = tmp_path / "tiny.json"
+    save_model_file(str(path), model, dist)
+    rc, out, err = run(capsys, "bound", "--model", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith(
+        "error: the bound's constants leave the float range: the smallest valid N, ("
+    )
+    assert len(err.splitlines()) == 1
+
+
+def test_bound_computes_one_certificate_per_N(capsys, monkeypatch):
+    # The smallest valid N is read off the table's first certificate, not
+    # off one more certificate through min_valid_N.
+    calls = []
+    compute = bounds.compute_certificate
+
+    def counting(*args, **kwargs):
+        calls.append(args[6])
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_certificate", counting)
+    monkeypatch.setattr(bounds, "compute_certificate", counting)
+    rc, out, _ = run(capsys, "bound", "--N", "1000", "100000")
+    assert rc == 0 and "smallest N with a valid bound: " in out
+    assert calls == [1000, 100000]
 
 
 def test_user_model_via_file_matches_builtin(capsys, tmp_path):

@@ -19,7 +19,9 @@ from switchid import (
     two_mode_benchmark,
     word_to_str,
 )
+from switchid.bounds import schur_radius
 from switchid.core import EPSILON, str_to_word
+from switchid.hokalman import RealizationResult, Selection, est_err
 
 words_12 = st.lists(st.integers(min_value=1, max_value=2), max_size=6).map(tuple)
 
@@ -200,6 +202,38 @@ NAN = float("nan")
 def test_non_finite_values_refused_by_name(build, reason):
     with pytest.raises(ValueError, match=re.escape(reason)):
         build()
+
+
+def realization(modes=1, A=(1, 1), B=(1, 1)):
+    return RealizationResult(
+        Abar=[np.zeros(A)] * modes, Bbar=[np.zeros(B)] * modes,
+        Cbar=np.zeros(1), Dbar=np.zeros(1), sigma_n=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda: lss(C=np.ones(2)), "C must have 1 entries"),
+        (lambda: lss(D=np.zeros(2)), "D must have 1 entries"),
+        (lambda: SignalSpec(Ku_input=1.0, Ku_noise=1.0, Sigma_u=np.ones((1, 2))),
+         "Sigma_u must be square"),
+        (lambda: SignalSpec(Ku_input=1.0, Ku_noise=1.0, Sigma_u=np.eye(2)).sigma_u(1),
+         "Sigma_u must be 1x1"),
+        (lambda: Selection(alpha=((), (1,)), beta=(((), 1, 1), ((1, 2), 1, 1))),
+         "column word (1, 2) longer than n - 1 = 1"),
+        (lambda: est_err(realization(modes=2), realization()), "mode counts differ"),
+        (lambda: est_err(realization(A=(2, 2)), realization()), "A shapes differ"),
+        (lambda: est_err(realization(B=(1, 2)), realization()), "B shapes differ"),
+        (lambda: schur_radius(lss(), SwitchingDistribution(p=[1.0])),
+         "distribution does not match model mode count"),
+    ],
+    ids=["C", "D", "Sigma_u-square", "sigma_u-size", "column-word", "est_err-modes",
+         "est_err-A", "est_err-B", "schur_radius-modes"],
+)
+def test_sizes_that_do_not_match_are_refused_by_name(call, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        call()
 
 
 def test_benchmark_family_structure():

@@ -19,6 +19,9 @@ commits it:
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints one line per digest that moved: the call, the key, and the
+first 8 hex digits of the old and the new digest.
+
 The manifest's ``files`` are written into every directory before its
 call runs.  File contents are text; a lone surrogate such as ``\\udcff``
 stands for the byte 0xff, which is not UTF-8.
@@ -147,6 +150,11 @@ if __name__ == "__main__":
     for call in MANIFEST["calls"]:
         with tempfile.TemporaryDirectory() as where:
             os.chdir(where)
-            call["digests"] = call_digests(call)
+            old, new = call["digests"], call_digests(call)
             os.chdir(home)
+        # One line per digest that moved, appeared or went ("-").
+        for key in [*old, *(k for k in new if k not in old)]:
+            if old.get(key) != new.get(key):
+                print(f"{call['name']} {key}: {old.get(key, '-')[:8]} -> {new.get(key, '-')[:8]}")
+        call["digests"] = new
     GOLDEN.write_text(json.dumps(MANIFEST, indent=1) + "\n")

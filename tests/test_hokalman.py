@@ -424,9 +424,9 @@ def test_find_selection_matches_greedy_loop_at_n5():
 
 
 def test_find_selection_scores_few_candidates_exactly(monkeypatch):
-    # Every square SVD inside find_selection is an exact score (the bounds
-    # take (k-1) x k and k x (k-1) stacks).  Scoring every free pair, as a
-    # full scan does, would count all the candidates.
+    # Every square SVD inside find_selection is an exact score, or the
+    # final rank check.  Scoring every free pair, as a full scan does,
+    # would count all the candidates.
     model = seeded_model(4, 3, 1, seed=11)
     n_rows = len(_candidate_rows(model))
     n_cols = n_rows * model.nQ * model.m
@@ -447,6 +447,21 @@ def test_find_selection_scores_few_candidates_exactly(monkeypatch):
     expect = greedy_selection_loop(model)
     assert (sel.alpha, sel.beta) == (expect.alpha, expect.beta)
     assert 0 < scored < 0.1 * candidates
+
+
+def test_find_selection_bounds_need_no_svd(monkeypatch):
+    # The row and column norms are the only bounds: every SVD is on square
+    # k x k matrices, exact scores and the final rank check.
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(hokalman.np.linalg, "svd", recording_svd)
+    find_selection(seeded_model(4, 3, 1, seed=11))
+    assert shapes and all(rows == cols for rows, cols in shapes), shapes
 
 
 def test_find_selection_refuses_overflowing_products():

@@ -183,6 +183,12 @@ def test_zero_trajectory_estimates_zero(bench, bench_signal):
     npt.assert_array_equal(got, [0.0])
 
 
+def test_estimator_of_no_words_returns_an_empty_table(bench, bench_signal):
+    model, dist = bench
+    sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=3, seed=0))
+    assert empirical_markov_batch(sample, [], bench_signal.sigma_u(1), dist) == {}
+
+
 def test_estimator_refuses_short_trajectory(bench, bench_signal):
     model, dist = bench
     sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=3, seed=0))

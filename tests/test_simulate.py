@@ -944,6 +944,15 @@ def test_load_trajectory_refuses_spellings_numpy_refuses(tmp_path, field, value)
     assert str(exc.value) == f"{path}, line 3: field {field!r} is not {kind}: {value!r}"
 
 
+def test_load_trajectory_counts_a_skipped_blank_line(tmp_path):
+    # The row scan skips the blank line 3 but still counts it.
+    path = tmp_path / "traj.csv"
+    path.write_text("t,y,u_1,q\n0,0.5,0.25,1\n\n2,abc,0.25,1\n")
+    with pytest.raises(ValueError) as exc:
+        load_trajectory(str(path))
+    assert str(exc.value) == f"{path}, line 4: field 'y' is not a number: 'abc'"
+
+
 @pytest.mark.parametrize("line", [1, 3])
 def test_load_trajectory_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, line):
     # The byte used to escape as a UnicodeDecodeError naming only its
