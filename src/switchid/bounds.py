@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import LssModel, SignalSpec, SwitchingDistribution, p_word, read_json
+from .core import LssModel, SignalSpec, SwitchingDistribution, check_real, p_word, read_json
 from .hokalman import Selection, required_words
 
 GAMMA_FLOOR = 1e-12
@@ -97,7 +97,8 @@ def gamma_from_P(model: LssModel, P: np.ndarray) -> tuple[float, float]:
         raise ValueError(f"P must be {model.n}x{model.n}")
     if not np.isfinite(P).all():
         raise ValueError("P has a non-finite entry")
-    if np.linalg.norm(P - P.T) > 1e-10 * max(1.0, np.linalg.norm(P)):
+    s = max(1.0, np.abs(P).max())  # so that the norms of a large P do not overflow
+    if np.linalg.norm(P / s - P.T / s) > 1e-10 * max(1.0 / s, np.linalg.norm(P / s)):
         raise ValueError("P must be symmetric")
     try:
         L = np.linalg.cholesky(P)
@@ -566,6 +567,6 @@ def load_P_matrix(path: str) -> np.ndarray:
     previously saved certificate file."""
 
     def parse(doc):
-        return np.asarray(doc["P"] if isinstance(doc, dict) else doc, dtype=float)
+        return check_real("P", doc["P"] if isinstance(doc, dict) else doc, 2)
 
     return read_json(path, parse)

@@ -35,11 +35,15 @@ def word_to_str(w: Word) -> str:
     return ".".join(str(c) for c in w)
 
 
-def str_to_word(s: str) -> Word:
-    """Parse the dot-separated form produced by :func:`word_to_str`."""
-    s = s.strip()
+def str_to_word(s: str, name: str = "word") -> Word:
+    """Parse the dot-separated form produced by :func:`word_to_str`,
+    refusing by name a non-string or a letter that is not ASCII digits."""
+    if not isinstance(s, str):
+        raise ValueError(f"{name}: {s!r} is not a word string")
     if not s:
         return EPSILON
+    if not all(tok.isascii() and tok.isdigit() for tok in s.split(".")):
+        raise ValueError(f"{name}: {s!r} is not a word: dot-separated ASCII digits")
     return tuple(int(tok) for tok in s.split("."))
 
 
@@ -61,7 +65,8 @@ class LssModel:
     D : (m,) array
         Feedthrough row.
 
-    A NaN or infinite entry in any matrix is refused, naming the matrix.
+    A matrix of another shape, or a NaN or infinite entry, is refused,
+    naming the matrix; nothing is reshaped to fit.
     """
 
     n: int
@@ -78,12 +83,12 @@ class LssModel:
         if len(self.A) != self.nQ or len(self.B) != self.nQ:
             raise ValueError("need exactly nQ matrices in A and B")
         self.A = [np.array(Aq, dtype=float) for Aq in self.A]
-        self.B = [np.array(Bq, dtype=float).reshape(self.n, self.m) for Bq in self.B]
-        self.C = np.array(self.C, dtype=float).reshape(-1)
-        self.D = np.array(self.D, dtype=float).reshape(-1)
-        for Aq in self.A:
-            if Aq.shape != (self.n, self.n):
-                raise ValueError(f"A matrices must be {self.n}x{self.n}")
+        self.B = [np.array(Bq, dtype=float) for Bq in self.B]
+        self.C = np.array(self.C, dtype=float)
+        self.D = np.array(self.D, dtype=float)
+        for name, mats, cols in [("A", self.A, self.n), ("B", self.B, self.m)]:
+            if any(M.shape != (self.n, cols) for M in mats):
+                raise ValueError(f"{name} matrices must be {self.n}x{cols}")
         if self.C.shape != (self.n,):
             raise ValueError(f"C must have {self.n} entries")
         if self.D.shape != (self.m,):
@@ -202,11 +207,34 @@ def check_integer(name: str, x) -> int:
     return int(x)
 
 
-def check_real(name: str, x) -> float:
-    """x as a float, refusing by name a bool or a value that is not a real number."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"{name}: {x!r} is not a number")
-    return float(x)
+def check_list(name: str, x) -> list:
+    """x itself, refusing by name a value that is not a list."""
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{name}: {x!r} is not a list")
+    return x
+
+
+def check_real(name: str, x, ndim: int = 0):
+    """x as a float or, for ndim >= 1, a list nested ndim deep as a float array.
+
+    This is how every number in a JSON input enters the package.  A bool,
+    a string, null, an object, a number where a list belongs or rows of
+    unequal length are refused by name and 0-based index
+    (``B[1][1][0]: True is not a number``).  Shapes and finiteness are
+    left to the class that takes the value.
+    """
+    if ndim == 0:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{name}: {x!r} is not a number")
+        try:
+            return float(x)
+        except OverflowError:
+            raise ValueError(f"{name}: {x!r} is beyond the float range") from None
+    rows = [check_real(f"{name}[{i}]", v, ndim - 1) for i, v in enumerate(check_list(name, x))]
+    for i, row in enumerate(rows if ndim > 1 else []):
+        if row.shape != rows[0].shape:
+            raise ValueError(f"{name}[{i}] has shape {row.shape}, {name}[0] has {rows[0].shape}")
+    return np.array(rows, dtype=float)
 
 
 def check_mode_labels(q: np.ndarray, nQ: int) -> None:
@@ -310,25 +338,22 @@ def model_to_dict(
 def model_from_dict(d: dict) -> tuple[LssModel, SwitchingDistribution, SignalSpec | None]:
     """Model, mode law and signal spec; without ``"p"`` the modes are uniform.
 
+    Every number is read by :func:`check_integer` or :func:`check_real`.
     A ``p`` without nQ entries or a ``signal.Sigma_u`` that is not m x m
     is refused here, so the error names the file that holds it.
     """
     dims = {name: check_integer(name, d[name]) for name in ("n", "m", "nQ")}
-    model = LssModel(
-        **dims,
-        A=[np.asarray(Aq, dtype=float) for Aq in d["A"]],
-        B=[np.asarray(Bq, dtype=float) for Bq in d["B"]],
-        C=np.asarray(d["C"], dtype=float),
-        D=np.asarray(d["D"], dtype=float),
-    )
-    if "p" in d and np.size(d["p"]) != model.nQ:
-        raise ValueError(f"p has {np.size(d['p'])} entries, the model has nQ = {model.nQ}")
-    dist = SwitchingDistribution(p=d["p"] if "p" in d else np.full(model.nQ, 1.0 / model.nQ))
+    ndims = {"A": 3, "B": 3, "C": 1, "D": 1}
+    model = LssModel(**dims, **{name: check_real(name, d[name], k) for name, k in ndims.items()})
+    p = check_real("p", d["p"], 1) if "p" in d else np.full(model.nQ, 1.0 / model.nQ)
+    if p.size != model.nQ:
+        raise ValueError(f"p has {p.size} entries, the model has nQ = {model.nQ}")
+    dist = SwitchingDistribution(p=p)
     signal = None
     if "signal" in d:
         s = d["signal"]
         ku = {name: check_real(f"signal.{name}", s[name]) for name in ("Ku_input", "Ku_noise")}
-        sig_u = np.asarray(s["Sigma_u"], dtype=float) if "Sigma_u" in s else None
+        sig_u = check_real("signal.Sigma_u", s["Sigma_u"], 2) if "Sigma_u" in s else None
         signal = SignalSpec(**ku, Sigma_u=sig_u)
         if signal.Sigma_u is not None and signal.Sigma_u.shape != (model.m, model.m):
             shape = "x".join(map(str, signal.Sigma_u.shape))

@@ -32,6 +32,7 @@ from .core import (
     SignalSpec,
     SwitchingDistribution,
     check_integer,
+    check_list,
     check_real,
     load_model_file,
     read_json,
@@ -80,16 +81,16 @@ class ExperimentConfig:
         for name, low in [("trials", 1), ("threads", 1), ("seed_base", 0), ("burn_in", 0)]:
             if check_integer(name, getattr(self, name)) < low:
                 raise ValueError(f"{name} must be " + ("at least 1" if low else "nonnegative"))
+        for name in ("N_grid", "gamma_values", "Ku_noise_values", "Ku_input_values"):
+            if not check_list(name, getattr(self, name)):
+                raise ValueError(f"{name} must be non-empty")
         for N in self.N_grid:
             if check_integer("N_grid", N) < 1:
                 raise ValueError("trajectory lengths must be positive")
-        for name in ("N_grid", "gamma_values", "Ku_noise_values", "Ku_input_values"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        if not 0.0 < self.delta < 1.0:
+        if not 0.0 < check_real("delta", self.delta) < 1.0:
             raise ValueError(f"delta must lie in (0, 1), not {self.delta!r}")
         for gamma in self.gamma_values:
-            if not 0.0 < gamma < 1.0:
+            if not 0.0 < check_real("gamma_values", gamma) < 1.0:
                 raise ValueError(f"gamma_values: {gamma!r} does not lie in (0, 1)")
         for ku in self.Ku_noise_values:
             if not 0.0 <= check_real("Ku_noise_values", ku) < np.inf:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LssModel, SwitchingDistribution, Word, a_word, model_to_dict, read_json, str_to_word,
-    word_to_str, write_json,
+    LssModel, SwitchingDistribution, Word, a_word, check_integer, check_list, model_to_dict,
+    read_json, str_to_word, word_to_str, write_json,
 )
 from .markov import empirical_markov_batch, true_markov_map
 from .simulate import SampleSet
@@ -65,7 +65,10 @@ class Selection:
 
     def __post_init__(self):
         self.alpha = tuple(tuple(w) for w in self.alpha)
-        self.beta = tuple((tuple(mu), int(q), int(l)) for mu, q, l in self.beta)
+        self.beta = tuple(
+            (tuple(mu), check_integer(f"beta[{j}][1]", q), check_integer(f"beta[{j}][2]", l))
+            for j, (mu, q, l) in enumerate(self.beta)
+        )
         n = len(self.alpha)
         if n == 0 or len(self.beta) != n:
             raise ValueError("selection needs equally many rows and columns, at least one")
@@ -381,9 +384,10 @@ def load_selection(path: str, model: LssModel) -> Selection:
     model's Hankel blocks: n rows, modes in 1..nQ, channels in 1..m."""
 
     def parse(doc) -> Selection:
+        alpha, beta = check_list("alpha", doc["alpha"]), check_list("beta", doc["beta"])
         sel = Selection(
-            alpha=tuple(str_to_word(s) for s in doc["alpha"]),
-            beta=tuple((str_to_word(mu), int(q), int(l)) for mu, q, l in doc["beta"]),
+            alpha=tuple(str_to_word(s, f"alpha[{i}]") for i, s in enumerate(alpha)),
+            beta=tuple((str_to_word(w, f"beta[{j}][0]"), q, l) for j, (w, q, l) in enumerate(beta)),
         )
         if sel.n != model.n:
             raise ValueError(f"alpha: {sel.n} rows, the model has n = {model.n}")

@@ -99,6 +99,15 @@ class TestGammaFromP:
         with pytest.raises(ValueError):
             gamma_from_P(model2, -np.eye(2))  # not positive definite
 
+    def test_symmetry_check_of_a_large_P_does_not_overflow(self, bench):
+        # The Frobenius norm of a P with an entry of 1e200 overflowed
+        # (a RuntimeWarning), although the rate is scale-free.
+        model, _ = bench
+        P = np.diag([14068.0, 1e6])
+        npt.assert_allclose(gamma_from_P(model, 1e194 * P)[0], gamma_from_P(model, P)[0])
+        with pytest.raises(ValueError, match="symmetric"):
+            gamma_from_P(model, 1e194 * (P + np.array([[0.0, 1.0], [0.0, 0.0]])))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
     def test_refuses_non_finite_P(self, bench, bad, entry):

@@ -680,16 +680,23 @@ def test_experiment_config_that_is_not_an_object_is_refused_as_such(capsys, tmp_
         ({"output_dir": 5}, "output_dir: 5 is not a path string"),
         ({"Ku_noise_values": [True]}, "Ku_noise_values: True is not a number"),
         ({"Ku_input_values": [True]}, "Ku_input_values: True is not a number"),
+        ({"gamma_values": 0.5}, "gamma_values: 0.5 is not a list"),
+        ({"N_grid": 1000}, "N_grid: 1000 is not a list"),
+        ({"delta": "0.05"}, "delta: '0.05' is not a number"),
+        ({"gamma_values": ["0.5"]}, "gamma_values: '0.5' is not a number"),
     ],
     ids=["model_file-0", "model_file-true", "model_file-list", "output_dir-5", "ku-noise-true",
-         "ku-input-true"],
+         "ku-input-true", "gamma_values-number", "N_grid-number", "delta-string",
+         "gamma-string"],
 )
 def test_experiment_config_value_of_the_wrong_type_is_refused_by_name(
     capsys, tmp_path, monkeypatch, doc, says
 ):
     # model_file 0 read the model from stdin, and true opened and closed
     # file descriptor 1; output_dir 5 and a list ended in a TypeError
-    # traceback; an amplitude true ran as 1.0.  No model file is opened.
+    # traceback; an amplitude true ran as 1.0; a grid field that is not a
+    # list, or a delta or gamma that is a string, was a bare TypeError
+    # ("'float' object is not iterable").  No model file is opened.
     def no_model_file(path):
         raise AssertionError(f"model file {path!r} opened")
 

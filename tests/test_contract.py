@@ -5,16 +5,19 @@ Every call exits 0, 1, 2 or 3.  A nonzero exit prints exactly one
 fails the test), and a successful call prints no nan, except where
 ``experiment`` names a gamma without a certificate or a grid point whose
 trials all failed.  Flag values,
-mutated model files and mutated experiment configs are drawn by
-hypothesis, derandomized with a fixed example budget; trajectories stay
-at N <= 1e4 and no call starts a pool.  An experiment refused with exit
-1 or 3 has printed nothing and left no output directory.
+mutated model, selection and P files and mutated experiment configs are
+drawn by hypothesis, derandomized with a fixed example budget;
+trajectories stay at N <= 1e4 and no call starts a pool.  An experiment
+refused with exit 1 or 3 has printed nothing and left no output
+directory.  A bool, a string or null where a file holds a number, or a
+non-string where it holds a word, exits 1 naming the field.
 """
 
 import copy
 import json
 import re
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -54,16 +57,44 @@ MODEL_VALUES = [
 ]
 
 
+# A selection and a P that the two-mode family at gamma = 0.6 accepts, each
+# with the calls that read it, where it can go wrong and the values drawn.
+SELECTION = {"alpha": ["", "1"], "beta": [["1", 2, 1], ["", 2, 1]]}
+P_FILE = {"P": [[14068.0, 0.0], [0.0, 1e6]]}
+FILES = {
+    "--selection": (
+        [["bound", "--N", "1000"], ["identify", "--N", "2000"]],
+        SELECTION,
+        [("alpha",), ("alpha", 0), ("alpha", 1), ("beta",), ("beta", 1), ("beta", 0, 0),
+         ("beta", 1, 0), ("beta", 0, 1), ("beta", 1, 1), ("beta", 0, 2), ("beta", 1, 2)],
+        ["", "1", "2", "2.1", "3", "+1", " 1", "1_0", "x", 0, 1, 2, 3, -1, 2.7, 2.0, True, None,
+         []],
+    ),
+    "--P": ([["stability"]], P_FILE, [("P",), ("P", 1), ("P", 0, 0), ("P", 0, 1), ("P", 1, 1)],
+            MODEL_VALUES + ["1", [[1.0]]]),
+}
+
+
+def set_site(doc, site, value):
+    *path, last = site
+    for key in path:
+        doc = doc[key]
+    doc[last] = value
+
+
+def mutated(draw, doc, sites, values):
+    doc = copy.deepcopy(doc)
+    sites = draw(st.lists(st.sampled_from(sites), max_size=2))
+    picks = [(site, draw(st.sampled_from(values))) for site in sites]
+    # The longer site first: ("P", 0, 0) is set before ("P",) replaces its list.
+    for site, value in sorted(picks, key=lambda pick: -len(pick[0])):
+        set_site(doc, site, value)
+    return json.dumps(doc)
+
+
 @st.composite
 def model_files(draw):
-    doc = copy.deepcopy(MODEL)
-    for site in draw(st.lists(st.sampled_from(MODEL_SITES), max_size=2)):
-        *path, last = site
-        parent = doc
-        for key in path:
-            parent = parent[key]
-        parent[last] = draw(st.sampled_from(MODEL_VALUES))
-    return json.dumps(doc)
+    return mutated(draw, MODEL, MODEL_SITES, MODEL_VALUES)
 
 
 @st.composite
@@ -91,13 +122,69 @@ def test_every_exit_keeps_the_contract(call, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(model)
         argv = argv + ["--model", str(path)]
-    rc, out, err = run_cli(argv)
+    check_exit(*run_cli(argv))
+
+
+def check_exit(rc, out, err):
     assert rc in (0, 1, 2, 3), (rc, err)
     if rc == 0:
         assert not re.search(r"\bnan\b", out, re.IGNORECASE), out
     else:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
         assert "Traceback" not in err, err
+
+
+@st.composite
+def file_calls(draw):
+    option = draw(st.sampled_from(sorted(FILES)))
+    argvs, doc, sites, values = FILES[option]
+    return draw(st.sampled_from(argvs)) + [option], mutated(draw, doc, sites, values)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(call=file_calls())
+def test_every_selection_and_P_file_exit_keeps_the_contract(call, tmp_path_factory):
+    argv, text = call
+    path = tmp_path_factory.mktemp("file") / "input.json"
+    path.write_text(text)
+    check_exit(*run_cli(argv + [str(path)]))
+
+
+NOT_NUMBERS = [True, False, "1", "0", "x", None]
+NOT_WORDS = [True, False, 1, 0, None]
+# Each site that holds a number or a word, the call that reads it and the
+# values of the wrong JSON type for it.  Before one reader took every
+# number, a bool B entry ran as 0 or 1 (exit 0) and an int alpha word
+# ended in an AttributeError traceback.
+TYPED_SITES = (
+    [(["selection", "--model"], MODEL, site, NOT_NUMBERS) for site in MODEL_SITES]
+    + [(["bound", "--selection"], SELECTION, site, NOT_WORDS)
+       for site in [("alpha", 0), ("alpha", 1), ("beta", 0, 0), ("beta", 1, 0)]]
+    + [(["bound", "--selection"], SELECTION, ("beta", j, k), NOT_NUMBERS)
+       for j in (0, 1) for k in (1, 2)]
+    + [(["stability", "--P"], P_FILE, ("P", i, j), NOT_NUMBERS) for i in (0, 1) for j in (0, 1)]
+)
+
+
+def field(site):
+    head, *keys = site
+    return head + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+@pytest.mark.parametrize(
+    "argv, doc, site, values", TYPED_SITES, ids=[field(site) for _, _, site, _ in TYPED_SITES]
+)
+def test_a_value_of_the_wrong_type_is_refused_by_name(argv, doc, site, values, tmp_path):
+    name = field(site)
+    path = tmp_path / "input.json"
+    for value in values:
+        wrong = copy.deepcopy(doc)
+        set_site(wrong, site, value)
+        path.write_text(json.dumps(wrong))
+        rc, _, err = run_cli(argv + [str(path)])
+        assert rc == 1 and "Traceback" not in err, (value, rc, err)
+        assert err.startswith(f"error: malformed file {path}: ValueError: {name}: "), (value, err)
+        assert err.count("error:") == 1, err
 
 
 # Experiment config documents: one entry mutated, first or last in a

@@ -1,5 +1,7 @@
 """Word algebra, model containers and file round-trips."""
 
+import ast
+import pathlib
 import re
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import switchid
 from switchid import (
     LssModel,
     SignalSpec,
@@ -20,7 +23,7 @@ from switchid import (
     word_to_str,
 )
 from switchid.bounds import schur_radius
-from switchid.core import EPSILON, str_to_word
+from switchid.core import EPSILON, check_real, str_to_word
 from switchid.hokalman import RealizationResult, Selection, est_err
 
 words_12 = st.lists(st.integers(min_value=1, max_value=2), max_size=6).map(tuple)
@@ -35,7 +38,14 @@ def test_epsilon_is_empty_tuple():
 def test_word_string_forms():
     assert word_to_str((2, 1, 1)) == "2.1.1"
     assert str_to_word("2.1.1") == (2, 1, 1)
-    assert str_to_word(" 2.1 ") == (2, 1)
+
+
+# int() took "+1", " 1", "1_0" and "١" as the letters 1, 1, 10 and 1, and
+# strip() took the padding of " 2.1 "; 1 was an AttributeError.
+@pytest.mark.parametrize("s", ["+1", " 1", "1_0", "١", " 2.1 ", "1..2", "1.", 1, None])
+def test_str_to_word_refuses_what_is_not_a_word_string(s):
+    with pytest.raises(ValueError, match=re.escape(f"alpha[1]: {s!r} is not a word")):
+        str_to_word(s, "alpha[1]")
 
 
 @given(words_12)
@@ -129,6 +139,23 @@ class TestLssModel:
                 A=[np.eye(3)], B=[np.zeros((2, 1))],
                 C=np.ones(2), D=np.zeros(1),
             )
+
+    @pytest.mark.parametrize(
+        "shapes, says",
+        [
+            # B used to be reshaped to n x m, which reordered a transposed B.
+            ({"B": [np.arange(6.0).reshape(3, 2)]}, "B matrices must be 2x3"),
+            ({"B": [np.arange(6.0)]}, "B matrices must be 2x3"),
+            ({"C": [[1.0, 0.0]]}, "C must have 2 entries"),
+            ({"D": np.zeros((3, 1))}, "D must have 3 entries"),
+        ],
+        ids=["B-transposed", "B-flat", "C-row", "D-column"],
+    )
+    def test_shapes_are_not_reshaped_to_fit(self, shapes, says):
+        args = dict(n=2, m=3, nQ=1, A=[0.1 * np.eye(2)], B=[np.zeros((2, 3))], C=[1, 0],
+                    D=[0, 0, 0])
+        with pytest.raises(ValueError, match=says):
+            LssModel(**{**args, **shapes})
 
     def test_nonpositive_dims(self):
         with pytest.raises(ValueError):
@@ -285,8 +312,66 @@ def test_model_file_without_extras(tmp_path, bench):
     npt.assert_array_equal(m2.C, model.C)
 
 
-def test_every_export_resolves():
-    import switchid
+@pytest.mark.parametrize(
+    "x, ndim, says",
+    [
+        ([[[0.0], [0.0]], [[0.0], [True]]], 3, "B[1][1][0]: True is not a number"),
+        ([[1.0, "0"]], 2, "B[0][1]: '0' is not a number"),
+        ([[1.0, None]], 2, "B[0][1]: None is not a number"),
+        ([{"x": 1.0}], 1, "B[0]: {'x': 1.0} is not a number"),
+        ([1.0, [2.0]], 1, "B[1]: [2.0] is not a number"),
+        (1.0, 1, "B: 1.0 is not a list"),
+        ([[1.0], 2.0], 2, "B[1]: 2.0 is not a list"),
+        ([[1.0, 2.0], [3.0]], 2, "B[1] has shape (1,), B[0] has (2,)"),
+        ([[[1.0]], [[1.0], [2.0]]], 3, "B[1] has shape (2, 1), B[0] has (1, 1)"),
+        (10**400, 0, "B: 1000"),
+    ],
+    ids=["bool", "string", "null", "object", "list-for-number", "number-for-list",
+         "row-not-a-list", "ragged-rows", "ragged-matrices", "int-beyond-float"],
+)
+def test_reader_refuses_by_name_and_index(x, ndim, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        check_real("B", x, ndim)
 
+
+def test_reader_returns_float_arrays_and_leaves_shape_and_finiteness_to_the_classes():
+    B = check_real("B", [[[0], [1]], [[2.5], [float("nan")]]], 3)
+    assert B.dtype == float and B.shape == (2, 2, 1) and np.isnan(B[1, 1, 0])
+    assert check_real("C", [], 1).shape == (0,)
+    assert check_real("Ku", 2) == 2.0 and type(check_real("Ku", 2)) is float
+
+
+def test_input_files_reach_numbers_only_through_the_two_checks():
+    # Every number of a JSON input goes through check_integer or check_real;
+    # a cast in a parse callback would take true as 1 and "0" as 0 again,
+    # and a reshape in LssModel would reorder a transposed B to fit.
+    def definition(module, path):
+        node = ast.parse(pathlib.Path(switchid.__file__).with_name(module).read_text())
+        for name in path.split("."):
+            node = next(
+                n for n in ast.walk(node)
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name
+            )
+        return node
+
+    casts = {"asarray", "array", "int", "float"}
+    rules = [
+        ("core.py", "model_from_dict", casts),
+        ("hokalman.py", "load_selection.parse", casts),
+        ("bounds.py", "load_P_matrix.parse", casts),
+        ("experiment.py", "ExperimentConfig.from_dict", casts),
+        ("core.py", "LssModel.__post_init__", {"reshape"}),
+    ]
+    uses = [
+        f"{module}:{path}:{ast.unparse(node)}"
+        for module, path, banned in rules
+        for node in ast.walk(definition(module, path))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in banned
+    ]
+    assert uses == []
+
+
+def test_every_export_resolves():
     missing = [name for name in switchid.__all__ if not hasattr(switchid, name)]
     assert missing == []
