@@ -4,9 +4,10 @@ A matrix P > 0 with A_q' P A_q < (gamma / nQ)^2 P for every mode q
 certifies that the Markov parameters of every mode word of length k
 decay like (gamma / nQ)^k, and with them the mean-square state energy.
 The search maximizes the slack of these inequalities (a small LMI solved
-by a numpy log-barrier method), and the returned P is re-validated by
-an exact eigenvalue check, so the printed margin is trustworthy
-independent of the solver.
+by a numpy primal-dual interior-point method, which stops once its
+duality gap is at most 1e-9 of max(1, slack)), and the
+returned P is re-validated by an exact eigenvalue check, so the printed
+margin is trustworthy independent of the solver.
 
 Run:  python3 demos/03_stability_certificate.py
 """

@@ -148,89 +148,89 @@ def schur_radius(model: LssModel, dist: SwitchingDistribution) -> float:
 def _max_slack_P(A: list[np.ndarray], rho: float) -> np.ndarray | None:
     """Margin-maximizing semidefinite feasibility search for P: max t
     subject to I <= P <= P_CEILING I and rho P - A_q^T P A_q >= t I for
-    every mode, by a log-barrier Newton method.
+    every mode, by a primal-dual interior-point method.
 
     The unknowns are x = (upper triangle of P, t); every constraint is a
-    block F_j(x) = F0_j + sum_k x_k G_jk >= 0 that is affine in x.  Each
-    barrier stage minimizes -s t - sum_j log det F_j(x) by damped Newton
-    steps, after which the optimal t lies within (number of block rows)/s
-    of the current one (Boyd & Vandenberghe, Convex Optimization, 11.3).
+    block S_j = F0_j + sum_k x_k G_jk >= 0 that is affine in x, with a dual
+    block Z_j >= 0.  Each iteration takes the HKM direction, whose Schur
+    matrix is M_kl = sum_j tr(G_jk S_j^-1 G_jl Z_j), with Mehrotra's
+    predictor-corrector, sigma = (mu_aff / mu)^3, and steps 0.95 of the way
+    to the boundary of both cones (Vandenberghe & Boyd, SIAM Review 1996).
     The start P = 2I, with t one below the smallest eigenvalue of the mode
-    blocks, is strictly feasible.  Returns P once the optimum is pinned
-    to a positive t, None once it is pinned to t <= 0.
+    blocks, is strictly feasible; the dual starts at Z_j = I.
+
+    Every feasible t' is at most t + gap + r^T (x - x'), with the duality
+    gap sum_j tr(S_j Z_j) and the dual residual r = c - sum_j tr(G_j Z_j),
+    c = -e_t.  Once max |r_k| <= 1e-6 (c has norm 1), the search returns
+    None if t + gap <= 0, and P once the gap is at most 1e-9 max(1, |t|): t is then
+    that close to the largest slack.  If rounding stalls it first, the last
+    P is returned while t > 0.
     """
     n = A[0].shape[0]
     iu, ju = np.triu_indices(n)
     K = len(iu)
     E = np.zeros((K, n, n))
-    E[np.arange(K), iu, ju] = 1.0
-    E[np.arange(K), ju, iu] = 1.0
+    E[np.arange(K), iu, ju] = E[np.arange(K), ju, iu] = 1.0
     eye = np.eye(n)
-    G = np.zeros((len(A) + 2, K + 1, n, n))
-    F0 = np.zeros((len(A) + 2, n, n))
+    J = len(A) + 2
+    G = np.zeros((J, K + 1, n, n))
+    F0 = np.zeros((J, n, n))
     for q, Aq in enumerate(A):
         G[q, :K] = rho * E - Aq.T @ E @ Aq
         G[q, K] = -eye
     G[-2, :K], F0[-2] = E, -eye  # P - I
     G[-1, :K], F0[-1] = -E, P_CEILING * eye  # P_CEILING I - P
 
-    # G laid out once as (K + 1, blocks * n * n): the product tensordot
-    # would form, without its transpose copy on every call.
+    # G laid out once as (K + 1, blocks * n * n).  Each G_jk is symmetric,
+    # so sum_j tr(G_jk X_j) is row k of Gt times X flattened.
     Gt = G.transpose(1, 0, 2, 3).reshape(K + 1, -1)
 
-    def blocks(x):
-        return F0 + np.dot(x[None, :], Gt).reshape(F0.shape)
-
-    def objective(x, s):
-        try:
-            L = np.linalg.cholesky(blocks(x))
-        except np.linalg.LinAlgError:
-            return math.inf
-        return -s * x[-1] - 2.0 * float(np.log(np.diagonal(L, axis1=1, axis2=2)).sum())
+    def linear(x):  # sum_k x_k G_jk, block by block
+        return np.dot(x[None, :], Gt).reshape(F0.shape)
 
     x = np.zeros(K + 1)
     x[:K] = 2.0 * (iu == ju)
-    x[-1] = float(np.linalg.eigvalsh(blocks(x)[: len(A)])[:, 0].min()) - 1.0
-    rows = len(G) * n
-    s = 1.0
-    for _ in range(20):
-        f = objective(x, s)  # carried forward from the accepted step below
-        for _ in range(50):
-            # Near the boundary a block the line search's Cholesky accepted
-            # can be singular to inv, and the Hessian singular to solve or
-            # not positive on its rounded diagonal: centred as far as it
-            # goes, as when the line search stalls below.
-            try:
-                W = np.linalg.inv(blocks(x))[:, None] @ G
-                grad = -np.einsum("jkaa->k", W)
-                grad[-1] -= s
-                H = np.einsum("jkab,jlba->kl", W, W)
-                h = np.diag(H)
-                if not (h > 0.0).all():
-                    break
-                d = 1.0 / np.sqrt(h)
-                dx = -d * np.linalg.solve(H * np.outer(d, d), d * grad)
-            except np.linalg.LinAlgError:
+    x[-1] = float(np.linalg.eigvalsh((F0 + linear(x))[: len(A)])[:, 0].min()) - 1.0
+    Z = np.broadcast_to(eye, F0.shape).copy()
+    c = -np.eye(K + 1)[-1]
+    for _ in range(50):
+        S = F0 + linear(x)
+        gap = float(np.vdot(S, Z))
+        if np.abs(c - Gt @ Z.ravel()).max() <= 1e-6:
+            if x[-1] + gap <= 0.0:
+                return None
+            if gap <= 1e-9 * max(1.0, abs(x[-1])):
                 break
-            slope = float(grad @ dx)
-            if -slope <= 1e-10:
+        # Rounding near the optimum can defeat Cholesky or M's diagonal: as converged as it gets.
+        try:
+            L = np.linalg.inv(np.linalg.cholesky(np.concatenate([S, Z])))  # S_j = L_j^-1 L_j^-T
+            Si = L[:J].transpose(0, 2, 1) @ L[:J]
+            M = Gt @ (Si[:, None] @ G @ Z[:, None]).transpose(1, 0, 2, 3).reshape(K + 1, -1).T
+            h = np.diag(M)
+            if not (h > 0.0).all():
                 break
-            step = 1.0
-            for _ in range(40):
-                x_try = x + step * dx
-                f_try = objective(x_try, s)
-                if f_try <= f + 0.25 * step * slope:
-                    break
-                step *= 0.5
-            else:
-                break  # rounding stalls the step: centred as far as it goes
-            x, f = x_try, f_try
-        gap = rows / s
-        if x[-1] + gap <= 0.0:
-            return None
-        if gap <= 1e-8 * max(1.0, abs(x[-1])):
+            d = 1.0 / np.sqrt(h)
+            Mi = d[:, None] * np.linalg.inv(M * np.outer(d, d)) * d
+
+            def direction(R):
+                # Solves S dZ + dS Z = R - S Z with the dual equations.
+                U = Si @ R
+                dx = Mi @ (Gt @ U.ravel() - c)
+                dS = linear(dx)
+                dZ = U - Si @ dS @ Z - Z
+                dZ = 0.5 * (dZ + dZ.transpose(0, 2, 1))
+                # The largest steps along dS and dZ that keep S and Z >= 0.
+                lam = np.linalg.eigvalsh(L @ np.concatenate([dS, dZ]) @ L.transpose(0, 2, 1))
+                ap, ad = (-1.0 / v if v < 0 else math.inf for v in (lam[:J].min(), lam[J:].min()))
+                return dx, dS, dZ, ap, ad
+
+            dx, dS, dZ, ap, ad = direction(np.zeros_like(Z))
+            aff = float(np.vdot(S + min(1.0, ap) * dS, Z + min(1.0, ad) * dZ)) / gap  # mu_aff / mu
+            dx, dS, dZ, ap, ad = direction(aff**3 * gap / (J * n) * eye - dS @ dZ)
+        except np.linalg.LinAlgError:
             break
-        s *= 20.0
+        x = x + min(1.0, 0.95 * ap) * dx
+        Z = Z + min(1.0, 0.95 * ad) * dZ
     if x[-1] <= 0.0:
         return None
     P = np.zeros((n, n))
@@ -281,9 +281,11 @@ def find_P(
 ) -> StabilityCertificate:
     """Search for a quadratic stability certificate at a target rate.
 
-    Strategy: one margin-maximizing LMI search (:func:`_max_slack_P`,
-    numpy only) at a slightly shrunk rate gamma_s = target (1 - shrink),
-    walking the shrink down while the optimal slack is not positive.  The
+    Strategy: one margin-maximizing LMI search (:func:`_max_slack_P`, a
+    primal-dual interior-point method in numpy) at a slightly shrunk rate
+    gamma_s = target (1 - shrink), walking the shrink down while the
+    optimal slack is not positive.  The search stops once its duality gap
+    puts the slack within 1e-9 max(1, slack) of the largest one.  The
     first candidate found must pass :func:`certify_P`, so solver
     tolerances cannot make an unsound certificate.  Maximizing the slack
     keeps the numerical solution well inside the feasible set, which is

@@ -224,14 +224,25 @@ def check_real(name: str, x, ndim: int = 0):
     left to the class that takes the value.
     """
     if ndim == 0:
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        # A float or an int skips the ABC checks, which cost more than the cast.
+        if type(x) not in (float, int) and (
+            isinstance(x, bool) or not isinstance(x, numbers.Real)
+        ):
             raise ValueError(f"{name}: {x!r} is not a number")
         try:
             return float(x)
         except OverflowError:
             raise ValueError(f"{name}: {x!r} is beyond the float range") from None
-    rows = [check_real(f"{name}[{i}]", v, ndim - 1) for i, v in enumerate(check_list(name, x))]
-    for i, row in enumerate(rows if ndim > 1 else []):
+    items = check_list(name, x)
+    if ndim == 1:
+        # A float is taken as it is, so only another value pays for its name.
+        return np.array(
+            [v if type(v) is float else check_real(f"{name}[{i}]", v)
+             for i, v in enumerate(items)],
+            dtype=float,
+        )
+    rows = [check_real(f"{name}[{i}]", v, ndim - 1) for i, v in enumerate(items)]
+    for i, row in enumerate(rows):
         if row.shape != rows[0].shape:
             raise ValueError(f"{name}[{i}] has shape {row.shape}, {name}[0] has {rows[0].shape}")
     return np.array(rows, dtype=float)

@@ -25,6 +25,8 @@ from switchid import (
 )
 from switchid.bounds import (
     GAMMA_INFLATION,
+    P_CEILING,
+    _max_slack_P,
     certify_P,
     compute_KM,
     load_P_matrix,
@@ -192,6 +194,129 @@ def three_mode_model():
     return model, SwitchingDistribution(p=np.full(3, 1.0 / 3.0))
 
 
+def identify_like_model(seed):
+    # The A_q of the benchmark's identify model: n = 4, nQ = 3, drawn from
+    # rng [seed, 4] and scaled to ||A_q||_2 = 0.3.
+    rng = np.random.default_rng([seed, 4])
+    A = []
+    for _ in range(3):
+        X = rng.standard_normal((4, 4))
+        A.append(0.3 * X / np.linalg.norm(X, 2))
+    model = LssModel(
+        n=4, m=1, nQ=3, A=A, B=[np.ones((4, 1))] * 3, C=np.ones(4), D=np.zeros(1)
+    )
+    return model, SwitchingDistribution(p=np.full(3, 1.0 / 3.0))
+
+
+def first_rho(model, target):
+    """The rate find_P's first search runs at: its first shrink, 1e-2."""
+    return (target * (1.0 - 1e-2) / model.nQ) ** 2
+
+
+def slack(A, P, rho):
+    """min_q lambda_min(rho P - A_q^T P A_q), the quantity the search maximizes."""
+    return min(np.linalg.eigvalsh(rho * P - Aq.T @ P @ Aq)[0] for Aq in A)
+
+
+# Test-only oracle: the log-barrier search that _max_slack_P replaced,
+# kept verbatim.  It makes 56-73 Newton iterations on the two-mode family
+# and 131-213 on the n = 4, nQ = 3 models, and on the latter it can stop
+# at its 50-step cap short of the optimum, so the new search must match
+# or beat its slack rather than equal it.
+def barrier_max_slack_P(A: list[np.ndarray], rho: float) -> np.ndarray | None:
+    """Margin-maximizing semidefinite feasibility search for P: max t
+    subject to I <= P <= P_CEILING I and rho P - A_q^T P A_q >= t I for
+    every mode, by a log-barrier Newton method.
+
+    The unknowns are x = (upper triangle of P, t); every constraint is a
+    block F_j(x) = F0_j + sum_k x_k G_jk >= 0 that is affine in x.  Each
+    barrier stage minimizes -s t - sum_j log det F_j(x) by damped Newton
+    steps, after which the optimal t lies within (number of block rows)/s
+    of the current one (Boyd & Vandenberghe, Convex Optimization, 11.3).
+    The start P = 2I, with t one below the smallest eigenvalue of the mode
+    blocks, is strictly feasible.  Returns P once the optimum is pinned
+    to a positive t, None once it is pinned to t <= 0.
+    """
+    n = A[0].shape[0]
+    iu, ju = np.triu_indices(n)
+    K = len(iu)
+    E = np.zeros((K, n, n))
+    E[np.arange(K), iu, ju] = 1.0
+    E[np.arange(K), ju, iu] = 1.0
+    eye = np.eye(n)
+    G = np.zeros((len(A) + 2, K + 1, n, n))
+    F0 = np.zeros((len(A) + 2, n, n))
+    for q, Aq in enumerate(A):
+        G[q, :K] = rho * E - Aq.T @ E @ Aq
+        G[q, K] = -eye
+    G[-2, :K], F0[-2] = E, -eye  # P - I
+    G[-1, :K], F0[-1] = -E, P_CEILING * eye  # P_CEILING I - P
+
+    # G laid out once as (K + 1, blocks * n * n): the product tensordot
+    # would form, without its transpose copy on every call.
+    Gt = G.transpose(1, 0, 2, 3).reshape(K + 1, -1)
+
+    def blocks(x):
+        return F0 + np.dot(x[None, :], Gt).reshape(F0.shape)
+
+    def objective(x, s):
+        try:
+            L = np.linalg.cholesky(blocks(x))
+        except np.linalg.LinAlgError:
+            return math.inf
+        return -s * x[-1] - 2.0 * float(np.log(np.diagonal(L, axis1=1, axis2=2)).sum())
+
+    x = np.zeros(K + 1)
+    x[:K] = 2.0 * (iu == ju)
+    x[-1] = float(np.linalg.eigvalsh(blocks(x)[: len(A)])[:, 0].min()) - 1.0
+    rows = len(G) * n
+    s = 1.0
+    for _ in range(20):
+        f = objective(x, s)  # carried forward from the accepted step below
+        for _ in range(50):
+            # Near the boundary a block the line search's Cholesky accepted
+            # can be singular to inv, and the Hessian singular to solve or
+            # not positive on its rounded diagonal: centred as far as it
+            # goes, as when the line search stalls below.
+            try:
+                W = np.linalg.inv(blocks(x))[:, None] @ G
+                grad = -np.einsum("jkaa->k", W)
+                grad[-1] -= s
+                H = np.einsum("jkab,jlba->kl", W, W)
+                h = np.diag(H)
+                if not (h > 0.0).all():
+                    break
+                d = 1.0 / np.sqrt(h)
+                dx = -d * np.linalg.solve(H * np.outer(d, d), d * grad)
+            except np.linalg.LinAlgError:
+                break
+            slope = float(grad @ dx)
+            if -slope <= 1e-10:
+                break
+            step = 1.0
+            for _ in range(40):
+                x_try = x + step * dx
+                f_try = objective(x_try, s)
+                if f_try <= f + 0.25 * step * slope:
+                    break
+                step *= 0.5
+            else:
+                break  # rounding stalls the step: centred as far as it goes
+            x, f = x_try, f_try
+        gap = rows / s
+        if x[-1] + gap <= 0.0:
+            return None
+        if gap <= 1e-8 * max(1.0, abs(x[-1])):
+            break
+        s *= 20.0
+    if x[-1] <= 0.0:
+        return None
+    P = np.zeros((n, n))
+    P[iu, ju] = x[:K]
+    P[ju, iu] = x[:K]
+    return P
+
+
 class TestFindP:
     def test_benchmark_all_rates(self):
         cases = [(two_mode_benchmark(gamma), gamma) for gamma in (0.1, 0.4, 0.6)]
@@ -206,19 +331,21 @@ class TestFindP:
             g2, m2 = gamma_from_P(model, cert.P)
             assert g2 <= gamma and m2 > 0.0
 
-    # P's upper triangle, row by row, as float.hex.  Rearranging the barrier
-    # loop's arithmetic must not move its Newton iterates by one bit, since
-    # P feeds the certificate and the bound column built from it.
+    # P's upper triangle, row by row, as float.hex: the primal-dual
+    # search's answer on this host's BLAS kernel, bit for bit.  P feeds the
+    # certificate and the bound column built from it, so a change that
+    # moves one bit re-records these and the manifest (tests/test_golden.py)
+    # and says why.
     PINNED_P = {
-        0.1: ("0x1.a835e8998328cp+8", "-0x1.1bba175e231dcp-14", "0x1.e847fff9d7bd4p+19"),
-        0.4: ("0x1.99351a8378d1bp+12", "-0x1.cb81b6abce574p-12", "0x1.e847fff6072f6p+19"),
-        0.6: ("0x1.b7a08eb1bf99cp+13", "-0x1.1d2f4aa2831e0p-13", "0x1.e847fffdefe15p+19"),
+        0.1: ("0x1.a835e87128666p+8", "-0x1.3b7b4a15a0590p-24", "0x1.e847fffffe49dp+19"),
+        0.4: ("0x1.99351a41be10ep+12", "-0x1.a7e647ce78dc0p-18", "0x1.e847ffffc5640p+19"),
+        0.6: ("0x1.b7a08ea2077f1p+13", "-0x1.8c5294e906080p-20", "0x1.e847ffffeeb69p+19"),
     }
     PINNED_P_THREE_MODE = (
-        "0x1.b64d1f460c833p+19", "0x1.55b28dd62ce23p+15", "0x1.c1ae5c8a42c6bp+16",
-        "-0x1.9cc04959236e6p+17", "0x1.61dda36ab3cb9p+19", "-0x1.6039468e9fabep+16",
-        "0x1.3b7331e0e2fc2p+16", "0x1.621ffbbbd93f5p+19", "0x1.fee6d41087199p+17",
-        "0x1.10ca87389970ap+19",
+        "0x1.b55efef51821bp+19", "0x1.ce6e570cb1dcfp+14", "0x1.f058ba73be0efp+16",
+        "-0x1.978fba7740d2dp+17", "0x1.695e3dc7576b5p+19", "-0x1.752668cde313dp+16",
+        "0x1.82d9eca277751p+16", "0x1.6ef25379b17abp+19", "0x1.19f13d6c1c322p+18",
+        "0x1.1573a540d749bp+19",
     )
 
     @pytest.mark.parametrize("gamma", [0.1, 0.4, 0.6])
@@ -274,17 +401,72 @@ class TestFindP:
         with pytest.raises(CertificateError, match="margin"):
             certify_P(model, dist, cert.P, 0.6)
 
-    # Near the barrier's boundary the Newton direction used to end in a
-    # bare LinAlgError ("Singular matrix") or a RuntimeWarning from the
-    # Hessian's rounded diagonal.  Which models hit it depends on the
-    # host's floating-point libraries, so the whole family is run.
+    # Near the optimum a block of the search is singular to rounding, which
+    # can end a search in a bare LinAlgError.  Which models come close
+    # depends on the host's floating-point libraries, so the whole family
+    # is run.
     FAMILY = [(n, nQ, seed) for n in (2, 3, 4) for nQ in (1, 2, 3) for seed in range(8)]
 
     @pytest.mark.parametrize("target", [0.95, 0.9999])
     def test_certifiable_family_is_certified(self, target):
+        # The oracle can stop short of the optimum, never past it (up to
+        # its stopping rule), so the search's slack must be at least the
+        # oracle's.
         for key in self.FAMILY:
-            cert = find_P(*certifiable_model(*key), target)
+            model, dist = certifiable_model(*key)
+            cert = find_P(model, dist, target)
             assert cert.gamma <= target and cert.margin > 0.0, key
+            rho = first_rho(model, target)
+            P, oracle = _max_slack_P(model.A, rho), barrier_max_slack_P(model.A, rho)
+            assert slack(model.A, P, rho) >= slack(model.A, oracle, rho) * (1.0 - 1e-9), key
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.4, 0.6])
+    def test_benchmark_certificate_agrees_with_the_barrier_oracle(self, gamma, monkeypatch):
+        model, dist = two_mode_benchmark(gamma)
+        cert = find_P(model, dist, gamma)
+        monkeypatch.setattr("switchid.bounds._max_slack_P", barrier_max_slack_P)
+        oracle = find_P(model, dist, gamma)
+        assert np.linalg.norm(cert.P - oracle.P) <= 1e-8 * np.linalg.norm(oracle.P)
+        npt.assert_allclose(cert.gamma, oracle.gamma, rtol=1e-8)
+        # The margin is a difference of numbers of size rho ||P|| ~ 1e3 that
+        # lands at 5e-6..2e-4: a 1e-15 relative change of P moves it by up
+        # to 3e-7 relative, so it is held to 1e-6.
+        npt.assert_allclose(cert.margin, oracle.margin, rtol=1e-6)
+        # cond(P) = lambda_max / lambda_min with lambda_max at P_CEILING and
+        # lambda_min ~ 4e2..1.4e4: the oracle's P, 1e-9 of ||P|| off the
+        # optimum, moves it by up to 1.1e-8 relative (at gamma = 0.4).
+        ev, ev_oracle = np.linalg.eigvalsh(cert.P), np.linalg.eigvalsh(oracle.P)
+        npt.assert_allclose(ev[-1] / ev[0], ev_oracle[-1] / ev_oracle[0], rtol=3e-8)
+
+    # Each iteration of the search factors the stacked S and Z blocks by one
+    # Cholesky call; the barrier made 56-73 Newton iterations on the
+    # two-mode family and 131-213 on the n = 4, nQ = 3 models.
+    GUARD_MODELS = [
+        *(pytest.param(two_mode_benchmark(g), g, id=f"two-mode-{g}") for g in (0.1, 0.4, 0.6)),
+        pytest.param(three_mode_model(), 0.95, id="three-mode"),
+        *(pytest.param(identify_like_model(s), 0.95, id=f"identify-{s}") for s in (1, 2, 3)),
+    ]
+
+    @pytest.mark.parametrize("case, target", GUARD_MODELS)
+    def test_search_stops_within_30_iterations(self, case, target, monkeypatch):
+        model, dist = case
+        cholesky = np.linalg.cholesky
+        calls, raised = [], []
+
+        def counting(a):
+            calls.append(a.shape)
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                raised.append(a.shape)
+                raise
+
+        monkeypatch.setattr("switchid.bounds.np.linalg.cholesky", counting)
+        P = _max_slack_P(model.A, first_rho(model, target))
+        monkeypatch.undo()
+        assert len(calls) <= 30, len(calls)
+        assert raised == []
+        certify_P(model, dist, P, target)
 
     def test_certifiable_family_min_gamma(self):
         # A subset: the bisection costs about a dozen searches per model.
