@@ -30,7 +30,6 @@ from .bounds import (
 )
 from .core import (
     SignalSpec,
-    check_mode_labels,
     load_model_file,
     two_mode_benchmark,
     word_to_str,
@@ -149,48 +148,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _check_input_covariance(u: np.ndarray, sigma_u: np.ndarray) -> None:
-    """Refuse an input covariance the trajectory's inputs contradict.
-
-    The estimator divides by Sigma_u, so a wrong one scales every Markov
-    estimate.  For correctly stated uniform inputs the relative Frobenius
-    deviation of u^T u / (N + 1) from Sigma_u has standard deviation
-    about sqrt((m - 0.2) / (N + 1)), so the tolerance, never below
-    8 / sqrt(N + 1), is more than four of them for m <= 3.
-    """
-    sigma_hat = np.einsum("ti,tj->ij", u, u) / len(u)
-    tol = max(0.25, 8.0 / np.sqrt(len(u)))
-    dev = np.linalg.norm(sigma_hat - sigma_u) / np.linalg.norm(sigma_u)
-    if dev > tol:
-        raise ValueError(
-            f"input covariance does not match the trajectory: Sigma_u = "
-            f"{np.array2string(sigma_u, precision=4)} but the inputs give "
-            f"{np.array2string(sigma_hat, precision=4)} (relative Frobenius "
-            f"deviation {dev:.3g} > {tol:.3g}); check --ku-input or the model file"
-        )
-
-
-def _check_mode_law(q: np.ndarray, p: np.ndarray) -> None:
-    """Refuse a mode law the trajectory's mode labels contradict.
-
-    The estimator divides every Markov estimate by the word probability
-    p_w, so a wrong p scales each one.  Labels are range-checked first.
-    For labels drawn from p the frequency of mode q has standard
-    deviation sqrt(p_q (1 - p_q) / (N + 1)); the tolerance is six of
-    them plus one count, 1 / (N + 1).
-    """
-    check_mode_labels(q, len(p))
-    freq = np.bincount(q, minlength=len(p) + 1)[1:] / len(q)
-    tol = 6.0 * np.sqrt(p * (1.0 - p) / len(q)) + 1.0 / len(q)
-    if np.any(np.abs(freq - p) > tol):
-        raise ValueError(
-            f"mode law does not match the trajectory: p = "
-            f"{np.array2string(p, precision=4)} but the mode labels occur with "
-            f"frequencies {np.array2string(freq, precision=4)} (tolerance "
-            f"{np.array2string(tol, precision=3)}); check p in the model file"
-        )
-
-
 def cmd_identify(args) -> int:
     if args.trajectory and args.model is None and args.gamma is None:
         raise ValueError(
@@ -211,12 +168,10 @@ def cmd_identify(args) -> int:
         sample = simulate(_sim_config(args, model, dist, signal))
     if sample.N <= 2 * (2 * model.n + 1):
         raise ValueError(
-            f"trajectory too short: N = {sample.N} but more than "
-            f"{2 * (2 * model.n + 1)} samples are needed for n = {model.n}"
+            f"trajectory too short: N = {sample.N}, identify needs "
+            f"N > {2 * (2 * model.n + 1)} = 2(2n + 1) for n = {model.n}"
         )
     sigma_u = signal.sigma_u(model.m)
-    _check_input_covariance(sample.u, sigma_u)
-    _check_mode_law(sample.q, dist.p)
     sel = load_selection(args.selection, model) if args.selection else find_selection(model)
     # The named model is the truth: the source of a simulated trajectory,
     # the model a trajectory file is read against.

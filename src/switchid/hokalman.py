@@ -321,13 +321,56 @@ def true_realization(model: LssModel, sel: Selection) -> tuple[set[Word], Realiz
         raise SingularHankelError(msg) from None
 
 
+def _check_sample_law(sample: SampleSet, sigma_u: np.ndarray, p: np.ndarray) -> None:
+    """Refuse an input covariance or a mode law the trajectory contradicts.
+
+    The estimator divides by Sigma_u and by every word probability p_w,
+    so a wrong one scales every Markov estimate.  For correctly stated
+    uniform inputs the relative Frobenius deviation of u^T u / (N + 1)
+    from Sigma_u has standard deviation about sqrt((m - 0.2) / (N + 1)),
+    so the tolerance, never below 8 / sqrt(N + 1), is more than four of
+    them for m <= 3.  For labels drawn from p the frequency of mode q has
+    standard deviation sqrt(p_q (1 - p_q) / (N + 1)); the tolerance is
+    six of them plus one count, 1 / (N + 1).  The labels must already lie
+    in 1..nQ, as the estimator makes sure.
+    """
+    u, q = sample.u, sample.q
+    sigma_hat = np.einsum("ti,tj->ij", u, u) / len(u)
+    tol = max(0.25, 8.0 / np.sqrt(len(u)))
+    dev = np.linalg.norm(sigma_hat - sigma_u) / np.linalg.norm(sigma_u)
+    if dev > tol:
+        raise ValueError(
+            f"input covariance does not match the trajectory: Sigma_u = "
+            f"{np.array2string(sigma_u, precision=4)} but the inputs give "
+            f"{np.array2string(sigma_hat, precision=4)} (relative Frobenius "
+            f"deviation {dev:.3g} > {tol:.3g}); check --ku-input or the model file"
+        )
+    # Counted per mode: a quarter of np.bincount's time on long runs.
+    freq = np.array([np.count_nonzero(q == c) for c in range(1, len(p) + 1)]) / len(q)
+    tol = 6.0 * np.sqrt(p * (1.0 - p) / len(q)) + 1.0 / len(q)
+    if np.any(np.abs(freq - p) > tol):
+        raise ValueError(
+            f"mode law does not match the trajectory: p = "
+            f"{np.array2string(p, precision=4)} but the mode labels occur with "
+            f"frequencies {np.array2string(freq, precision=4)} (tolerance "
+            f"{np.array2string(tol, precision=3)}); check p in the model file"
+        )
+
+
 def identify_sample(
     sample: SampleSet, sel: Selection, words, sigma_u: np.ndarray, dist: SwitchingDistribution
 ) -> tuple[dict[Word, np.ndarray], RealizationResult]:
     """Both stages on one trajectory: the Markov estimates over ``words``
     (a superset of ``required_words(sel, nQ)``) and their realization.
-    Raises :class:`SingularHankelError` as :func:`realize` does."""
+
+    Refuses, in this order: what :func:`empirical_markov_batch` refuses
+    (ValueError); inputs that contradict ``sigma_u``, then mode labels
+    that contradict ``dist.p`` (ValueError, see :func:`_check_sample_law`);
+    a singular estimated H_ab (:class:`SingularHankelError`, as
+    :func:`realize` raises it).
+    """
     mmap = empirical_markov_batch(sample, words, sigma_u, dist)
+    _check_sample_law(sample, sigma_u, dist.p)
     return mmap, realize(build_hankels(mmap, sel), mmap[()])
 
 

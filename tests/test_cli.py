@@ -269,9 +269,14 @@ def test_selection_singular_for_the_model_is_named(capsys, tmp_path, command):
 
 
 def test_identify_refuses_short_run(capsys):
-    rc, _, err = run(capsys, "identify", "--N", "8")
-    assert rc == 1
-    assert "too short" in err
+    # N = 10 holds 11 samples, t = 0..N; identify needs N > 2(2n + 1).
+    rc, out, err = run(capsys, "identify", "--N", "10")
+    assert rc == 1 and out == ""
+    assert err == (
+        "error: trajectory too short: N = 10, identify needs N > 10 = 2(2n + 1) for n = 2\n"
+    )
+    rc, _, _ = run(capsys, "identify", "--N", "11")
+    assert rc == 0
 
 
 def test_selection_output(capsys, tmp_path):

@@ -577,15 +577,36 @@ def test_identify_sample_refuses_a_sample_without_input(bench, rng):
     words = required_words(BENCH_SEL, model.nQ)
     mm = empirical_markov_batch(sample, words, np.eye(1), dist)
     assert all(not mm[w].any() for w in words)
-    with pytest.raises(SingularHankelError):
+    # The inputs contradict Sigma_u = I, which is refused before realize
+    # could find the zero H_ab singular.
+    with pytest.raises(ValueError, match=r"^input covariance does not match the trajectory: "
+                       r"Sigma_u = \[\[1\.\]\] but the inputs give \[\[0\.\]\]"):
         identify_sample(sample, BENCH_SEL, words, np.eye(1), dist)
+
+
+def test_identify_sample_refuses_a_law_the_trajectory_contradicts(bench, bench_signal):
+    # Read against the wrong law, this run gives est_err 0.75 (Sigma_u four
+    # times too large) or 0.58 (p = (0.8, 0.2)) instead of 0.11.
+    model, dist = bench
+    sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=10_000, seed=1))
+    words = required_words(BENCH_SEL, model.nQ)
+    sigma_u = bench_signal.sigma_u(model.m)
+    identify_sample(sample, BENCH_SEL, words, sigma_u, dist)
+    with pytest.raises(ValueError, match=r"^input covariance does not match the trajectory: "
+                       r"Sigma_u = \[\[0\.8533\]\] but the inputs give"):
+        identify_sample(sample, BENCH_SEL, words, 4 * sigma_u, dist)
+    skewed = SwitchingDistribution(np.array([0.8, 0.2]))
+    with pytest.raises(ValueError, match=r"^mode law does not match the trajectory: "
+                       r"p = \[0\.8 0\.2\] but the mode labels occur with frequencies"):
+        identify_sample(sample, BENCH_SEL, words, sigma_u, skewed)
 
 
 def test_only_hokalman_calls_the_identification_stages():
     # identify_sample and true_realization hold the one copy of the
-    # estimate and truth chains; another module calling these stages has
-    # written a chain out again.
-    stages = {"build_hankels", "realize", "empirical_markov_batch"}
+    # estimate and truth chains, and identify_sample the one consistency
+    # check of a trajectory against its law; another module calling these
+    # stages has written a chain or the check out again.
+    stages = {"build_hankels", "realize", "empirical_markov_batch", "_check_sample_law"}
     calls = []
     for path in sorted(pathlib.Path(switchid.__file__).parent.glob("*.py")):
         if path.stem == "hokalman":
