@@ -36,8 +36,7 @@ def main():
     print("Selected row words:", [word_to_str(w) or "eps" for w in sel.alpha])
     print("Selected columns:  ", [(word_to_str(mu) or "eps", q, l) for mu, q, l in sel.beta])
 
-    words = required_words(sel, model.nQ)
-    truth = true_markov_map(model, words)
+    truth = true_markov_map(model, required_words(sel, model.nQ))
     hs = build_hankels(truth, sel)
     print("\nH_ab =\n%s" % hs.H_ab)
     sigma = np.linalg.svd(hs.H_ab, compute_uv=False)
@@ -50,11 +49,12 @@ def main():
     print("\nExact realization: worst Markov mismatch %.2e over %d words"
           % (worst, len(check_words)))
 
-    # Same pipeline, but the parameters now come from one noisy run.
+    # Same pipeline, but the parameters now come from one noisy run;
+    # identify_sample estimates the same words, read off the selection.
     signal = SignalSpec(Ku_input=0.8, Ku_noise=1.0)
     for N in (1_000, 10_000, 100_000):
         sample = simulate(SimConfig(model=model, dist=dist, signal=signal, N=N, seed=3))
-        _, rr_hat = identify_sample(sample, sel, words, signal.sigma_u(model.m), dist)
+        _, rr_hat = identify_sample(sample, sel, signal.sigma_u(model.m), dist)
         print("N = %6d: EstErr = %.4f  (sigma_n of estimated H_ab: %.3f)"
               % (N, est_err(rr_hat, rr), rr_hat.sigma_n))
 

@@ -28,7 +28,7 @@ def main():
     model, dist = two_mode_benchmark(0.6)
     signal = SignalSpec(Ku_input=0.8, Ku_noise=1.0)
     sel = find_selection(model)
-    _, rr = true_realization(model, sel)
+    rr = true_realization(model, sel)
     stability = find_P(model, dist, 0.6)
 
     bc = compute_certificate(model, dist, signal, sel, rr.sigma_n, 0.05, 10_000,

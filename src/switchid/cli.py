@@ -48,6 +48,7 @@ from .hokalman import (
     find_selection,
     identify_sample,
     load_selection,
+    required_words,
     save_realization,
     save_selection,
     true_realization,
@@ -116,15 +117,6 @@ def _resolve_model(args):
     return model, dist, signal, gamma
 
 
-def _require_input(signal: SignalSpec) -> None:
-    """Refuse a zero input amplitude where Sigma_u is inverted."""
-    if signal.Ku_input <= 0:
-        raise ValueError(
-            f"input amplitude Ku_input = {signal.Ku_input!r} must be positive: "
-            "the estimator and the bound invert the input covariance Sigma_u"
-        )
-
-
 def _sim_config(args, model, dist, signal) -> SimConfig:
     """The simulated run that --N, --burn-in and --seed name."""
     return SimConfig(
@@ -156,7 +148,7 @@ def cmd_identify(args) -> int:
             "family (--gamma): a trajectory file carries none of it"
         )
     model, dist, signal, _ = _resolve_model(args)
-    _require_input(signal)
+    sigma_u = signal.sigma_u(model.m)
     if args.trajectory:
         sample = load_trajectory(args.trajectory)
         if sample.u.shape[1] != model.m:
@@ -171,12 +163,11 @@ def cmd_identify(args) -> int:
             f"trajectory too short: N = {sample.N}, identify needs "
             f"N > {2 * (2 * model.n + 1)} = 2(2n + 1) for n = {model.n}"
         )
-    sigma_u = signal.sigma_u(model.m)
     sel = load_selection(args.selection, model) if args.selection else find_selection(model)
     # The named model is the truth: the source of a simulated trajectory,
     # the model a trajectory file is read against.
-    words, rr_ref = true_realization(model, sel)
-    _, rr_hat = identify_sample(sample, sel, words, sigma_u, dist)
+    rr_ref = true_realization(model, sel)
+    _, rr_hat = identify_sample(sample, sel, sigma_u, dist)
     print(f"selection rows: {[word_to_str(w) or 'e' for w in sel.alpha]}")
     print(
         "selection cols: "
@@ -193,14 +184,14 @@ def cmd_identify(args) -> int:
 def cmd_selection(args) -> int:
     model, _, _, _ = _resolve_model(args)
     sel = find_selection(model)
-    words, rr_ref = true_realization(model, sel)
+    rr_ref = true_realization(model, sel)
     print(f"rows (alpha):  {[word_to_str(w) or 'e' for w in sel.alpha]}")
     print(
         "cols (beta):   "
         f"{[(word_to_str(mu) or 'e', q, l) for (mu, q, l) in sel.beta]}"
     )
     print(f"sigma_n(H_ab) = {rr_ref.sigma_n:.6g}")
-    print(f"words required for the estimator: {len(words)}")
+    print(f"words required for the estimator: {len(required_words(sel, model.nQ))}")
     if args.out:
         save_selection(args.out, sel)
         print(f"selection written to {args.out}")
@@ -225,9 +216,8 @@ def cmd_stability(args) -> int:
 
 def cmd_bound(args) -> int:
     model, dist, signal, gamma = _resolve_model(args)
-    _require_input(signal)
     sel = load_selection(args.selection, model) if args.selection else find_selection(model)
-    _, rr_ref = true_realization(model, sel)
+    rr_ref = true_realization(model, sel)
     stability = find_P(model, dist, gamma)
     certs = [
         compute_certificate(

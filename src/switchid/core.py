@@ -167,18 +167,24 @@ class SignalSpec:
         return max(self.Ku_input, self.Ku_noise)
 
     def sigma_u(self, m: int) -> np.ndarray:
-        """Input covariance, explicit or the uniform-law default."""
+        """Input covariance, explicit or the uniform-law default.  The
+        estimator and the bound invert it, so a zero Ku_input is refused
+        even beside an explicit Sigma_u, as is one whose variance or its
+        inverse leaves the float range; simulate does not call this."""
+        if self.Ku_input == 0:
+            raise ValueError(
+                f"input amplitude Ku_input = {self.Ku_input!r} must be positive: "
+                "the estimator and the bound invert the input covariance Sigma_u"
+            )
         if self.Sigma_u is not None:
             if self.Sigma_u.shape != (m, m):
                 raise ValueError(f"Sigma_u must be {m}x{m}")
             return self.Sigma_u
-        # The estimator and the bound invert Sigma_u, so a positive
-        # amplitude must give a variance whose inverse is finite too.
         try:
             var = self.Ku_input**2 / 3.0
         except OverflowError:
             var = math.inf
-        if self.Ku_input > 0 and not 1.0 / sys.float_info.max < var < math.inf:
+        if not 1.0 / sys.float_info.max < var < math.inf:
             raise ValueError(
                 f"Ku_input = {self.Ku_input!r} is out of range: Sigma_u = (Ku_input^2 / 3) I "
                 "or its inverse leaves the float range"
@@ -224,10 +230,7 @@ def check_real(name: str, x, ndim: int = 0):
     left to the class that takes the value.
     """
     if ndim == 0:
-        # A float or an int skips the ABC checks, which cost more than the cast.
-        if type(x) not in (float, int) and (
-            isinstance(x, bool) or not isinstance(x, numbers.Real)
-        ):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
             raise ValueError(f"{name}: {x!r} is not a number")
         try:
             return float(x)
@@ -235,12 +238,7 @@ def check_real(name: str, x, ndim: int = 0):
             raise ValueError(f"{name}: {x!r} is beyond the float range") from None
     items = check_list(name, x)
     if ndim == 1:
-        # A float is taken as it is, so only another value pays for its name.
-        return np.array(
-            [v if type(v) is float else check_real(f"{name}[{i}]", v)
-             for i, v in enumerate(items)],
-            dtype=float,
-        )
+        return np.array([check_real(f"{name}[{i}]", v) for i, v in enumerate(items)], dtype=float)
     rows = [check_real(f"{name}[{i}]", v, ndim - 1) for i, v in enumerate(items)]
     for i, row in enumerate(rows):
         if row.shape != rows[0].shape:

@@ -45,6 +45,7 @@ from .hokalman import (
     est_err,
     find_selection,
     identify_sample,
+    required_words,
     true_realization,
 )
 from .simulate import DEFAULT_BURN_IN, SimConfig, simulate
@@ -153,7 +154,6 @@ def _run_one_trial(
     N: int,
     burn_in: int,
     sel: Selection,
-    words: set,
     rr_ref: RealizationResult,
     seed: int,
 ) -> tuple[float, float]:
@@ -163,7 +163,7 @@ def _run_one_trial(
         SimConfig(model=model, dist=dist, signal=signal, N=N, burn_in=burn_in, seed=seed)
     )
     try:
-        _, rr_hat = identify_sample(sample, sel, words, sigma_u, dist)
+        _, rr_hat = identify_sample(sample, sel, sigma_u, dist)
         err = est_err(rr_hat, rr_ref)
     except SingularHankelError:
         err = float("nan")
@@ -177,9 +177,10 @@ def _plan(cfg: ExperimentConfig) -> list[tuple[str | None, dict, functools.parti
     certificate, at that gamma's first point), the row fields it fixes
     and its trial as a function of the seed.  Each distinct model is
     searched and realized once: per gamma for the built-in family, once
-    for a model file.  Every refusal the config decides is raised here:
-    an N too short for the estimator, and a bound or Sigma_u outside the
-    float range.
+    for a model file; each trial's :func:`identify_sample` reads the word
+    set off the selection.  Every refusal the config decides is raised
+    here: an N shorter than the longest required word allows, and a bound
+    or Sigma_u outside the float range.
     """
     fixed = None if cfg.model_file is None else load_model_file(cfg.model_file)[:2]
     truths = {}
@@ -188,10 +189,12 @@ def _plan(cfg: ExperimentConfig) -> list[tuple[str | None, dict, functools.parti
         if key not in truths:
             model, dist = fixed or two_mode_benchmark(gamma)
             sel = find_selection(model)
-            truths[key] = (model, dist, sel, *true_realization(model, sel))
+            truths[key] = (model, dist, sel, true_realization(model, sel))
     # A trajectory of N + 1 samples has N - |w| + 1 windows for a word w,
     # so the shortest N that runs is the longest required word plus one.
-    shortest = max(len(w) for *_, words, _ in truths.values() for w in words) + 1
+    shortest = 1 + max(
+        len(w) for model, _, sel, _ in truths.values() for w in required_words(sel, model.nQ)
+    )
     too_short = [N for N in cfg.N_grid if N < shortest]
     if too_short:
         raise ValueError(
@@ -201,7 +204,7 @@ def _plan(cfg: ExperimentConfig) -> list[tuple[str | None, dict, functools.parti
 
     plan = []
     for gamma in cfg.gamma_values:
-        model, dist, sel, words, rr_ref = truths[None if fixed else gamma]
+        model, dist, sel, rr_ref = truths[None if fixed else gamma]
         try:
             stability, note = find_P(model, dist, gamma), None
         except CertificateError as exc:
@@ -218,7 +221,7 @@ def _plan(cfg: ExperimentConfig) -> list[tuple[str | None, dict, functools.parti
                 point.update(bound=bc.bound_EstErr, valid=bc.valid)
             run_trial = functools.partial(
                 _run_one_trial, model, dist, signal, signal.sigma_u(model.m), N, cfg.burn_in,
-                sel, words, rr_ref,
+                sel, rr_ref,
             )
             plan.append((note, point, run_trial))
             note = None

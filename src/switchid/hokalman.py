@@ -307,15 +307,14 @@ def realize(hs: HankelSet, M_eps: np.ndarray) -> RealizationResult:
     return RealizationResult(Abar=Abar, Bbar=Bbar, Cbar=Cbar, Dbar=Dbar, sigma_n=float(s[-1]))
 
 
-def true_realization(model: LssModel, sel: Selection) -> tuple[set[Word], RealizationResult]:
-    """The selection's required words, and the realization of the model's
-    true Markov parameters over them: the reference :func:`est_err` scores
-    an estimate from the same selection against.  A singular H_ab is
-    refused as the selection's fault."""
-    words = required_words(sel, model.nQ)
-    mmap = true_markov_map(model, words)
+def true_realization(model: LssModel, sel: Selection) -> RealizationResult:
+    """The realization of the model's true Markov parameters over the
+    selection's required words: the reference :func:`est_err` scores an
+    estimate from the same selection against.  A singular H_ab is refused
+    as the selection's fault."""
+    mmap = true_markov_map(model, required_words(sel, model.nQ))
     try:
-        return words, realize(build_hankels(mmap, sel), mmap[()])
+        return realize(build_hankels(mmap, sel), mmap[()])
     except SingularHankelError as exc:
         msg = f"the selection's true H_ab is singular for this model ({exc})"
         raise SingularHankelError(msg) from None
@@ -343,7 +342,7 @@ def _check_sample_law(sample: SampleSet, sigma_u: np.ndarray, p: np.ndarray) -> 
             f"input covariance does not match the trajectory: Sigma_u = "
             f"{np.array2string(sigma_u, precision=4)} but the inputs give "
             f"{np.array2string(sigma_hat, precision=4)} (relative Frobenius "
-            f"deviation {dev:.3g} > {tol:.3g}); check --ku-input or the model file"
+            f"deviation {dev:.3g} > {tol:.3g})"
         )
     # Counted per mode: a quarter of np.bincount's time on long runs.
     freq = np.array([np.count_nonzero(q == c) for c in range(1, len(p) + 1)]) / len(q)
@@ -353,15 +352,16 @@ def _check_sample_law(sample: SampleSet, sigma_u: np.ndarray, p: np.ndarray) -> 
             f"mode law does not match the trajectory: p = "
             f"{np.array2string(p, precision=4)} but the mode labels occur with "
             f"frequencies {np.array2string(freq, precision=4)} (tolerance "
-            f"{np.array2string(tol, precision=3)}); check p in the model file"
+            f"{np.array2string(tol, precision=3)})"
         )
 
 
 def identify_sample(
-    sample: SampleSet, sel: Selection, words, sigma_u: np.ndarray, dist: SwitchingDistribution
+    sample: SampleSet, sel: Selection, sigma_u: np.ndarray, dist: SwitchingDistribution
 ) -> tuple[dict[Word, np.ndarray], RealizationResult]:
-    """Both stages on one trajectory: the Markov estimates over ``words``
-    (a superset of ``required_words(sel, nQ)``) and their realization.
+    """Both stages on one trajectory: the Markov estimates over the
+    selection's required words (:func:`required_words`) and their
+    realization.
 
     Refuses, in this order: what :func:`empirical_markov_batch` refuses
     (ValueError); inputs that contradict ``sigma_u``, then mode labels
@@ -369,7 +369,7 @@ def identify_sample(
     a singular estimated H_ab (:class:`SingularHankelError`, as
     :func:`realize` raises it).
     """
-    mmap = empirical_markov_batch(sample, words, sigma_u, dist)
+    mmap = empirical_markov_batch(sample, required_words(sel, dist.nQ), sigma_u, dist)
     _check_sample_law(sample, sigma_u, dist.p)
     return mmap, realize(build_hankels(mmap, sel), mmap[()])
 

@@ -99,7 +99,8 @@ def bench_setup():
     model, dist = two_mode_benchmark(0.6)
     signal = SignalSpec(Ku_input=0.8, Ku_noise=1.0)
     sel = find_selection(model)
-    words, rr_ref = true_realization(model, sel)
+    rr_ref = true_realization(model, sel)
+    words = required_words(sel, model.nQ)
     mm_true = true_markov_map(model, words)
     stability = find_P(model, dist, 0.6)
     return model, dist, signal, sel, words, mm_true, rr_ref, stability
@@ -116,7 +117,7 @@ def _run_trials(bench_setup, N, n_trials, seed_base, keep_word_errors):
         sample = simulate(
             SimConfig(model=model, dist=dist, signal=signal, N=N, seed=seed_base + t)
         )
-        mm, rr = identify_sample(sample, sel, words, sigma_u, dist)
+        mm, rr = identify_sample(sample, sel, sigma_u, dist)
         if keep_word_errors:
             for j, w in enumerate(W):
                 word_errs[t, j] = np.linalg.norm(mm[w] - mm_true[w])
@@ -147,7 +148,7 @@ def test_criterion_1_exact_roundtrip(report):
         frontier = [w + (c,) for w in frontier for c in (1, 2)]
         words += frontier
     mm = true_markov_map(model, words)
-    rr = true_realization(model, FIXED_SEL)[1]
+    rr = true_realization(model, FIXED_SEL)
     rt = markov_roundtrip(rr, words)
     worst = max(float(np.max(np.abs(rt[w] - mm[w]))) for w in words)
     dt = time.perf_counter() - t0
@@ -378,7 +379,7 @@ def test_criterion_8_lti_reduction(report):
             continue
         model = LssModel(n=n, m=1, nQ=1, A=[A], B=[B], C=C, D=D)
         sel = find_selection(model)
-        est = true_realization(model, sel)[1].as_model()
+        est = true_realization(model, sel).as_model()
         for k in range(0, 2 * n + 2):
             w = (1,) * k
             worst = max(worst, float(abs(true_markov(est, w)[0] - true_markov(model, w)[0])))

@@ -12,15 +12,18 @@ from switchid import (
     CertificateError,
     LssModel,
     SignalSpec,
+    SimConfig,
     StabilityCertificate,
     SwitchingDistribution,
     compute_certificate,
     find_P,
     find_selection,
     gamma_from_P,
+    identify_sample,
     min_gamma_certificate,
     min_valid_N,
     schur_radius,
+    simulate,
     two_mode_benchmark,
 )
 from switchid.bounds import (
@@ -475,6 +478,33 @@ class TestFindP:
             model, dist = certifiable_model(2, 2, seed)
             assert min_gamma_certificate(model, dist).gamma <= 0.9 + 1e-3, seed
 
+    def test_min_gamma_without_a_certificate_at_the_top_is_refused(self):
+        # |A| = 1.5: no rate below 1 is certifiable, so the bisection never starts.
+        model = single_mode(1.5)
+        dist = SwitchingDistribution(p=[1.0])
+        with pytest.raises(CertificateError, match=re.escape(
+            "model not certifiable even at gamma = 0.9999 (schur_radius = 2.250000)"
+        )):
+            min_gamma_certificate(model, dist)
+
+    def test_rejected_candidate_ends_the_search(self, bench, monkeypatch):
+        # A candidate certify_P refuses is not retried at a smaller shrink:
+        # the search reports the spectral radius, as when none is found.
+        model, dist = bench
+        calls = []
+
+        def reject(*args):
+            calls.append(args)
+            raise CertificateError("rejected")
+
+        monkeypatch.setattr("switchid.bounds.certify_P", reject)
+        with pytest.raises(CertificateError, match=re.escape(
+            "no quadratic stability certificate found for gamma = 0.6 "
+            "(inconclusive; mean-square spectral radius = 0.072900)"
+        )):
+            find_P(model, dist, 0.6)
+        assert len(calls) == 1
+
     def test_min_gamma_bisection(self):
         model = single_mode(0.5)
         dist = SwitchingDistribution(p=[1.0])
@@ -635,7 +665,7 @@ class TestBoundCertificate:
             model, dist, _ = model_from_dict(doc)
             sel = find_selection(model)
             signal = SignalSpec(Ku_input=ku_input, Ku_noise=1.0)
-            sigma = true_realization(model, sel)[1].sigma_n
+            sigma = true_realization(model, sel).sigma_n
             chains.append((model, dist, signal, find_P(model, dist, 0.9), sel, sigma))
         for model, dist, signal, cert, sel, sigma in chains:
             N_star = min_valid_N(model, dist, signal, sel, sigma, 0.05, stability=cert)
@@ -682,6 +712,18 @@ class TestBoundCertificate:
         for sig, sigma_n, delta, message in cases:
             with pytest.raises(ValueError, match=re.escape(message)):
                 compute_certificate(model, dist, sig, sel, sigma_n, delta, 100, stability=cert)
+
+    def test_zero_input_amplitude_is_refused_by_name(self, bench_chain):
+        # Both used to end in LinAlgError: Singular matrix.  identify_sample
+        # takes Sigma_u, so its refusal comes from the signal that gives it.
+        model, dist, _, cert, sel = bench_chain
+        quiet = SignalSpec(Ku_input=0.0, Ku_noise=1.0)
+        sample = simulate(SimConfig(model=model, dist=dist, signal=quiet, N=200, seed=1))
+        message = re.escape("input amplitude Ku_input = 0.0 must be positive")
+        with pytest.raises(ValueError, match=message):
+            compute_certificate(model, dist, quiet, sel, SIGMA_N, 0.05, 100, stability=cert)
+        with pytest.raises(ValueError, match=message):
+            identify_sample(sample, sel, quiet.sigma_u(model.m), dist)
 
     def test_to_dict_is_json_ready(self, bench_chain, tmp_path):
         model, dist, signal, cert, sel = bench_chain

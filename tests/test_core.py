@@ -190,7 +190,10 @@ class TestSignalSpec:
         # 1e200 used to raise OverflowError, the others gave a Sigma_u of 0.
         with pytest.raises(ValueError, match=re.escape(f"Ku_input = {ku!r} is out of range")):
             SignalSpec(Ku_input=ku, Ku_noise=1.0).sigma_u(1)
-        npt.assert_array_equal(SignalSpec(Ku_input=0.0, Ku_noise=1.0).sigma_u(2), np.zeros((2, 2)))
+        # A zero amplitude is refused, a stated Sigma_u beside it too.
+        for explicit in (None, np.eye(2)):
+            with pytest.raises(ValueError, match=re.escape("Ku_input = 0.0 must be positive")):
+                SignalSpec(Ku_input=0.0, Ku_noise=1.0, Sigma_u=explicit).sigma_u(2)
 
     def test_explicit_sigma_u_checked(self):
         with pytest.raises(ValueError):

@@ -145,6 +145,21 @@ def test_refusal_reads_as_the_readme_quotes_it(case, tmp_path, monkeypatch):
     assert case["says"] in " ".join(README.read_text().split())
 
 
+@pytest.mark.parametrize(
+    "name", ["identify-input-covariance-contradicted", "identify-mode-law-contradicted"]
+)
+def test_law_refusals_point_to_no_flag_or_file(name, tmp_path, monkeypatch):
+    # identify_sample refuses for API callers and --gamma runs too, which
+    # have no model file to check.
+    monkeypatch.chdir(tmp_path)
+    case = next(c for c in MANIFEST["refusals"] if c["name"] == name)
+    write_files(MANIFEST["files"])
+    write_files(case["files"])
+    rc, _, err = run_cli(case["argv"])
+    assert rc == 1 and case["says"] in err
+    assert "model file" not in err and "--ku-input" not in err
+
+
 if __name__ == "__main__":
     home = os.getcwd()
     for call in MANIFEST["calls"]:

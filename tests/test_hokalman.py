@@ -556,7 +556,7 @@ def test_identify_sample_is_estimation_then_realization(bench, bench_signal):
     sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=5000, seed=7))
     words = required_words(BENCH_SEL, model.nQ)
     sigma_u = bench_signal.sigma_u(model.m)
-    mm, rr = identify_sample(sample, BENCH_SEL, words, sigma_u, dist)
+    mm, rr = identify_sample(sample, BENCH_SEL, sigma_u, dist)
     mm_expect = empirical_markov_batch(sample, words, sigma_u, dist)
     rr_expect = realize(build_hankels(mm_expect, BENCH_SEL), mm_expect[()])
     assert mm.keys() == mm_expect.keys()
@@ -581,7 +581,7 @@ def test_identify_sample_refuses_a_sample_without_input(bench, rng):
     # could find the zero H_ab singular.
     with pytest.raises(ValueError, match=r"^input covariance does not match the trajectory: "
                        r"Sigma_u = \[\[1\.\]\] but the inputs give \[\[0\.\]\]"):
-        identify_sample(sample, BENCH_SEL, words, np.eye(1), dist)
+        identify_sample(sample, BENCH_SEL, np.eye(1), dist)
 
 
 def test_identify_sample_refuses_a_law_the_trajectory_contradicts(bench, bench_signal):
@@ -589,16 +589,15 @@ def test_identify_sample_refuses_a_law_the_trajectory_contradicts(bench, bench_s
     # times too large) or 0.58 (p = (0.8, 0.2)) instead of 0.11.
     model, dist = bench
     sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=10_000, seed=1))
-    words = required_words(BENCH_SEL, model.nQ)
     sigma_u = bench_signal.sigma_u(model.m)
-    identify_sample(sample, BENCH_SEL, words, sigma_u, dist)
+    identify_sample(sample, BENCH_SEL, sigma_u, dist)
     with pytest.raises(ValueError, match=r"^input covariance does not match the trajectory: "
                        r"Sigma_u = \[\[0\.8533\]\] but the inputs give"):
-        identify_sample(sample, BENCH_SEL, words, 4 * sigma_u, dist)
+        identify_sample(sample, BENCH_SEL, 4 * sigma_u, dist)
     skewed = SwitchingDistribution(np.array([0.8, 0.2]))
     with pytest.raises(ValueError, match=r"^mode law does not match the trajectory: "
                        r"p = \[0\.8 0\.2\] but the mode labels occur with frequencies"):
-        identify_sample(sample, BENCH_SEL, words, sigma_u, skewed)
+        identify_sample(sample, BENCH_SEL, sigma_u, skewed)
 
 
 def test_only_hokalman_calls_the_identification_stages():
