@@ -24,7 +24,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import LssModel, SignalSpec, SwitchingDistribution, check_real, p_word, read_json
+from .core import (
+    LssModel, SignalSpec, SwitchingDistribution, check_law, check_real, p_word, read_json,
+)
 from .hokalman import Selection, required_words
 
 GAMMA_FLOOR = 1e-12
@@ -137,8 +139,7 @@ def schur_radius(model: LssModel, dist: SwitchingDistribution) -> float:
     quadratic stability implies this, so it doubles as a cheap necessary
     check and a diagnostic when certificate search fails.
     """
-    if dist.nQ != model.nQ:
-        raise ValueError("distribution does not match model mode count")
+    check_law(model, dist)
     M = sum(
         dist.p[c] * np.kron(model.A[c], model.A[c]) for c in range(model.nQ)
     )
@@ -435,8 +436,11 @@ def compute_certificate(
     """Assemble the full bound certificate for one (delta, N).
 
     Every constant follows from the given stability certificate, which
-    is taken as validated (:func:`certify_P`) and not checked again.
+    is taken as validated (:func:`certify_P`) and not checked again.  A
+    mode law without one probability per mode is refused first
+    (:func:`check_law`): min p_w would come from another law.
     """
+    check_law(model, dist)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if N < 1:

@@ -151,11 +151,6 @@ def cmd_identify(args) -> int:
     sigma_u = signal.sigma_u(model.m)
     if args.trajectory:
         sample = load_trajectory(args.trajectory)
-        if sample.u.shape[1] != model.m:
-            raise ValueError(
-                f"{args.trajectory}: {sample.u.shape[1]} input columns, "
-                f"the model has m = {model.m}"
-            )
     else:
         sample = simulate(_sim_config(args, model, dist, signal))
     if sample.N <= 2 * (2 * model.n + 1):

@@ -99,11 +99,6 @@ class LssModel:
             if not np.isfinite(M).all():
                 raise ValueError(f"{name} has a non-finite entry")
 
-    def check_word(self, w: Word) -> None:
-        for c in w:
-            if not 1 <= c <= self.nQ:
-                raise ValueError(f"letter {c} outside mode range 1..{self.nQ}")
-
 
 @dataclass
 class SwitchingDistribution:
@@ -192,6 +187,19 @@ class SignalSpec:
         return var * np.eye(m)
 
 
+def check_word(w: Word, nQ: int) -> None:
+    """Refuse a word with a letter outside the mode range 1..nQ, naming the first."""
+    for c in w:
+        if not 1 <= c <= nQ:
+            raise ValueError(f"letter {c} outside mode range 1..{nQ}")
+
+
+def check_law(model: LssModel, dist: SwitchingDistribution) -> None:
+    """Refuse a mode law without one probability per mode of the model."""
+    if dist.nQ != model.nQ:
+        raise ValueError(f"p has {dist.nQ} entries, the model has nQ = {model.nQ}")
+
+
 def a_word(model: LssModel, w: Word) -> np.ndarray:
     """Product of dynamics matrices along a word.
 
@@ -199,7 +207,7 @@ def a_word(model: LssModel, w: Word) -> np.ndarray:
     first letter acts first, so the product is built up by multiplying
     on the left.  The empty word gives the identity.
     """
-    model.check_word(w)
+    check_word(w, model.nQ)
     M = np.eye(model.n)
     for c in w:
         M = model.A[c - 1] @ M
@@ -260,10 +268,9 @@ def check_mode_labels(q: np.ndarray, nQ: int) -> None:
 
 def p_word(dist: SwitchingDistribution, w: Word) -> float:
     """Probability of observing the mode word w: product of p[w_i], 1 for epsilon."""
+    check_word(w, dist.nQ)
     out = 1.0
     for c in w:
-        if not 1 <= c <= dist.nQ:
-            raise ValueError(f"letter {c} outside mode range 1..{dist.nQ}")
         out *= dist.p[c - 1]
     return out
 
@@ -348,16 +355,16 @@ def model_from_dict(d: dict) -> tuple[LssModel, SwitchingDistribution, SignalSpe
     """Model, mode law and signal spec; without ``"p"`` the modes are uniform.
 
     Every number is read by :func:`check_integer` or :func:`check_real`.
-    A ``p`` without nQ entries or a ``signal.Sigma_u`` that is not m x m
-    is refused here, so the error names the file that holds it.
+    A ``p`` without nQ entries (:func:`check_law`, after the law's own
+    checks) or a ``signal.Sigma_u`` that is not m x m is refused here, so
+    the error names the file that holds it.
     """
     dims = {name: check_integer(name, d[name]) for name in ("n", "m", "nQ")}
     ndims = {"A": 3, "B": 3, "C": 1, "D": 1}
     model = LssModel(**dims, **{name: check_real(name, d[name], k) for name, k in ndims.items()})
     p = check_real("p", d["p"], 1) if "p" in d else np.full(model.nQ, 1.0 / model.nQ)
-    if p.size != model.nQ:
-        raise ValueError(f"p has {p.size} entries, the model has nQ = {model.nQ}")
     dist = SwitchingDistribution(p=p)
+    check_law(model, dist)
     signal = None
     if "signal" in d:
         s = d["signal"]

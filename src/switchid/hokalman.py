@@ -85,6 +85,20 @@ class Selection:
     def n(self) -> int:
         return len(self.alpha)
 
+    def check_fit(self, n: int, nQ: int, m: int) -> None:
+        """Refuse a selection that does not index the Hankel blocks of a
+        model with n states, nQ modes and m inputs: n rows, modes in
+        1..nQ, channels in 1..m; the first rule broken is named."""
+        if self.n != n:
+            raise ValueError(f"alpha: {self.n} rows, the model has n = {n}")
+        for name, words in [("alpha", self.alpha), ("beta", [(q,) + mu for mu, q, _ in self.beta])]:
+            bad = [q for w in words for q in w if not 1 <= q <= nQ]
+            if bad:
+                raise ValueError(f"{name}: mode {bad[0]} outside 1..{nQ}")
+        bad = [l for _, _, l in self.beta if l > m]
+        if bad:
+            raise ValueError(f"beta: channel {bad[0]} outside 1..{m}")
+
 
 @dataclass
 class HankelSet:
@@ -173,10 +187,13 @@ def _candidate_rows(model: LssModel) -> list[Word]:
 SCORE_CHUNK = 64
 
 
-def _best_pair(full: np.ndarray, I: list[int], J: list[int], allowance: float) -> tuple[int, int]:
+def _best_pair(
+    full: np.ndarray, I: list[int], J: list[int], allowance: float
+) -> tuple[int, int, np.ndarray]:
     """One greedy step: the free (row, column) pair (r, c) maximizing the
     smallest singular value of full[I + [r], J + [c]], the earliest such
-    pair in (row, column) order; see :func:`find_selection`."""
+    pair in (row, column) order, and that matrix's singular values; see
+    :func:`find_selection`."""
     k = len(I) + 1
     free_rows = np.setdiff1d(np.arange(full.shape[0]), I)
     free_cols = np.setdiff1d(np.arange(full.shape[1]), J)
@@ -196,7 +213,7 @@ def _best_pair(full: np.ndarray, I: list[int], J: list[int], allowance: float) -
     # order.
     bound = bound.ravel()
     order = np.argsort(-bound)
-    scored, vals, best = [], [], -np.inf
+    scored, svals, vals, best = [], [], [], -np.inf
     for start in range(0, len(order), SCORE_CHUNK):
         if bound[order[start]] < best - allowance:
             break
@@ -207,14 +224,17 @@ def _best_pair(full: np.ndarray, I: list[int], J: list[int], allowance: float) -
         stack[:, :-1, -1] = new_col[j]
         stack[:, -1, :-1] = new_row[i]
         stack[:, -1, -1] = corner[i, j]
-        v = np.linalg.svd(stack, compute_uv=False)[:, -1]
-        v[np.isnan(v)] = -np.inf
+        sv = np.linalg.svd(stack, compute_uv=False)
+        v = np.where(np.isnan(sv[:, -1]), -np.inf, sv[:, -1])
         best = max(best, v.max())
         scored.append(idx)
+        svals.append(sv)
         vals.append(v)
     scored, vals = np.concatenate(scored), np.concatenate(vals)
-    i, j = divmod(int(scored[vals == best].min()), len(free_cols))
-    return int(free_rows[i]), int(free_cols[j])
+    tied = np.flatnonzero(vals == best)
+    win = tied[np.argmin(scored[tied])]
+    i, j = divmod(int(scored[win]), len(free_cols))
+    return int(free_rows[i]), int(free_cols[j]), np.concatenate(svals)[win]
 
 
 def find_selection(model: LssModel) -> Selection:
@@ -238,7 +258,8 @@ def find_selection(model: LssModel) -> Selection:
     full candidate matrix.  Rounding in an SVD scales with
     ||M|| <= k max|H|, not with the score, so the allowance is absolute.
     The pick is the earliest maximum over the scored candidates in
-    (row, column) order, with NaN never winning.
+    (row, column) order, with NaN never winning.  The last step's
+    singular values of the pick, in that same layout, judge its rank.
 
     Raises
     ------
@@ -270,12 +291,9 @@ def find_selection(model: LssModel) -> Selection:
     ulp = np.finfo(float).eps * np.abs(full).max()
     I, J = [], []
     for k in range(1, n + 1):
-        r, c = _best_pair(full, I, J, 16 * k * k * ulp)
+        r, c, s = _best_pair(full, I, J, 16 * k * k * ulp)
         I.append(r)
         J.append(c)
-
-    sub = full[np.ix_(I, J)]
-    s = np.linalg.svd(sub, compute_uv=False)
     if _singular(s):
         raise SelectionRankError(
             f"no rank-{n} selection found (best sigma_min {s[-1]:.3e}); "
@@ -310,8 +328,10 @@ def realize(hs: HankelSet, M_eps: np.ndarray) -> RealizationResult:
 def true_realization(model: LssModel, sel: Selection) -> RealizationResult:
     """The realization of the model's true Markov parameters over the
     selection's required words: the reference :func:`est_err` scores an
-    estimate from the same selection against.  A singular H_ab is refused
-    as the selection's fault."""
+    estimate from the same selection against.  A selection that does not
+    fit the model (:meth:`Selection.check_fit`) is refused (ValueError),
+    and a singular H_ab as the selection's fault."""
+    sel.check_fit(model.n, model.nQ, model.m)
     mmap = true_markov_map(model, required_words(sel, model.nQ))
     try:
         return realize(build_hankels(mmap, sel), mmap[()])
@@ -363,12 +383,17 @@ def identify_sample(
     selection's required words (:func:`required_words`) and their
     realization.
 
-    Refuses, in this order: what :func:`empirical_markov_batch` refuses
-    (ValueError); inputs that contradict ``sigma_u``, then mode labels
-    that contradict ``dist.p`` (ValueError, see :func:`_check_sample_law`);
-    a singular estimated H_ab (:class:`SingularHankelError`, as
-    :func:`realize` raises it).
+    Refuses, in this order: a selection that does not fit nQ = dist.nQ
+    and m = len(sigma_u) (ValueError, see :meth:`Selection.check_fit`;
+    with no model here, n is the selection's own); what
+    :func:`empirical_markov_batch` refuses, first a ``sigma_u`` that is
+    not m x m for the trajectory's input columns (ValueError); inputs
+    that contradict ``sigma_u``, then mode labels that contradict
+    ``dist.p`` (ValueError, see :func:`_check_sample_law`); a singular
+    estimated H_ab (:class:`SingularHankelError`, as :func:`realize`
+    raises it).
     """
+    sel.check_fit(sel.n, dist.nQ, len(sigma_u))
     mmap = empirical_markov_batch(sample, required_words(sel, dist.nQ), sigma_u, dist)
     _check_sample_law(sample, sigma_u, dist.p)
     return mmap, realize(build_hankels(mmap, sel), mmap[()])
@@ -423,8 +448,8 @@ def save_selection(path: str, sel: Selection) -> None:
 
 
 def load_selection(path: str, model: LssModel) -> Selection:
-    """Read a selection file, refusing one that does not index the
-    model's Hankel blocks: n rows, modes in 1..nQ, channels in 1..m."""
+    """Read a selection file, refusing, with the file's name, one that
+    does not fit the model (:meth:`Selection.check_fit`)."""
 
     def parse(doc) -> Selection:
         alpha, beta = check_list("alpha", doc["alpha"]), check_list("beta", doc["beta"])
@@ -432,15 +457,7 @@ def load_selection(path: str, model: LssModel) -> Selection:
             alpha=tuple(str_to_word(s, f"alpha[{i}]") for i, s in enumerate(alpha)),
             beta=tuple((str_to_word(w, f"beta[{j}][0]"), q, l) for j, (w, q, l) in enumerate(beta)),
         )
-        if sel.n != model.n:
-            raise ValueError(f"alpha: {sel.n} rows, the model has n = {model.n}")
-        for name, words in [("alpha", sel.alpha), ("beta", [(q,) + mu for mu, q, _ in sel.beta])]:
-            bad = [q for w in words for q in w if not 1 <= q <= model.nQ]
-            if bad:
-                raise ValueError(f"{name}: mode {bad[0]} outside 1..{model.nQ}")
-        bad = [l for _, _, l in sel.beta if l > model.m]
-        if bad:
-            raise ValueError(f"beta: channel {bad[0]} outside 1..{model.m}")
+        sel.check_fit(model.n, model.nQ, model.m)
         return sel
 
     return read_json(path, parse)

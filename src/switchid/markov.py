@@ -31,6 +31,7 @@ from .core import (
     Word,
     a_word,
     check_mode_labels,
+    check_word,
     p_word,
 )
 from .simulate import SampleSet
@@ -40,7 +41,7 @@ def true_markov(model: LssModel, w: Word) -> np.ndarray:
     """Markov parameter of the model for one word, as an (m,) row."""
     if len(w) == 0:
         return model.D.copy()
-    model.check_word(w)
+    check_word(w, model.nQ)
     head, tail = w[0], w[1:]
     return model.C @ a_word(model, tail) @ model.B[head - 1]
 
@@ -76,12 +77,18 @@ def empirical_markov_batch(
     Raises
     ------
     ValueError
-        If a mode label in the trajectory or a letter of a word lies
-        outside 1..nQ, or the trajectory is not longer than some word.
+        In this order: if Sigma_u is not m x m for the trajectory's m
+        input columns; if a mode label in the trajectory lies outside
+        1..nQ; if the trajectory is not longer than some word, or a letter
+        of a word lies outside 1..nQ.
     """
     sigma_u = np.asarray(sigma_u, dtype=float)
-    y, u, N, nQ = sample.y, sample.u, sample.N, dist.nQ
-    check_mode_labels(sample.q, nQ)
+    y, u, q, N, nQ = sample.y, sample.u, sample.q, sample.N, dist.nQ
+    m = u.shape[1]
+    if sigma_u.shape != (m, m):
+        shape = "x".join(map(str, sigma_u.shape))
+        raise ValueError(f"the trajectory has {m} input columns, but Sigma_u is {shape}")
+    check_mode_labels(q, nQ)
     words, lengths, bad, passes = _word_tables(frozenset(tuple(x) for x in words), nQ)
     # The first word, in order of length, that is too short or has a letter
     # outside 1..nQ is named; too short wins on the same word.
@@ -98,7 +105,6 @@ def empirical_markov_batch(
     # _word_tables); adding the next label q(s + k - 1) gives the window's
     # (prefix, label) pair, which both names the words of length k and,
     # through a table, gives the ids for length k + 1.
-    m, q = u.shape[1], sample.q
     sums = np.empty((m, len(words)))
     ids, pairs, weights = np.zeros(N, dtype=np.intp), np.empty(N, dtype=np.intp), np.empty(N)
     if lengths[0] == 0:  # the empty word: every window, one sum per input channel

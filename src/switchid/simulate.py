@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LssModel, SignalSpec, SwitchingDistribution, check_integer
+from .core import LssModel, SignalSpec, SwitchingDistribution, check_integer, check_law
 
 BLOWUP_LIMIT = 1e12
 DEFAULT_BURN_IN = 200
@@ -88,13 +88,15 @@ class SimConfig:
             raise ValueError("burn_in must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.dist.nQ != self.model.nQ:
-            raise ValueError("switching distribution does not match model mode count")
+        check_law(self.model, self.dist)
 
 
 @dataclass
 class SampleSet:
-    """One finite trajectory {(y(t), u(t), q(t))} for t = 0..N, each of length N + 1."""
+    """One finite trajectory {(y(t), u(t), q(t))} for t = 0..N, each of length N + 1.
+
+    ``u`` is (N + 1, m), or 1-D for one input column; a field of another
+    number of axes is refused by its shape."""
 
     N: int
     y: np.ndarray
@@ -106,6 +108,9 @@ class SampleSet:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.ndim == 1:
             self.u = self.u.reshape(-1, 1)
+        if self.u.ndim != 2:
+            shape = self.u.shape
+            raise ValueError(f"trajectory field 'u' must be 1-D or 2-D, not of shape {shape}")
         self.q = _mode_labels(_vector("q", self.q))
         if not (len(self.y) == len(self.u) == len(self.q) == self.N + 1):
             raise ValueError("y, u, q must all have length N + 1")

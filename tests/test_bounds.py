@@ -725,6 +725,14 @@ class TestBoundCertificate:
         with pytest.raises(ValueError, match=message):
             identify_sample(sample, sel, quiet.sigma_u(model.m), dist)
 
+    def test_a_law_of_another_size_is_refused(self, bench_chain):
+        # Read with a three-mode law, the two-mode model's certificate used
+        # to come out with min p_w = 0.0024 instead of its own law's 0.0625.
+        model, _, signal, cert, sel = bench_chain
+        law = SwitchingDistribution(p=[0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match=r"^p has 3 entries, the model has nQ = 2$"):
+            compute_certificate(model, law, signal, sel, SIGMA_N, 0.05, 100, stability=cert)
+
     def test_to_dict_is_json_ready(self, bench_chain, tmp_path):
         model, dist, signal, cert, sel = bench_chain
         bc = compute_certificate(model, dist, signal, sel, SIGMA_N, 0.05, 1000, stability=cert)

@@ -211,7 +211,8 @@ def two_input_model_file(tmp_path):
 @pytest.mark.parametrize("file_m, model_m", [(2, 1), (1, 2)])
 def test_identify_refuses_trajectory_of_other_input_width(capsys, tmp_path, file_m, model_m):
     # Two input columns against m = 1 used to end in numpy's core-dimension
-    # complaint; one against m = 2 in a covariance mismatch.
+    # complaint; one against m = 2 in a covariance mismatch.  The estimator
+    # refuses the width, so the message names Sigma_u, not the file.
     m2 = two_input_model_file(tmp_path)
     traj = tmp_path / "traj.csv"
     models = {1: ["--gamma", "0.6"], 2: ["--model", str(m2)]}
@@ -219,7 +220,8 @@ def test_identify_refuses_trajectory_of_other_input_width(capsys, tmp_path, file
     assert rc == 0
     rc, out, err = run(capsys, "identify", *models[model_m], "--trajectory", str(traj))
     assert rc == 1
-    assert f"error: {traj}: {file_m} input columns, the model has m = {model_m}" in err
+    says = f"error: the trajectory has {file_m} input columns, but Sigma_u is {model_m}x{model_m}"
+    assert says in err
     assert "Traceback" not in err and "est_err" not in out
 
 

@@ -256,7 +256,7 @@ def realization(modes=1, A=(1, 1), B=(1, 1)):
         (lambda: est_err(realization(A=(2, 2)), realization()), "A shapes differ"),
         (lambda: est_err(realization(B=(1, 2)), realization()), "B shapes differ"),
         (lambda: schur_radius(lss(), SwitchingDistribution(p=[1.0])),
-         "distribution does not match model mode count"),
+         "p has 1 entries, the model has nQ = 2"),
     ],
     ids=["C", "D", "Sigma_u-square", "sigma_u-size", "column-word", "est_err-modes",
          "est_err-A", "est_err-B", "schur_radius-modes"],
@@ -373,6 +373,47 @@ def test_input_files_reach_numbers_only_through_the_two_checks():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in banned
     ]
     assert uses == []
+
+
+def test_each_agreement_between_inputs_is_checked_in_one_place():
+    # A law's size is compared with a model's nQ only in check_law, the
+    # selection's fit to a model is worded only in Selection.check_fit and
+    # the trajectory's input width only in empirical_markov_batch; cli.py
+    # reads no trajectory's u.shape.  A second copy of a rule is one that
+    # some path skips or words differently.
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            yield child, inner
+            yield from walk(child, inner)
+
+    size = re.compile(r"(\bnQ|\bp\.size|len\(.*\bp\))$")
+    wordings = [
+        (re.compile(r"p has \{\} entries"), "check_law"),
+        (re.compile(r"(mode|channel) \{\} outside 1\.\.|rows, the model has n = "),
+         "Selection.check_fit"),
+        (re.compile(r"input columns"), "empirical_markov_batch"),
+    ]
+    found = []
+    for path in sorted(pathlib.Path(switchid.__file__).parent.glob("*.py")):
+        for node, where in walk(ast.parse(path.read_text()), ""):
+            at = f"{path.name}:{node.lineno}" if hasattr(node, "lineno") else path.name
+            if isinstance(node, ast.Compare):
+                sides = [ast.unparse(x) for x in (node.left, *node.comparators)]
+                if sum(bool(size.search(x)) for x in sides) >= 2 and where != "check_law":
+                    found.append(f"{at} compares {sides} in {where}")
+            elif isinstance(node, ast.JoinedStr):
+                text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+                found += [
+                    f"{at} words {text!r} in {where}"
+                    for rule, owner in wordings if rule.search(text) and where != owner
+                ]
+            elif path.name == "cli.py" and isinstance(node, ast.Attribute):
+                if node.attr == "shape" and getattr(node.value, "attr", None) == "u":
+                    found.append(f"{at} reads {ast.unparse(node)}")
+    assert found == []
 
 
 def test_every_export_resolves():

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import pathlib
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -27,6 +28,7 @@ from switchid import (
     required_words,
     simulate,
     true_markov_map,
+    true_realization,
     two_mode_benchmark,
 )
 from switchid.core import a_word
@@ -424,9 +426,9 @@ def test_find_selection_matches_greedy_loop_at_n5():
 
 
 def test_find_selection_scores_few_candidates_exactly(monkeypatch):
-    # Every square SVD inside find_selection is an exact score, or the
-    # final rank check.  Scoring every free pair, as a full scan does,
-    # would count all the candidates.
+    # Every square SVD inside find_selection is an exact score; the last
+    # step's scores also judge the pick's rank.  Scoring every free pair,
+    # as a full scan does, would count all the candidates.
     model = seeded_model(4, 3, 1, seed=11)
     n_rows = len(_candidate_rows(model))
     n_cols = n_rows * model.nQ * model.m
@@ -451,7 +453,7 @@ def test_find_selection_scores_few_candidates_exactly(monkeypatch):
 
 def test_find_selection_bounds_need_no_svd(monkeypatch):
     # The row and column norms are the only bounds: every SVD is on square
-    # k x k matrices, exact scores and the final rank check.
+    # k x k matrices, the exact scores.
     shapes = []
     svd = np.linalg.svd
 
@@ -598,6 +600,47 @@ def test_identify_sample_refuses_a_law_the_trajectory_contradicts(bench, bench_s
     with pytest.raises(ValueError, match=r"^mode law does not match the trajectory: "
                        r"p = \[0\.8 0\.2\] but the mode labels occur with frequencies"):
         identify_sample(sample, BENCH_SEL, sigma_u, skewed)
+
+
+def test_a_sigma_u_of_another_width_is_refused(bench, rng):
+    # Two input columns against a 1x1 Sigma_u used to end in numpy's
+    # "solve: Input operand 1 has a mismatch in its core dimension 0".
+    _, dist = bench
+    N = 400
+    sample = SampleSet(
+        N=N, y=rng.standard_normal(N + 1), u=rng.uniform(-1.0, 1.0, (N + 1, 2)),
+        q=rng.integers(1, 3, N + 1),
+    )
+    says = r"^the trajectory has 2 input columns, but Sigma_u is 1x1$"
+    with pytest.raises(ValueError, match=says):
+        empirical_markov_batch(sample, required_words(BENCH_SEL, 2), np.eye(1), dist)
+    with pytest.raises(ValueError, match=says):
+        identify_sample(sample, BENCH_SEL, np.eye(1), dist)
+
+
+@pytest.mark.parametrize(
+    "beta, alpha, says",
+    [
+        ((((), 2, 2), ((1,), 2, 1)), BENCH_SEL.alpha, "beta: channel 2 outside 1..1"),
+        (BENCH_SEL.beta, ((), (3,)), "alpha: mode 3 outside 1..2"),
+    ],
+    ids=["channel", "mode"],
+)
+def test_a_selection_that_does_not_fit_is_refused_by_its_users(
+    bench, bench_signal, beta, alpha, says
+):
+    # The channel used to end in "IndexError: index 1 is out of bounds" in
+    # both; the mode in the letter wording of a_word or the estimator.
+    model, dist = bench
+    sel = Selection(alpha=alpha, beta=beta)
+    sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=1000, seed=1))
+    with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+        true_realization(model, sel)
+    with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+        identify_sample(sample, sel, bench_signal.sigma_u(model.m), dist)
+    rows = Selection(alpha=((), (1,), (2,)), beta=(((), 2, 1), ((1,), 2, 1), ((2,), 2, 1)))
+    with pytest.raises(ValueError, match=r"^alpha: 3 rows, the model has n = 2$"):
+        true_realization(model, rows)
 
 
 def test_only_hokalman_calls_the_identification_stages():

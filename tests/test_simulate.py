@@ -724,7 +724,12 @@ def test_sampleset_refuses_fields_that_are_not_1d():
         SampleSet(N=5, y=np.zeros((3, 2)), u=u, q=[[1, 2], [1, 2], [1, 2]])
     with pytest.raises(ValueError, match=r"^trajectory field 'q' must be 1-D, not of shape \(3, 2\)$"):
         SampleSet(N=5, y=np.zeros(6), u=u, q=[[1, 2], [1, 2], [1, 2]])
-    # A 1-D u is still one input column.
+    # A u of three axes used to pass here and fail in the estimator's
+    # broadcast; a 1-D u is still one input column.
+    with pytest.raises(
+        ValueError, match=r"^trajectory field 'u' must be 1-D or 2-D, not of shape \(101, 1, 2\)$"
+    ):
+        SampleSet(N=100, y=np.zeros(101), u=np.zeros((101, 1, 2)), q=np.ones(101))
     assert SampleSet(N=5, y=np.zeros(6), u=np.ones(6), q=[1, 2] * 3).u.shape == (6, 1)
 
 
