@@ -437,9 +437,12 @@ def compute_certificate(
 
     Every constant follows from the given stability certificate, which
     is taken as validated (:func:`certify_P`) and not checked again.  A
-    mode law without one probability per mode is refused first
-    (:func:`check_law`): min p_w would come from another law.
+    selection that does not fit the model is refused first
+    (:meth:`Selection.check_fit`), then a mode law without one
+    probability per mode (:func:`check_law`): |W| and min p_w would come
+    from another model or law.
     """
+    sel.check_fit(model.n, model.nQ, model.m)
     check_law(model, dist)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -561,7 +564,9 @@ def min_valid_N(
     """Smallest N at which the bound's validity conditions both hold.
 
     Both thresholds are independent of N, so this reads ``N_min`` off one
-    :func:`compute_certificate` call at an arbitrary N.
+    :func:`compute_certificate` call at an arbitrary N, which refuses
+    what that function refuses, first a selection that does not fit the
+    model.
     """
     return compute_certificate(
         model, dist, signal, sel, sigma_n_H, delta, 1, stability=stability

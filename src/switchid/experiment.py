@@ -20,17 +20,17 @@ import csv
 import functools
 import os
 import time
+from collections import Counter
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import CertificateError, compute_certificate, find_P
 from .core import (
-    LssModel,
     SignalSpec,
-    SwitchingDistribution,
     check_integer,
     check_list,
     check_real,
@@ -48,7 +48,7 @@ from .hokalman import (
     required_words,
     true_realization,
 )
-from .simulate import DEFAULT_BURN_IN, SimConfig, simulate
+from .simulate import DEFAULT_BURN_IN, SimConfig, seed_stream, simulate
 from .svgplot import line_chart
 
 @dataclass
@@ -124,7 +124,13 @@ class ExperimentConfig:
 @dataclass
 class ExperimentRow:
     """One (grid point, trial) outcome: one line of results.csv, whose
-    columns are these fields in order."""
+    columns are these fields in order.
+
+    ``wall_ms`` is the row's share of the run's trial time: its trial's
+    own time (simulate, estimate, realize) plus an even share of the draw
+    of the (N, seed) stream the trial read, divided evenly among the rows
+    that share the trial's outcome.  The column adds up to the time the
+    run spent in trials."""
 
     gamma: float
     ku_noise: float
@@ -146,36 +152,55 @@ _WRITE = {"float": lambda x: repr(float(x)), "int": str, "bool": lambda x: str(i
 _READ = {"float": float, "int": int, "bool": lambda s: bool(int(s))}
 
 
-def _run_one_trial(
-    model: LssModel,
-    dist: SwitchingDistribution,
-    signal: SignalSpec,
-    sigma_u: np.ndarray,
-    N: int,
-    burn_in: int,
-    sel: Selection,
-    rr_ref: RealizationResult,
-    seed: int,
-) -> tuple[float, float]:
-    """Simulate, estimate, realize; returns (est_err, wall_ms)."""
+class _Trial(NamedTuple):
+    """One distinct trial of the grid, for any seed: its simulation config
+    (seed 0, no stream) and what its estimate is realized and scored with."""
+
+    sim: SimConfig
+    sigma_u: np.ndarray
+    sel: Selection
+    rr_ref: RealizationResult
+
+
+def _run_one_trial(trial: _Trial, cfg: SimConfig) -> tuple[float, float]:
+    """Simulate cfg, estimate, realize; returns (est_err, wall_ms)."""
     t0 = time.perf_counter()
-    sample = simulate(
-        SimConfig(model=model, dist=dist, signal=signal, N=N, burn_in=burn_in, seed=seed)
-    )
+    sample = simulate(cfg)
     try:
-        _, rr_hat = identify_sample(sample, sel, sigma_u, dist)
-        err = est_err(rr_hat, rr_ref)
+        _, rr_hat = identify_sample(sample, trial.sel, trial.sigma_u, cfg.dist)
+        err = est_err(rr_hat, trial.rr_ref)
     except SingularHankelError:
         err = float("nan")
     return err, (time.perf_counter() - t0) * 1e3
 
 
-def _plan(cfg: ExperimentConfig) -> list[tuple[str | None, dict, functools.partial]]:
+def _run_unit(
+    trials: dict[int, list[_Trial]], unit: tuple[int, int]
+) -> tuple[float, list[tuple[float, float]]]:
+    """Every distinct trial of one (N, seed): the seed's stream is drawn
+    once, to the longest layout any of them reads, and each trial rolls
+    out from it.  Returns the draw's wall_ms and each trial's (est_err,
+    wall_ms), in the order of trials[N]."""
+    N, seed = unit
+    t0 = time.perf_counter()
+    stream = seed_stream(seed, [t.sim for t in trials[N]])
+    draw_ms = (time.perf_counter() - t0) * 1e3
+    return draw_ms, [
+        _run_one_trial(t, replace(t.sim, seed=seed, stream=stream)) for t in trials[N]
+    ]
+
+
+Plan = list[tuple[str | None, dict, tuple[int, int]]]
+
+
+def _plan(cfg: ExperimentConfig) -> tuple[Plan, dict[int, list[_Trial]]]:
     """Resolve every grid point, in run order, before the first trial.
 
     A point is the note to report before it (a gamma's missing
     certificate, at that gamma's first point), the row fields it fixes
-    and its trial as a function of the seed.  Each distinct model is
+    and its trial, (N, j) for entry j of the returned trials[N].  Points
+    whose trials are identical (same model, signal and N: a model file
+    under several gammas) share one entry.  Each distinct model is
     searched and realized once: per gamma for the built-in family, once
     for a model file; each trial's :func:`identify_sample` reads the word
     set off the selection.  Every refusal the config decides is raised
@@ -202,9 +227,10 @@ def _plan(cfg: ExperimentConfig) -> list[tuple[str | None, dict, functools.parti
             f"length {shortest - 1}, so the shortest N that runs is {shortest}"
         )
 
-    plan = []
+    plan, trials, at = [], {}, {}
     for gamma in cfg.gamma_values:
-        model, dist, sel, rr_ref = truths[None if fixed else gamma]
+        key = None if fixed else gamma
+        model, dist, sel, rr_ref = truths[key]
         try:
             stability, note = find_P(model, dist, gamma), None
         except CertificateError as exc:
@@ -219,13 +245,15 @@ def _plan(cfg: ExperimentConfig) -> list[tuple[str | None, dict, functools.parti
                     model, dist, signal, sel, rr_ref.sigma_n, cfg.delta, N, stability=stability
                 )
                 point.update(bound=bc.bound_EstErr, valid=bc.valid)
-            run_trial = functools.partial(
-                _run_one_trial, model, dist, signal, signal.sigma_u(model.m), N, cfg.burn_in,
-                sel, rr_ref,
-            )
-            plan.append((note, point, run_trial))
+            same = (key, ku_noise, ku_input, N)
+            if same not in at:
+                at_N = trials.setdefault(N, [])
+                at[same] = (N, len(at_N))
+                sim = SimConfig(model=model, dist=dist, signal=signal, N=N, burn_in=cfg.burn_in)
+                at_N.append(_Trial(sim, signal.sigma_u(model.m), sel, rr_ref))
+            plan.append((note, point, at[same]))
             note = None
-    return plan
+    return plan, trials
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
@@ -235,15 +263,28 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
     planned first, so a refusal the config decides comes before any
     trial.  A gamma with no stability certificate gives its rows
     bound = NaN and valid = False, and ``progress`` is told why once for
-    that gamma.  With cfg.threads > 1 trials run in a process pool of
-    min(cfg.threads, os.cpu_count()) workers; results are gathered
-    in submission order so the output is identical to a serial run
-    (wall clock times aside).
+    that gamma, before its first point's line.
+
+    Trials run in units of (N, seed), N in the order the grid first
+    reaches it: the seed's stream is drawn once per unit and every
+    distinct trial of that N rolls out from it (:func:`_run_unit`), so
+    the grid points of one N share their random numbers, as they always
+    have.  Points whose trials are identical run them once and their rows
+    share the outcome.  Each point's progress line comes in grid order,
+    once every earlier point is done.
+
+    With cfg.threads > 1 units run in a process pool of
+    min(cfg.threads, os.cpu_count()) workers; results are gathered in
+    submission order so the output is identical to a serial run (wall
+    clock times aside).
     """
-    plan = _plan(cfg)
+    plan, trials = _plan(cfg)
     progress = progress or (lambda _: None)
-    rows: list[ExperimentRow] = []
     seeds = range(cfg.seed_base, cfg.seed_base + cfg.trials)
+    units = [(N, seed) for N in trials for seed in seeds]
+    shares = Counter(at for _, _, at in plan)  # rows per trial and seed
+    outcomes = {}  # (N, j, seed) -> one row's est_err and wall_ms
+    finished, reported = set(), 0
     parallel = cfg.threads > 1
     pool = nullcontext()
     if parallel:
@@ -254,22 +295,34 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
         # than there are CPUs to run them.
         pool = ProcessPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1))
     with pool:
-        trial_map = functools.partial(pool.map, chunksize=4) if parallel else map
-        for note, point, run_trial in plan:
-            if note is not None:
-                progress(note)
-            outcomes = list(trial_map(run_trial, seeds))
-            rows += [
-                ExperimentRow(**point, trial=trial, seed=seed, est_err=err, wall_ms=wall)
-                for trial, (seed, (err, wall)) in enumerate(zip(seeds, outcomes))
-            ]
-            good = [err for err, _ in outcomes if np.isfinite(err)]
-            mean = float(np.mean(good)) if good else float("nan")
-            progress(
-                "gamma={gamma} ku={ku_noise} ku_inp={ku_input} N={N}: ".format(**point)
-                + f"mean est_err {mean:.4g} over {len(good)}/{len(outcomes)} trials"
-            )
-    return rows
+        unit_map = functools.partial(pool.map, chunksize=4) if parallel else map
+        run_unit = functools.partial(_run_unit, trials)
+        for (N, seed), (draw_ms, results) in zip(units, unit_map(run_unit, units)):
+            # A trial's time is its own plus an even share of the draw,
+            # split evenly among the rows that share it.
+            for j, (err, ms) in enumerate(results):
+                wall = (ms + draw_ms / len(results)) / shares[N, j]
+                outcomes[N, j, seed] = dict(est_err=err, wall_ms=wall)
+            if seed != seeds[-1]:
+                continue
+            finished.add(N)
+            while reported < len(plan) and plan[reported][2][0] in finished:
+                note, point, (N_at, j) = plan[reported]
+                if note is not None:
+                    progress(note)
+                errs = [outcomes[N_at, j, s]["est_err"] for s in seeds]
+                good = [err for err in errs if np.isfinite(err)]
+                mean = float(np.mean(good)) if good else float("nan")
+                progress(
+                    "gamma={gamma} ku={ku_noise} ku_inp={ku_input} N={N}: ".format(**point)
+                    + f"mean est_err {mean:.4g} over {len(good)}/{len(errs)} trials"
+                )
+                reported += 1
+    return [
+        ExperimentRow(**point, trial=trial, seed=seed, **outcomes[N, j, seed])
+        for _, point, (N, j) in plan
+        for trial, seed in enumerate(seeds)
+    ]
 
 
 def write_results_csv(path: str, rows: list[ExperimentRow]) -> None:

@@ -383,8 +383,9 @@ def identify_sample(
     selection's required words (:func:`required_words`) and their
     realization.
 
-    Refuses, in this order: a selection that does not fit nQ = dist.nQ
-    and m = len(sigma_u) (ValueError, see :meth:`Selection.check_fit`;
+    Refuses, in this order: a ``sigma_u`` that is not a square 2-D array
+    (ValueError); a selection that does not fit nQ = dist.nQ and m, the
+    order of ``sigma_u`` (ValueError, see :meth:`Selection.check_fit`;
     with no model here, n is the selection's own); what
     :func:`empirical_markov_batch` refuses, first a ``sigma_u`` that is
     not m x m for the trajectory's input columns (ValueError); inputs
@@ -393,7 +394,10 @@ def identify_sample(
     estimated H_ab (:class:`SingularHankelError`, as :func:`realize`
     raises it).
     """
-    sel.check_fit(sel.n, dist.nQ, len(sigma_u))
+    shape = np.shape(sigma_u)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"Sigma_u must be a square 2-D array, not of shape {shape}")
+    sel.check_fit(sel.n, dist.nQ, shape[0])
     mmap = empirical_markov_batch(sample, required_words(sel, dist.nQ), sigma_u, dist)
     _check_sample_law(sample, sigma_u, dist.p)
     return mmap, realize(build_hankels(mmap, sel), mmap[()])

@@ -38,14 +38,24 @@ in a window of 2(n + 1) steps stored in those two stacks, and checks the
 divergence limit once per window, searching step by step only a window
 that is over it.
 
-No length-T row is held twice.  simulate draws the state noise and the
-output noise straight into those two buffers, a few thousand rows per
-generator call, and the input forcing B_q(t) u(t) is gathered through one
-reused row.  At T = 100 201 (N = 1e5 and the burn-in) a whole simulate
-peaks at 6.2 rows of T floats on the two-mode family (n = 2, m = 1) and at
-8.6 rows on an n = 4, m = 1 model: the modes, the m input rows, the n
-forcing rows, the padded outputs and the scan's labels, plus the carry's
-small stacks.
+No length-T row is held twice.  simulate writes the state noise and the
+output noise straight into those two buffers, and the input forcing
+B_q(t) u(t) is gathered through one reused row.  At T = 100 201 (N = 1e5
+and the burn-in) a whole simulate peaks at 6.2 rows of T floats on the
+two-mode family (n = 2, m = 1) and at 8.6 rows on an n = 4, m = 1 model:
+the modes, the m input rows, the n forcing rows, the padded outputs and
+the scan's labels, plus the carry's small stacks.
+
+The signals are uniform doubles r of one seed's stream, in a fixed order
+(modes, inputs, state noise, output noise), each taking one 64-bit word
+of the bit generator.  simulate reads them from one of two sources: a
+fresh ``default_rng(seed)``, whose ``random(out=...)`` writes them
+straight into simulate's own buffers, or a held prefix of that stream,
+read in place (``SimConfig.stream``, drawn by :func:`seed_stream`).  The
+two give the same bits, so configs that share a seed can share one draw.
+An amplitude-K signal is -K + 2K r, formed by two numpy ufuncs, which is
+what ``rng.uniform(-K, K)`` computes; the draws depend on the bit
+generator alone, not on how a numpy build compiles ``uniform``.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +71,6 @@ from .core import LssModel, SignalSpec, SwitchingDistribution, check_integer, ch
 
 BLOWUP_LIMIT = 1e12
 DEFAULT_BURN_IN = 200
-_DRAW_ROWS = 8192  # rows of a noise signal drawn per generator call
 
 
 class DivergenceError(RuntimeError):
@@ -70,7 +79,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SimConfig:
-    """Everything needed to generate one reproducible trajectory."""
+    """Everything needed to generate one reproducible trajectory.
+
+    ``stream``, when set, holds a prefix of the seed's stream,
+    ``default_rng(seed).random(size)`` with size at least
+    :func:`stream_size`, as :func:`seed_stream` draws it for configs that
+    share a seed; simulate then reads its doubles there instead of drawing
+    them, with the same result.  Whether it is this seed's stream is not
+    checked; one that is not a 1-D float64 array that long is refused."""
 
     model: LssModel
     dist: SwitchingDistribution
@@ -78,6 +94,7 @@ class SimConfig:
     N: int
     burn_in: int = DEFAULT_BURN_IN
     seed: int = 0
+    stream: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("N", "burn_in", "seed"):
@@ -89,6 +106,13 @@ class SimConfig:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         check_law(self.model, self.dist)
+        if self.stream is not None:
+            self.stream, need = np.asarray(self.stream), stream_size(self)
+            if self.stream.dtype != np.float64 or self.stream.ndim != 1 or len(self.stream) < need:
+                raise ValueError(
+                    f"stream is a {self.stream.dtype} array of shape {self.stream.shape}; "
+                    f"simulate reads {need} doubles of a 1-D float64 stream"
+                )
 
 
 @dataclass
@@ -123,13 +147,16 @@ def simulate(cfg: SimConfig) -> SampleSet:
 
     Starting from x = 0 the recursion runs for burn_in + N + 1 steps and
     the first burn_in outputs are discarded.  All randomness comes from
-    one generator seeded with cfg.seed, drawn in a fixed order (modes,
-    then inputs, then state noise, then output noise), so a given
-    (config, seed) pair always produces the identical trajectory.  The
-    draws reproduce numpy's streams exactly: the modes are
+    the stream of ``np.random.default_rng(cfg.seed)``, read in a fixed
+    order (modes, then inputs, then state noise, then output noise), so a
+    given (config, seed) pair always produces the identical trajectory.
+    The draws reproduce numpy's samplers exactly: the modes are
     ``rng.choice(nQ, size=T, p=p) + 1``, computed without choice's
     binary search (see :func:`_draw_signals`), and each signal is
-    ``rng.uniform(-K, K, size)``.
+    ``rng.uniform(-K, K, size)``, formed as -K + 2K r from the stream's
+    doubles r (see :func:`_uniform`).  They come from a fresh generator,
+    written straight into simulate's own buffers, or, when cfg.stream is
+    set, are read in place from that held prefix of the same stream.
 
     Raises
     ------
@@ -141,32 +168,65 @@ def simulate(cfg: SimConfig) -> SampleSet:
     model = cfg.model
     b = cfg.burn_in
     T = b + cfg.N + 1
+    source = np.random.default_rng(cfg.seed) if cfg.stream is None else cfg.stream
     F, ypad = _scan_buffers(T, model.n)
-    rng = np.random.default_rng(cfg.seed)
-    q, u = _draw_signals(rng, cfg.dist.p, cfg.signal, model.m, F[:T], ypad[:T])
+    q, u = _draw_signals(_reader(source), cfg.dist.p, cfg.signal, model.m, F[:T], ypad[:T])
     y = _rollout(model, u, q, F, ypad, b)
     return SampleSet(N=cfg.N, y=y[b:], u=u[b:], q=q[b:])
 
 
-def _draw_signals(rng, p, signal: SignalSpec, m: int, w: np.ndarray, v: np.ndarray):
-    """Return modes q (T,) and inputs u (T, m), then draw the state noise
-    into w (T, n) and the output noise into v (T,), from rng in that
-    order, T = len(v).  A zero amplitude draws nothing: the inputs are
-    zeros, and w and v are left as they are.
+def stream_size(cfg: SimConfig) -> int:
+    """How many doubles of its seed's stream simulate(cfg) reads: T =
+    burn_in + N + 1 for the modes, then T * m for the inputs and
+    T * (n + 1) for the state and output noise, each unless its amplitude
+    is zero."""
+    T = cfg.burn_in + cfg.N + 1
+    signal, model = cfg.signal, cfg.model
+    return T * (1 + model.m * (signal.Ku_input != 0.0) + (model.n + 1) * (signal.Ku_noise != 0.0))
+
+
+def seed_stream(seed: int, cfgs: list[SimConfig]) -> np.ndarray:
+    """The prefix of seed's stream that serves as the ``stream`` of every
+    cfg in cfgs, its seed set to seed: ``default_rng(seed).random(size)``,
+    size the largest :func:`stream_size`."""
+    return np.random.default_rng(seed).random(max(map(stream_size, cfgs)))
+
+
+def _reader(source):
+    """draw(shape, out=None): the next doubles r in [0, 1) of a seed's
+    stream, as an array of that shape.  A Generator writes them into out,
+    or into a fresh array; a held prefix of the stream, a 1-D array, gives
+    a view of its next entries and leaves out as it is."""
+    if isinstance(source, np.random.Generator):
+        return lambda shape, out=None: source.random(shape, out=out)
+    at = 0
+
+    def view(shape, out=None):
+        nonlocal at
+        start, at = at, at + math.prod(shape)
+        return source[start:at].reshape(shape)
+
+    return view
+
+
+def _draw_signals(draw, p, signal: SignalSpec, m: int, w: np.ndarray, v: np.ndarray):
+    """Return modes q (T,) and inputs u (T, m), then write the state noise
+    into w (T, n) and the output noise into v (T,), reading the stream
+    through draw (:func:`_reader`) in that order, T = len(v).  A zero
+    amplitude reads nothing: the inputs are zeros, and w and v are left
+    as they are.
 
     The modes are the numbers and the generator call of
     ``rng.choice(len(p), size=T, p=p) + 1``.  choice turns one uniform r
     per step into the label index ``cdf.searchsorted(r, side="right")``,
     the count of cdf entries <= r; here that count is added up one
     comparison per entry, which costs a fraction of the search.  The last
-    entry, 1 > r, is never counted.  The noise is drawn _DRAW_ROWS rows
-    per call, which continues one stream, so no full-length copy of it is
-    ever held beside w and v.
+    entry, 1 > r, is never counted.
     """
     T = len(v)
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    r = rng.random(T)
+    r = draw((T,))
     q = np.ones(T, dtype=np.min_scalar_type(len(cdf)))  # holds every label 1..nQ
     for c in cdf[:-1]:
         q += r >= c
@@ -174,13 +234,23 @@ def _draw_signals(rng, p, signal: SignalSpec, m: int, w: np.ndarray, v: np.ndarr
     q = q.astype(np.int64)
 
     K_in, K_noise = signal.Ku_input, signal.Ku_noise
-    u = np.zeros((T, m)) if K_in == 0.0 else rng.uniform(-K_in, K_in, (T, m))
+    u = np.zeros((T, m))
+    if K_in != 0.0:
+        _uniform(draw, K_in, u)
     if K_noise != 0.0:
-        for out in (w, v):
-            for start in range(0, T, _DRAW_ROWS):
-                chunk = out[start : start + _DRAW_ROWS]
-                chunk[...] = rng.uniform(-K_noise, K_noise, chunk.shape)
+        _uniform(draw, K_noise, w)
+        _uniform(draw, K_noise, v)
     return q, u
+
+
+def _uniform(draw, K: float, out: np.ndarray) -> None:
+    """Write -K + 2K r into out for the next out.size doubles r that draw
+    reads.  This is ``rng.uniform(-K, K)``'s low + (high - low) r, bit for
+    bit, formed by two numpy ufuncs, which no compiler fuses into one
+    multiply-add; out (C-contiguous) takes the doubles first when they
+    come from a generator."""
+    np.multiply(draw(out.shape, out), 2.0 * K, out=out)
+    out += -K
 
 
 def _vector(name: str, values, dtype=None) -> np.ndarray:

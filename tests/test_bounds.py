@@ -733,6 +733,17 @@ class TestBoundCertificate:
         with pytest.raises(ValueError, match=r"^p has 3 entries, the model has nQ = 2$"):
             compute_certificate(model, law, signal, sel, SIGMA_N, 0.05, 100, stability=cert)
 
+    def test_a_selection_that_does_not_fit_the_model_is_refused(self, bench_chain):
+        # Channel 2 of the m = 1 model used to give a certificate, with
+        # bound_EstErr ~2e12, instead of a refusal.
+        model, dist, signal, cert, _ = bench_chain
+        sel = Selection(alpha=BENCH_SEL.alpha, beta=(((), 2, 2), ((1,), 2, 1)))
+        says = r"^beta: channel 2 outside 1\.\.1$"
+        with pytest.raises(ValueError, match=says):
+            compute_certificate(model, dist, signal, sel, SIGMA_N, 0.05, 100, stability=cert)
+        with pytest.raises(ValueError, match=says):
+            min_valid_N(model, dist, signal, sel, SIGMA_N, 0.05, stability=cert)
+
     def test_to_dict_is_json_ready(self, bench_chain, tmp_path):
         model, dist, signal, cert, sel = bench_chain
         bc = compute_certificate(model, dist, signal, sel, SIGMA_N, 0.05, 1000, stability=cert)

@@ -1,7 +1,9 @@
 """Monte Carlo driver: row layout, determinism, outputs."""
 
 import csv
+import dataclasses
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from switchid import (
 )
 from switchid import experiment
 from switchid.experiment import RESULTS_HEADER, ExperimentRow, _mean_series, load_results_csv
+from test_simulate import SIMULATE_PEAK_ROWS
 
 
 def tiny_config(**overrides):
@@ -231,6 +234,71 @@ def test_one_selection_search_per_distinct_model(monkeypatch, tmp_path):
     calls.clear()
     run_experiment(tiny_config(model_file=str(path), gamma_values=gammas, trials=1, N_grid=[300]))
     assert len(calls) == 1
+
+
+def test_one_generator_per_N_and_seed(monkeypatch):
+    # The grid points of one N share their seeds, so each (N, seed)
+    # stream is drawn once and read by every gamma's trial.
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: made.append(seed) or default_rng(seed)
+    )
+    rows = run_experiment(tiny_config(gamma_values=[0.1, 0.4, 0.6], trials=2))
+    assert made == [100, 101, 100, 101]
+    assert len(rows) == 12
+
+
+def test_identical_trials_run_once_and_share_their_outcome(monkeypatch, tmp_path):
+    # A model file under three gammas gives one trial per (N, seed).
+    path = tmp_path / "model.json"
+    save_model_file(str(path), *two_mode_benchmark(0.6))
+    calls = []
+    rollout = experiment.simulate
+    monkeypatch.setattr(
+        experiment, "simulate", lambda cfg: calls.append((cfg.N, cfg.seed)) or rollout(cfg)
+    )
+    gammas = [0.1, 0.4, 0.6]
+    rows = run_experiment(tiny_config(model_file=str(path), gamma_values=gammas, trials=2))
+    assert calls == [(300, 100), (300, 101), (1000, 100), (1000, 101)]
+    per_gamma = [[(r.est_err, r.wall_ms) for r in rows if r.gamma == g] for g in gammas]
+    assert per_gamma[0] == per_gamma[1] == per_gamma[2]
+    assert [r.gamma for r in rows] == [g for g in gammas for _ in range(4)]
+
+
+def test_progress_keeps_grid_order_and_waits_for_earlier_points(monkeypatch):
+    # Units run N by N: the N = 300 points are done after 4 rollouts, the
+    # rest after 8; each line comes once every earlier point is done.
+    calls = []
+    rollout = experiment.simulate
+    monkeypatch.setattr(experiment, "simulate", lambda cfg: calls.append(1) or rollout(cfg))
+    said = []
+    run_experiment(
+        tiny_config(gamma_values=[0.1, 0.4], trials=2),
+        progress=lambda line: said.append((len(calls), line.split(":")[0])),
+    )
+    assert said == [
+        (4, "gamma=0.1 ku=1.0 ku_inp=0.8 N=300"),
+        (8, "gamma=0.1 ku=1.0 ku_inp=0.8 N=1000"),
+        (8, "gamma=0.4 ku=1.0 ku_inp=0.8 N=300"),
+        (8, "gamma=0.4 ku=1.0 ku_inp=0.8 N=1000"),
+    ]
+
+
+def test_a_unit_holds_its_stream_beside_one_rollout():
+    # Traced peak of a whole run at N = 1e5 over three gammas, in rows of
+    # T = 100 201 floats: one simulate's peak plus the held stream's
+    # 1 + m + n + 1 rows, and half a row to spare.
+    cfg = tiny_config(N_grid=[100_000], trials=1, gamma_values=[0.1, 0.4, 0.6], burn_in=200)
+    run_experiment(dataclasses.replace(cfg, N_grid=[300]))  # warm any lazy imports
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model = two_mode_benchmark(0.6)[0]
+    assert peak / (8 * 100_201) <= SIMULATE_PEAK_ROWS[2] + model.m + model.n + 2 + 0.5
 
 
 class TestExperimentConfig:

@@ -619,6 +619,19 @@ def test_a_sigma_u_of_another_width_is_refused(bench, rng):
 
 
 @pytest.mark.parametrize(
+    "sigma_u", [np.float64(0.2133), [0.2133], np.ones((1, 2))], ids=["0-d", "1-d", "1x2"]
+)
+def test_a_sigma_u_that_is_not_a_square_matrix_is_refused_by_name(bench, bench_signal, sigma_u):
+    # A 0-d Sigma_u used to end in "TypeError: object of type
+    # 'numpy.float64' has no len()", before any check named it.
+    model, dist = bench
+    sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=300, seed=1))
+    says = f"Sigma_u must be a square 2-D array, not of shape {np.shape(sigma_u)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+        identify_sample(sample, BENCH_SEL, sigma_u, dist)
+
+
+@pytest.mark.parametrize(
     "beta, alpha, says",
     [
         ((((), 2, 2), ((1,), 2, 1)), BENCH_SEL.alpha, "beta: channel 2 outside 1..1"),

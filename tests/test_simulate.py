@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,10 @@ from switchid import (
     simulate,
     two_mode_benchmark,
 )
-from switchid.simulate import BLOWUP_LIMIT, SampleSet, _draw_signals, _rollout, _scan_buffers
+from switchid.simulate import (
+    BLOWUP_LIMIT, SampleSet, _draw_signals, _reader, _rollout, _scan_buffers, seed_stream,
+    stream_size,
+)
 
 # The package exports a function named simulate, which shadows the module.
 simulate_module = importlib.import_module("switchid.simulate")
@@ -656,7 +660,7 @@ def assert_same_draws(p, signal, T, n, m, seed):
     # The noise is drawn into the leading T rows of longer buffers, as into
     # the scan's padded ones; nan marks a slot no draw wrote.
     w_buf, v_buf = np.full((T + 5, n), np.nan), np.full(T + 5, np.nan)
-    q, u = _draw_signals(rng, p, signal, m, w_buf[:T], v_buf[:T])
+    q, u = _draw_signals(_reader(rng), p, signal, m, w_buf[:T], v_buf[:T])
     got = q, u, w_buf[:T], v_buf[:T]
     expect = numpy_draws(twin, p, signal, T, n, m)
     for a, b in zip(got, expect):
@@ -709,6 +713,58 @@ def test_simulate_rolls_out_numpys_draws(bench, bench_signal):
     npt.assert_array_equal(s.q, q[50:])
     npt.assert_array_equal(s.u, u[50:])
     npt.assert_array_equal(s.y, rollout(model, u, q, w, v)[50:])
+
+
+def raw_draws(seed, p, signal, T, n, m):
+    """q, u, w and v rebuilt from the 64-bit words of the seed's bit
+    generator, in simulate's order: a double is (raw >> 11) * 2**-53, a
+    mode choice's searchsorted of one, a signal of amplitude K is
+    -K + 2K r, and a zero amplitude takes no words."""
+    bits = np.random.default_rng(seed).bit_generator
+
+    def doubles(*shape):
+        return (bits.random_raw(math.prod(shape)) >> np.uint64(11)).reshape(shape) * 2.0**-53
+
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    q = np.searchsorted(cdf, doubles(T), side="right") + 1
+    Ku, Kn = signal.Ku_input, signal.Ku_noise
+    u = -Ku + 2.0 * Ku * doubles(T, m) if Ku else np.zeros((T, m))
+    if not Kn:
+        return q, u, None, None
+    return q, u, -Kn + 2.0 * Kn * doubles(T, n), -Kn + 2.0 * Kn * doubles(T)
+
+
+@pytest.mark.parametrize("signal", DRAW_SIGNALS, ids=lambda s: f"{s.Ku_input}-{s.Ku_noise}")
+@pytest.mark.parametrize("family", ["two-mode", "n4-m2"])
+def test_draws_are_the_bit_generators_words(rng, family, signal):
+    # The draws depend on the bit generator's stream alone, whether
+    # simulate draws them or reads them from a held prefix of the stream,
+    # here one longer than it needs.
+    if family == "two-mode":
+        model, dist = two_mode_benchmark(0.6)
+    else:
+        model, dist = scan_model(rng), SwitchingDistribution(p=[0.5, 0.3, 0.2])
+    cfg = SimConfig(model=model, dist=dist, signal=signal, N=300, burn_in=20, seed=9)
+    q, u, w, v = raw_draws(9, dist.p, signal, 321, model.n, model.m)
+    y = rollout(model, u, q, w, v)
+    held = np.random.default_rng(9).random(stream_size(cfg) + 7)
+    for s in (simulate(cfg), simulate(dataclasses.replace(cfg, stream=held))):
+        npt.assert_array_equal(s.q, q[20:])
+        npt.assert_array_equal(s.u, u[20:])
+        npt.assert_array_equal(s.y, y[20:])
+
+
+def test_a_stream_that_cannot_serve_the_config_is_refused(bench, bench_signal):
+    # The config refuses the stream, before simulate reads past its end.
+    cfg = SimConfig(model=bench[0], dist=bench[1], signal=bench_signal, N=100, seed=1)
+    quiet = dataclasses.replace(cfg, signal=SignalSpec(Ku_input=0.8, Ku_noise=0.0))
+    stream = seed_stream(1, [quiet, cfg])
+    assert stream.shape == (301 * 5,)  # the longer layout: modes, u, w_1, w_2 and v
+    says = "simulate reads 1505 doubles of a 1-D float64 stream"
+    for bad in (stream[:-1], stream.reshape(5, 301), stream.astype(np.float32)):
+        with pytest.raises(ValueError, match=re.escape(says)):
+            dataclasses.replace(cfg, stream=bad)
 
 
 def test_sampleset_validation():
