@@ -161,6 +161,12 @@ class SignalSpec:
         """The single amplitude bound entering the error constants."""
         return max(self.Ku_input, self.Ku_noise)
 
+    def check_width(self, m: int, name: str = "Sigma_u") -> None:
+        """Refuse an explicit Sigma_u that is not m x m, calling it name."""
+        if self.Sigma_u is not None and self.Sigma_u.shape != (m, m):
+            shape = "x".join(map(str, self.Sigma_u.shape))
+            raise ValueError(f"{name} is {shape}, the model has m = {m}")
+
     def sigma_u(self, m: int) -> np.ndarray:
         """Input covariance, explicit or the uniform-law default.  The
         estimator and the bound invert it, so a zero Ku_input is refused
@@ -172,8 +178,7 @@ class SignalSpec:
                 "the estimator and the bound invert the input covariance Sigma_u"
             )
         if self.Sigma_u is not None:
-            if self.Sigma_u.shape != (m, m):
-                raise ValueError(f"Sigma_u must be {m}x{m}")
+            self.check_width(m)
             return self.Sigma_u
         try:
             var = self.Ku_input**2 / 3.0
@@ -371,9 +376,7 @@ def model_from_dict(d: dict) -> tuple[LssModel, SwitchingDistribution, SignalSpe
         ku = {name: check_real(f"signal.{name}", s[name]) for name in ("Ku_input", "Ku_noise")}
         sig_u = check_real("signal.Sigma_u", s["Sigma_u"], 2) if "Sigma_u" in s else None
         signal = SignalSpec(**ku, Sigma_u=sig_u)
-        if signal.Sigma_u is not None and signal.Sigma_u.shape != (model.m, model.m):
-            shape = "x".join(map(str, signal.Sigma_u.shape))
-            raise ValueError(f"signal.Sigma_u is {shape}, the model has m = {model.m}")
+        signal.check_width(model.m, "signal.Sigma_u")
     return model, dist, signal
 
 

@@ -163,7 +163,9 @@ class _Trial(NamedTuple):
 
 
 def _run_one_trial(trial: _Trial, cfg: SimConfig) -> tuple[float, float]:
-    """Simulate cfg, estimate, realize; returns (est_err, wall_ms)."""
+    """Simulate cfg, estimate, realize; returns (est_err, wall_ms).  A
+    function of its own so that its return frees the sample before the
+    unit's next rollout."""
     t0 = time.perf_counter()
     sample = simulate(cfg)
     try:
@@ -174,33 +176,29 @@ def _run_one_trial(trial: _Trial, cfg: SimConfig) -> tuple[float, float]:
     return err, (time.perf_counter() - t0) * 1e3
 
 
-def _run_unit(
-    trials: dict[int, list[_Trial]], unit: tuple[int, int]
-) -> tuple[float, list[tuple[float, float]]]:
+def _run_unit(trials: dict[int, dict], unit: tuple[int, int]) -> list[tuple[float, float]]:
     """Every distinct trial of one (N, seed): the seed's stream is drawn
     once, to the longest layout any of them reads, and each trial rolls
-    out from it.  Returns the draw's wall_ms and each trial's (est_err,
-    wall_ms), in the order of trials[N]."""
+    out from it.  Returns each trial's (est_err, wall_ms), in the order of
+    trials[N], its wall_ms holding an even share of the draw."""
     N, seed = unit
+    at_N = trials[N].values()
     t0 = time.perf_counter()
-    stream = seed_stream(seed, [t.sim for t in trials[N]])
-    draw_ms = (time.perf_counter() - t0) * 1e3
-    return draw_ms, [
-        _run_one_trial(t, replace(t.sim, seed=seed, stream=stream)) for t in trials[N]
-    ]
+    stream = seed_stream(seed, [t.sim for t in at_N])
+    draw_ms = (time.perf_counter() - t0) * 1e3 / len(at_N)
+    outcomes = [_run_one_trial(t, replace(t.sim, seed=seed, stream=stream)) for t in at_N]
+    return [(err, ms + draw_ms) for err, ms in outcomes]
 
 
-Plan = list[tuple[str | None, dict, tuple[int, int]]]
-
-
-def _plan(cfg: ExperimentConfig) -> tuple[Plan, dict[int, list[_Trial]]]:
+def _plan(cfg: ExperimentConfig) -> tuple[list[tuple[str | None, dict, tuple]], dict[int, dict]]:
     """Resolve every grid point, in run order, before the first trial.
 
     A point is the note to report before it (a gamma's missing
     certificate, at that gamma's first point), the row fields it fixes
-    and its trial, (N, j) for entry j of the returned trials[N].  Points
-    whose trials are identical (same model, signal and N: a model file
-    under several gammas) share one entry.  Each distinct model is
+    and the key of its trial in trials[N], the distinct trials of each N
+    in grid order.  The key is (gamma or None, ku_noise, ku_input, N), so
+    points whose trials are identical (same model, signal and N: a model
+    file under several gammas) share one trial.  Each distinct model is
     searched and realized once: per gamma for the built-in family, once
     for a model file; each trial's :func:`identify_sample` reads the word
     set off the selection.  Every refusal the config decides is raised
@@ -227,7 +225,7 @@ def _plan(cfg: ExperimentConfig) -> tuple[Plan, dict[int, list[_Trial]]]:
             f"length {shortest - 1}, so the shortest N that runs is {shortest}"
         )
 
-    plan, trials, at = [], {}, {}
+    plan, trials = [], {}
     for gamma in cfg.gamma_values:
         key = None if fixed else gamma
         model, dist, sel, rr_ref = truths[key]
@@ -246,12 +244,11 @@ def _plan(cfg: ExperimentConfig) -> tuple[Plan, dict[int, list[_Trial]]]:
                 )
                 point.update(bound=bc.bound_EstErr, valid=bc.valid)
             same = (key, ku_noise, ku_input, N)
-            if same not in at:
-                at_N = trials.setdefault(N, [])
-                at[same] = (N, len(at_N))
+            at_N = trials.setdefault(N, {})
+            if same not in at_N:
                 sim = SimConfig(model=model, dist=dist, signal=signal, N=N, burn_in=cfg.burn_in)
-                at_N.append(_Trial(sim, signal.sigma_u(model.m), sel, rr_ref))
-            plan.append((note, point, at[same]))
+                at_N[same] = _Trial(sim, signal.sigma_u(model.m), sel, rr_ref)
+            plan.append((note, point, same))
             note = None
     return plan, trials
 
@@ -266,25 +263,23 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
     that gamma, before its first point's line.
 
     Trials run in units of (N, seed), N in the order the grid first
-    reaches it: the seed's stream is drawn once per unit and every
-    distinct trial of that N rolls out from it (:func:`_run_unit`), so
-    the grid points of one N share their random numbers, as they always
-    have.  Points whose trials are identical run them once and their rows
-    share the outcome.  Each point's progress line comes in grid order,
-    once every earlier point is done.
+    reaches it: each unit draws the seed's stream once and rolls out
+    every distinct trial of that N from it (:func:`_run_unit`), so the
+    grid points of one N share their random numbers.  Results are read
+    N by N into one table keyed by trial; a point's progress line comes
+    in grid order, once its trial is in the table.  Rows that share a
+    trial share its outcome and split its wall_ms evenly.
 
-    With cfg.threads > 1 units run in a process pool of
-    min(cfg.threads, os.cpu_count()) workers; results are gathered in
-    submission order so the output is identical to a serial run (wall
-    clock times aside).
+    With cfg.threads > 1 one map over every unit runs in a process pool
+    of min(cfg.threads, os.cpu_count()) workers, so no worker waits at
+    an N boundary; results come in submission order, so the output is
+    that of a serial run (wall clock times aside).
     """
     plan, trials = _plan(cfg)
     progress = progress or (lambda _: None)
     seeds = range(cfg.seed_base, cfg.seed_base + cfg.trials)
-    units = [(N, seed) for N in trials for seed in seeds]
-    shares = Counter(at for _, _, at in plan)  # rows per trial and seed
-    outcomes = {}  # (N, j, seed) -> one row's est_err and wall_ms
-    finished, reported = set(), 0
+    shares = Counter(same for _, _, same in plan)  # rows per trial
+    done, reported = {}, 0  # trial key -> its (est_err, wall_ms) per seed
     parallel = cfg.threads > 1
     pool = nullcontext()
     if parallel:
@@ -296,32 +291,25 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
         pool = ProcessPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1))
     with pool:
         unit_map = functools.partial(pool.map, chunksize=4) if parallel else map
-        run_unit = functools.partial(_run_unit, trials)
-        for (N, seed), (draw_ms, results) in zip(units, unit_map(run_unit, units)):
-            # A trial's time is its own plus an even share of the draw,
-            # split evenly among the rows that share it.
-            for j, (err, ms) in enumerate(results):
-                wall = (ms + draw_ms / len(results)) / shares[N, j]
-                outcomes[N, j, seed] = dict(est_err=err, wall_ms=wall)
-            if seed != seeds[-1]:
-                continue
-            finished.add(N)
-            while reported < len(plan) and plan[reported][2][0] in finished:
-                note, point, (N_at, j) = plan[reported]
+        units = [(N, seed) for N in trials for seed in seeds]
+        results = unit_map(functools.partial(_run_unit, trials), units)
+        for at_N in trials.values():
+            done.update(zip(at_N, zip(*[next(results) for _ in seeds])))
+            while reported < len(plan) and plan[reported][2] in done:
+                note, point, same = plan[reported]
                 if note is not None:
                     progress(note)
-                errs = [outcomes[N_at, j, s]["est_err"] for s in seeds]
-                good = [err for err in errs if np.isfinite(err)]
+                good = [err for err, _ in done[same] if np.isfinite(err)]
                 mean = float(np.mean(good)) if good else float("nan")
                 progress(
                     "gamma={gamma} ku={ku_noise} ku_inp={ku_input} N={N}: ".format(**point)
-                    + f"mean est_err {mean:.4g} over {len(good)}/{len(errs)} trials"
+                    + f"mean est_err {mean:.4g} over {len(good)}/{len(seeds)} trials"
                 )
                 reported += 1
     return [
-        ExperimentRow(**point, trial=trial, seed=seed, **outcomes[N, j, seed])
-        for _, point, (N, j) in plan
-        for trial, seed in enumerate(seeds)
+        ExperimentRow(**point, trial=trial, seed=seed, est_err=err, wall_ms=ms / shares[same])
+        for _, point, same in plan
+        for trial, (seed, (err, ms)) in enumerate(zip(seeds, done[same]))
     ]
 
 

@@ -39,8 +39,8 @@ SINGULAR_RTOL = 1e-10
 
 def _singular(s: np.ndarray) -> bool:
     """Whether singular values s (descending) mark a numerically singular
-    matrix: the smallest at most SINGULAR_RTOL times the largest."""
-    return s[-1] <= SINGULAR_RTOL * max(s[0], 1e-300)
+    matrix: the smallest at most SINGULAR_RTOL times the largest, or NaN."""
+    return not s[-1] > SINGULAR_RTOL * max(s[0], 1e-300)
 
 
 class SingularHankelError(RuntimeError):

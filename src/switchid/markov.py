@@ -80,7 +80,8 @@ def empirical_markov_batch(
         In this order: if Sigma_u is not m x m for the trajectory's m
         input columns; if a mode label in the trajectory lies outside
         1..nQ; if the trajectory is not longer than some word, or a letter
-        of a word lies outside 1..nQ.
+        of a word lies outside 1..nQ; if an estimate is not finite, naming
+        the first such word.
     """
     sigma_u = np.asarray(sigma_u, dtype=float)
     y, u, q, N, nQ = sample.y, sample.u, sample.q, sample.N, dist.nQ
@@ -122,6 +123,13 @@ def empirical_markov_batch(
             np.take(table, pairs[:L], out=ids[:L], mode="clip")
     scale = np.array([(N - len(w)) * p_word(dist, w) for w in words])
     est = np.linalg.solve(sigma_u, sums) / scale
+    finite = np.isfinite(est).all(axis=0)
+    if not finite.all():
+        j = int(np.argmin(finite))  # the first word whose estimate is not finite
+        raise ValueError(
+            f"the Markov estimate of word {words[j]} is not finite ({est[:, j]}): "
+            "the trajectory's y or u, or 1 / p_w, overflows a float"
+        )
     return dict(zip(words, est.T.copy()))
 
 

@@ -249,7 +249,7 @@ def realization(modes=1, A=(1, 1), B=(1, 1)):
         (lambda: SignalSpec(Ku_input=1.0, Ku_noise=1.0, Sigma_u=np.ones((1, 2))),
          "Sigma_u must be square"),
         (lambda: SignalSpec(Ku_input=1.0, Ku_noise=1.0, Sigma_u=np.eye(2)).sigma_u(1),
-         "Sigma_u must be 1x1"),
+         "Sigma_u is 2x2, the model has m = 1"),
         (lambda: Selection(alpha=((), (1,)), beta=(((), 1, 1), ((1, 2), 1, 1))),
          "column word (1, 2) longer than n - 1 = 1"),
         (lambda: est_err(realization(modes=2), realization()), "mode counts differ"),

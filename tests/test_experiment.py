@@ -2,10 +2,12 @@
 
 import csv
 import dataclasses
+import itertools
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -158,9 +160,11 @@ def test_figures_written_and_parse(tmp_path, tiny_rows):
 
 
 def test_threads_do_not_change_results():
-    serial = run_experiment(tiny_config(trials=2, N_grid=[300]))
-    parallel = run_experiment(tiny_config(trials=2, N_grid=[300], threads=2))
-    assert [r.est_err for r in serial] == [r.est_err for r in parallel]
+    serial, parallel = [], []
+    rows = run_experiment(tiny_config(trials=2), progress=serial.append)
+    pooled = run_experiment(tiny_config(trials=2, threads=2), progress=parallel.append)
+    assert [r.est_err for r in rows] == [r.est_err for r in pooled]
+    assert serial == parallel and len(serial) == 2
 
 
 @pytest.mark.parametrize(
@@ -170,10 +174,12 @@ def test_threads_do_not_change_results():
 def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, threads, cpus, workers):
     # The pool starts all its workers at its first map; a fake pool that
     # maps serially records the size asked for, so no process is started.
+    # It is mapped once over every (N, seed) unit, so no worker waits at
+    # the turn from one N to the next.
     import concurrent.futures
     import os
 
-    sizes = []
+    sizes, maps = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -186,14 +192,36 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, threads, cpus, workers
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            maps.append(list(iterable))
+            return map(fn, maps[-1])
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    rows = run_experiment(tiny_config(trials=2, N_grid=[300], threads=threads))
+    rows = run_experiment(tiny_config(trials=2, threads=threads))
     assert sizes == [workers]
-    serial = run_experiment(tiny_config(trials=2, N_grid=[300]))
+    assert maps == [[(300, 100), (300, 101), (1000, 100), (1000, 101)]]
+    serial = run_experiment(tiny_config(trials=2))
     assert [r.est_err for r in rows] == [r.est_err for r in serial]
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["family", "model-file"])
+def test_wall_ms_adds_up_to_the_draws_and_the_trials(monkeypatch, tmp_path, from_file):
+    # A clock that moves 1 ms per reading makes each draw and each trial
+    # take 1 ms: the column sums to one draw per (N, seed) unit and one
+    # trial per distinct trial and seed.  A model file under three gammas
+    # runs one trial per unit, and its three rows split it.
+    ticks = itertools.count()
+    monkeypatch.setattr(experiment, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 1e3))
+    cfg = tiny_config(gamma_values=[0.1, 0.4, 0.6], trials=2)
+    if from_file:
+        path = tmp_path / "model.json"
+        save_model_file(str(path), *two_mode_benchmark(0.6))
+        cfg = dataclasses.replace(cfg, model_file=str(path))
+    rows = run_experiment(cfg)
+    units, distinct = 2 * 2, 1 if from_file else 3
+    assert len(rows) == 12
+    assert sum(r.wall_ms for r in rows) == pytest.approx(units + units * distinct)
+    assert [r.wall_ms for r in rows] == pytest.approx([(1 + distinct) / 3] * 12)
 
 
 def test_progress_callback_called():

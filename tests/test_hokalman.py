@@ -187,6 +187,19 @@ def test_realize_refuses_singular():
         realize(hs, np.zeros(1))
 
 
+def test_realize_refuses_a_table_whose_singular_values_are_nan(bench):
+    # An infinite Markov estimate in H_ab makes its SVD read NaN, which
+    # compares false against any threshold: it must still read singular.
+    model, _ = bench
+    mm = true_markov_map(model, required_words(BENCH_SEL, 2))
+    mm[(2,)] = np.array([np.inf])
+    hs = build_hankels(mm, BENCH_SEL)
+    assert np.isnan(np.linalg.svd(hs.H_ab, compute_uv=False)).all()
+    with pytest.raises(SingularHankelError, match="sigma_min/sigma_max = nan/nan"):
+        realize(hs, mm[()])
+    assert hokalman._singular(np.array([1.0, np.nan]))
+
+
 def test_scalar_single_mode_realization():
     model = LssModel(
         n=1, m=1, nQ=1,

@@ -1,6 +1,7 @@
 """Markov parameters: exact values and the estimator kernel."""
 
 import itertools
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -334,6 +335,23 @@ def test_estimator_refusals_name_the_fault(bench, bench_signal):
         empirical_markov_batch(bad, [(1,)], sigma_u, dist)
     with pytest.raises(ValueError, match=r"word \(1, 3\) has a letter outside 1\.\.2"):
         empirical_markov_batch(sample, [(1, 3)], sigma_u, dist)
+
+
+def test_estimator_refuses_an_estimate_that_is_not_finite(bench, bench_signal):
+    # y(t) = 1e308 is a float, but y(t) u(t - k) / Sigma_u is not once
+    # |u(t - k)| > Sigma_u = 0.2133: the first such word is named.
+    model, dist = bench
+    sigma_u = bench_signal.sigma_u(1)
+    sample = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=2000, seed=1))
+    words = [(), (1,), (2,)]
+    u = np.abs(sample.u[:, 0])
+    t = next(t for t in range(1, 2001) if u[t - 1] > 0.5 and u[t] < 0.2)
+    for at, first in [(t, (int(sample.q[t - 1]),)), (500, ())]:
+        y = sample.y.copy()
+        y[at] = 1e308
+        bad = SampleSet(N=2000, y=y, u=sample.u, q=sample.q)
+        with pytest.raises(ValueError, match=re.escape(f"Markov estimate of word {first} is not")):
+            empirical_markov_batch(bad, words, sigma_u, dist)
 
 
 def test_word_tables_are_built_once_per_word_set():
