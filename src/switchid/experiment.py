@@ -253,6 +253,13 @@ def _plan(cfg: ExperimentConfig) -> tuple[list[tuple[str | None, dict, tuple]], 
     return plan, trials
 
 
+def _finite_mean(errs) -> tuple[float, int]:
+    """Mean of the finite est_err, NaN when none, and their count: a grid
+    point's progress line and its figure point both read this."""
+    good = [err for err in errs if np.isfinite(err)]
+    return (float(np.mean(good)) if good else float("nan")), len(good)
+
+
 def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
     """Run the whole grid; returns rows sorted by grid point and trial.
 
@@ -299,11 +306,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
                 note, point, same = plan[reported]
                 if note is not None:
                     progress(note)
-                good = [err for err, _ in done[same] if np.isfinite(err)]
-                mean = float(np.mean(good)) if good else float("nan")
+                mean, count = _finite_mean(err for err, _ in done[same])
                 progress(
                     "gamma={gamma} ku={ku_noise} ku_inp={ku_input} N={N}: ".format(**point)
-                    + f"mean est_err {mean:.4g} over {len(good)}/{len(seeds)} trials"
+                    + f"mean est_err {mean:.4g} over {count}/{len(seeds)} trials"
                 )
                 reported += 1
     return [
@@ -331,26 +337,13 @@ def load_results_csv(path: str) -> list[ExperimentRow]:
         ]
 
 
-def _mean_series(rows, N_grid, key, value, fixed):
-    """Mean est_err per N for rows matching one swept value and the
-    anchors for the other parameters; failed trials are excluded."""
-    ys = []
-    for N in N_grid:
-        errs = [
-            r.est_err
-            for r in rows
-            if r.N == N
-            and getattr(r, key) == value
-            and all(getattr(r, k) == v for k, v in fixed.items())
-            and np.isfinite(r.est_err)
-        ]
-        ys.append(float(np.mean(errs)) if errs else float("nan"))
-    return ys
-
-
 def write_figures(cfg: ExperimentConfig, rows: list[ExperimentRow]) -> list[str]:
     """One log-log figure per swept parameter, anchored at the first
-    value of the other sweeps.  Returns the written paths."""
+    value of the other sweeps; a point is its rows' :func:`_finite_mean`.
+    Returns the written paths."""
+    errs = {}  # (gamma, ku_noise, ku_input, N) -> est_err of its rows, in row order
+    for r in rows:
+        errs.setdefault((r.gamma, r.ku_noise, r.ku_input, r.N), []).append(r.est_err)
     anchors = {
         "gamma": cfg.gamma_values[0],
         "ku_noise": cfg.Ku_noise_values[0],
@@ -366,7 +359,8 @@ def write_figures(cfg: ExperimentConfig, rows: list[ExperimentRow]) -> list[str]
         fixed = {k: v for k, v in anchors.items() if k != key}
         series = []
         for value in values:
-            ys = _mean_series(rows, cfg.N_grid, key, value, fixed)
+            at = {**anchors, key: value}.values()
+            ys = [_finite_mean(errs.get((*at, N), ()))[0] for N in cfg.N_grid]
             series.append((f"{label} = {value:g}", [float(N) for N in cfg.N_grid], ys))
         path = os.path.join(cfg.output_dir, f"esterr_vs_N_{key}.svg")
         fixed_desc = ", ".join(f"{k} = {v:g}" for k, v in fixed.items())

@@ -310,14 +310,26 @@ def realize(hs: HankelSet, M_eps: np.ndarray) -> RealizationResult:
 
     Uses linear solves against H_ab rather than forming its inverse and
     refuses when the smallest singular value falls below 1e-10 times the
-    largest, since everything downstream divides by it.
+    largest, since everything downstream divides by it.  A block with a
+    nan or inf entry is refused by name (ValueError): H_ab, H_aqb[q] or
+    H_aq[q] for mode q = 1..nQ, or H_b.  Only an inf in H_ab is left to
+    the SVD, whose NaN singular values read singular.
     """
     H_ab = np.asarray(hs.H_ab, dtype=float)
+    if np.isnan(H_ab).any():  # LAPACK's SVD does not converge on it
+        raise ValueError("the Hankel block H_ab has an entry that is not finite")
     s = np.linalg.svd(H_ab, compute_uv=False)
     if _singular(s):
         raise SingularHankelError(
             f"H_ab numerically singular: sigma_min/sigma_max = {s[-1]:.3e}/{s[0]:.3e}"
         )
+    for name, block in [
+        *((f"H_aqb[{q}]", H) for q, H in enumerate(hs.H_aqb, 1)),
+        *((f"H_aq[{q}]", H) for q, H in enumerate(hs.H_aq, 1)),
+        ("H_b", hs.H_b),
+    ]:
+        if not np.isfinite(block).all():
+            raise ValueError(f"the Hankel block {name} has an entry that is not finite")
     Abar = [np.linalg.solve(H_ab, Hq) for Hq in hs.H_aqb]
     Bbar = [np.linalg.solve(H_ab, Hq) for Hq in hs.H_aq]
     Cbar = np.asarray(hs.H_b, dtype=float).copy()

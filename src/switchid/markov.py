@@ -108,21 +108,24 @@ def empirical_markov_batch(
     # through a table, gives the ids for length k + 1.
     sums = np.empty((m, len(words)))
     ids, pairs, weights = np.zeros(N, dtype=np.intp), np.empty(N, dtype=np.intp), np.empty(N)
-    if lengths[0] == 0:  # the empty word: every window, one sum per input channel
-        sums[:, 0] = [np.multiply(y[1:], u[1:, j], out=weights).sum() for j in range(m)]
-    for k, (lo, hi, bins, npairs, table) in enumerate(passes, 1):
-        L = N - k
-        np.add(ids[:L], q[k:N], out=pairs[:L])
-        if hi > lo:
-            for j in range(m):
-                np.multiply(y[k + 1 :], u[1 : L + 1, j], out=weights[:L])
-                by_pair = np.bincount(pairs[:L], weights=weights[:L], minlength=npairs)
-                sums[j, lo:hi] = by_pair[bins]
-        if table is not None:
-            # Every pair indexes the table, so take need not check the range.
-            np.take(table, pairs[:L], out=ids[:L], mode="clip")
-    scale = np.array([(N - len(w)) * p_word(dist, w) for w in words])
-    est = np.linalg.solve(sigma_u, sums) / scale
+    # A product or sum past the float range is refused below by the word it
+    # reaches, so numpy's own overflow warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lengths[0] == 0:  # the empty word: every window, one sum per input channel
+            sums[:, 0] = [np.multiply(y[1:], u[1:, j], out=weights).sum() for j in range(m)]
+        for k, (lo, hi, bins, npairs, table) in enumerate(passes, 1):
+            L = N - k
+            np.add(ids[:L], q[k:N], out=pairs[:L])
+            if hi > lo:
+                for j in range(m):
+                    np.multiply(y[k + 1 :], u[1 : L + 1, j], out=weights[:L])
+                    by_pair = np.bincount(pairs[:L], weights=weights[:L], minlength=npairs)
+                    sums[j, lo:hi] = by_pair[bins]
+            if table is not None:
+                # Every pair indexes the table, so take need not check the range.
+                np.take(table, pairs[:L], out=ids[:L], mode="clip")
+        scale = np.array([(N - len(w)) * p_word(dist, w) for w in words])
+        est = np.linalg.solve(sigma_u, sums) / scale
     finite = np.isfinite(est).all(axis=0)
     if not finite.all():
         j = int(np.argmin(finite))  # the first word whose estimate is not finite

@@ -119,10 +119,10 @@ class SimConfig:
 class SampleSet:
     """One finite trajectory {(y(t), u(t), q(t))} for t = 0..N, each of length N + 1.
 
-    ``u`` is (N + 1, m), or 1-D for one input column; a field of another
-    number of axes is refused by its shape."""
+    N is read off the arrays, which must be of one length.  ``u`` is
+    (N + 1, m), or 1-D for one input column; a field of another number of
+    axes is refused by its shape."""
 
-    N: int
     y: np.ndarray
     u: np.ndarray
     q: np.ndarray
@@ -136,10 +136,18 @@ class SampleSet:
             shape = self.u.shape
             raise ValueError(f"trajectory field 'u' must be 1-D or 2-D, not of shape {shape}")
         self.q = _mode_labels(_vector("q", self.q))
-        if not (len(self.y) == len(self.u) == len(self.q) == self.N + 1):
-            raise ValueError("y, u, q must all have length N + 1")
+        if not len(self.y) == len(self.u) == len(self.q):
+            raise ValueError(
+                f"y, u and q have lengths {len(self.y)}, {len(self.u)} and {len(self.q)}; "
+                "a trajectory has one of each per step"
+            )
         _check_finite("y", self.y)
         _check_finite("u", self.u)
+
+    @property
+    def N(self) -> int:
+        """The last step t of the trajectory: len(y) - 1."""
+        return len(self.y) - 1
 
 
 def simulate(cfg: SimConfig) -> SampleSet:
@@ -172,7 +180,7 @@ def simulate(cfg: SimConfig) -> SampleSet:
     F, ypad = _scan_buffers(T, model.n)
     q, u = _draw_signals(_reader(source), cfg.dist.p, cfg.signal, model.m, F[:T], ypad[:T])
     y = _rollout(model, u, q, F, ypad, b)
-    return SampleSet(N=cfg.N, y=y[b:], u=u[b:], q=q[b:])
+    return SampleSet(y=y[b:], u=u[b:], q=q[b:])
 
 
 def stream_size(cfg: SimConfig) -> int:
@@ -502,7 +510,7 @@ def load_trajectory(path: str) -> SampleSet:
                     )
                 # Contiguous copies: the fields of a structured array are strided views.
                 y, u, q = (np.ascontiguousarray(body[name]) for name in ("y", "u", "q"))
-                return SampleSet(N=len(y) - 1, y=y, u=u, q=q)
+                return SampleSet(y=y, u=u, q=q)
             except (ValueError, Warning) as exc:
                 raise _fault(path, reader, header, exc) from None
     except UnicodeDecodeError as exc:

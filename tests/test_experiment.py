@@ -21,7 +21,7 @@ from switchid import (
     write_results_csv,
 )
 from switchid import experiment
-from switchid.experiment import RESULTS_HEADER, ExperimentRow, _mean_series, load_results_csv
+from switchid.experiment import RESULTS_HEADER, ExperimentRow, _finite_mean, load_results_csv
 from test_simulate import SIMULATE_PEAK_ROWS
 
 
@@ -128,11 +128,73 @@ def test_trial_with_a_singular_empirical_hankel_keeps_a_nan_row(tmp_path):
     assert [line.split(",")[6] for line in path.read_text().splitlines()[2:]] == ["nan"] * 3
     back = load_results_csv(str(path))
     assert back[0].est_err == rows[0].est_err and all(np.isnan(r.est_err) for r in back[1:])
-    # The figures average the finite errors alone.
-    fixed = {"ku_noise": 1.0, "ku_input": 0.8}
-    assert _mean_series(rows, [5], "gamma", 0.6, fixed) == [rows[0].est_err]
+    # The progress line and the figures average the finite errors alone.
+    assert _finite_mean(r.est_err for r in rows) == (rows[0].est_err, 1)
     for figure in write_figures(cfg, rows):
         assert not re.search(r"\bnan\b", Path(figure).read_text(), re.IGNORECASE)
+
+
+PROGRESS_LINE = re.compile(
+    r"gamma=(\S+) ku=(\S+) ku_inp=(\S+) N=(\d+): mean est_err (\S+) over (\d+)/\d+ trials"
+)
+
+
+def check_figure_points_against_progress(cfg, monkeypatch):
+    """Run cfg, draw its figures, and check that every figure point is the
+    mean its grid point's progress line prints.  Returns what each line
+    printed: {(gamma, ku_noise, ku_input, N): (mean, count)}."""
+    said, drawn = [], []
+    rows = run_experiment(cfg, progress=said.append)
+    monkeypatch.setattr(experiment, "line_chart", lambda path, series, **_: drawn.append(series))
+    write_figures(cfg, rows)
+    printed = {}
+    for line in said:
+        if match := PROGRESS_LINE.fullmatch(line):
+            g, ku, ku_inp, N, mean, count = match.groups()
+            printed[(float(g), float(ku), float(ku_inp), int(N))] = (mean, int(count))
+    # Figure k sweeps the k-th of these, the others held at their first value.
+    sweeps = [cfg.gamma_values, cfg.Ku_noise_values, cfg.Ku_input_values]
+    checked = 0
+    for axis, series in enumerate(drawn):
+        for value, (_, xs, ys) in zip(sweeps[axis], series, strict=True):
+            at = [values[0] for values in sweeps]
+            at[axis] = value
+            for N, y in zip(xs, ys, strict=True):
+                assert f"{y:.4g}" == printed[(*at, int(N))][0]
+                checked += 1
+    assert checked == len(cfg.N_grid) * sum(map(len, sweeps))
+    assert all((mean == "nan") == (count == 0) for mean, count in printed.values())
+    return printed
+
+
+@pytest.mark.parametrize(
+    "overrides, counts",
+    [
+        # The experiment-N-5 call: 1 of 4 trials realizes at each gamma.
+        (dict(N_grid=[5], gamma_values=[0.1, 0.4, 0.6], seed_base=0, burn_in=200), {5: {1}}),
+        # Seeds 7-10 with a burn-in of 10 all give a singular H_ab at N = 5.
+        (
+            dict(N_grid=[5, 300], gamma_values=[0.1, 0.6], Ku_noise_values=[1.0, 0.5],
+                 seed_base=7, burn_in=10),
+            {5: {0}, 300: {4}},
+        ),
+    ],
+    ids=["N-5", "every-trial-fails"],
+)
+def test_each_figure_point_is_the_mean_its_progress_line_prints(monkeypatch, overrides, counts):
+    printed = check_figure_points_against_progress(tiny_config(**overrides), monkeypatch)
+    assert {N: {c for k, (_, c) in printed.items() if k[3] == N} for N in counts} == counts
+
+
+def test_figure_points_of_a_model_file_under_three_gammas(monkeypatch, tmp_path):
+    # The three gammas' rows share each trial's outcome; each point is
+    # still the mean its own progress line prints.
+    path = tmp_path / "model.json"
+    save_model_file(str(path), *two_mode_benchmark(0.6))
+    cfg = tiny_config(model_file=str(path), gamma_values=[0.1, 0.4, 0.6], trials=3)
+    printed = check_figure_points_against_progress(cfg, monkeypatch)
+    assert len(printed) == 6
+    assert len({mean for mean, _ in printed.values()}) == 2  # one per N
 
 
 def test_nan_est_err_survives_csv(tmp_path):

@@ -200,6 +200,24 @@ def test_realize_refuses_a_table_whose_singular_values_are_nan(bench):
     assert hokalman._singular(np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize(
+    "word, block",
+    [
+        # Only H_aqb for mode 1 reads this word: realize returned a NaN Abar[0].
+        ((2, 1, 1, 1), "H_aqb[1]"),
+        # H_ab reads this one: LAPACK's SVD raised LinAlgError.
+        ((2, 1, 1), "H_ab"),
+    ],
+)
+def test_realize_refuses_a_non_finite_table_by_its_block(bench, word, block):
+    model, _ = bench
+    mm = true_markov_map(model, required_words(BENCH_SEL, 2))
+    mm[word] = np.array([np.nan])
+    with pytest.raises(ValueError) as exc:
+        realize(build_hankels(mm, BENCH_SEL), mm[()])
+    assert str(exc.value) == f"the Hankel block {block} has an entry that is not finite"
+
+
 def test_scalar_single_mode_realization():
     model = LssModel(
         n=1, m=1, nQ=1,
@@ -587,7 +605,7 @@ def test_identify_sample_refuses_a_sample_without_input(bench, rng):
     model, dist = bench
     N = 400
     sample = SampleSet(
-        N=N, y=rng.standard_normal(N + 1), u=np.zeros(N + 1), q=rng.integers(1, 3, N + 1)
+        y=rng.standard_normal(N + 1), u=np.zeros(N + 1), q=rng.integers(1, 3, N + 1)
     )
     words = required_words(BENCH_SEL, model.nQ)
     mm = empirical_markov_batch(sample, words, np.eye(1), dist)
@@ -621,7 +639,7 @@ def test_a_sigma_u_of_another_width_is_refused(bench, rng):
     _, dist = bench
     N = 400
     sample = SampleSet(
-        N=N, y=rng.standard_normal(N + 1), u=rng.uniform(-1.0, 1.0, (N + 1, 2)),
+        y=rng.standard_normal(N + 1), u=rng.uniform(-1.0, 1.0, (N + 1, 2)),
         q=rng.integers(1, 3, N + 1),
     )
     says = r"^the trajectory has 2 input columns, but Sigma_u is 1x1$"

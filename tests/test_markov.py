@@ -282,9 +282,7 @@ def test_estimator_words_beyond_int64_codes():
     for start in (5, 400, 1_000, 2_500):
         q[start : start + 21] = w1
     q[1_700 : 1_721] = w2
-    sample = SampleSet(
-        N=N, y=rng.standard_normal(N + 1), u=rng.standard_normal((N + 1, 1)), q=q
-    )
+    sample = SampleSet(y=rng.standard_normal(N + 1), u=rng.standard_normal((N + 1, 1)), q=q)
     dist = SwitchingDistribution(p=np.full(nQ, 1.0 / nQ))
     words = [w1, w2, w1[:20], w1[:7], (w1[0],), ()]
     got = empirical_markov_batch(sample, words, np.eye(1), dist)
@@ -297,7 +295,6 @@ def test_estimator_bincount_calls_per_word_length(monkeypatch):
     rng = np.random.default_rng(3)
     nQ, m, N = 3, 2, 2_000
     sample = SampleSet(
-        N=N,
         y=rng.standard_normal(N + 1),
         u=rng.standard_normal((N + 1, m)),
         q=rng.integers(1, nQ + 1, size=N + 1),
@@ -327,10 +324,10 @@ def test_estimator_refusals_name_the_fault(bench, bench_signal):
     sigma_u = bench_signal.sigma_u(1)
     with pytest.raises(ValueError, match=r"trajectory too short for \|w\| = 3: N = 3"):
         empirical_markov_batch(sample, [(1,), (1, 2, 1), (1, 2, 1, 1)], sigma_u, dist)
-    bad = SampleSet(N=3, y=sample.y, u=sample.u, q=[1, 2, 3, 1])
+    bad = SampleSet(y=sample.y, u=sample.u, q=[1, 2, 3, 1])
     with pytest.raises(ValueError, match=r"mode label 3 at step 2 outside 1\.\.2"):
         empirical_markov_batch(bad, [(1,)], sigma_u, dist)
-    bad = SampleSet(N=3, y=sample.y, u=sample.u, q=[1, 0, 1, 1])
+    bad = SampleSet(y=sample.y, u=sample.u, q=[1, 0, 1, 1])
     with pytest.raises(ValueError, match=r"mode label 0 at step 1 outside 1\.\.2"):
         empirical_markov_batch(bad, [(1,)], sigma_u, dist)
     with pytest.raises(ValueError, match=r"word \(1, 3\) has a letter outside 1\.\.2"):
@@ -349,16 +346,28 @@ def test_estimator_refuses_an_estimate_that_is_not_finite(bench, bench_signal):
     for at, first in [(t, (int(sample.q[t - 1]),)), (500, ())]:
         y = sample.y.copy()
         y[at] = 1e308
-        bad = SampleSet(N=2000, y=y, u=sample.u, q=sample.q)
+        bad = SampleSet(y=y, u=sample.u, q=sample.q)
         with pytest.raises(ValueError, match=re.escape(f"Markov estimate of word {first} is not")):
             empirical_markov_batch(bad, words, sigma_u, dist)
+
+
+def test_an_overflowing_product_is_refused_without_numpy_warnings(bench):
+    # y(5) u(5) = 5e308 overflows in the products themselves; numpy's
+    # RuntimeWarning (an error under this suite) used to come first.
+    _, dist = bench
+    y = np.full(12, 0.5)
+    y[5] = 1e308
+    sample = SampleSet(y=y, u=np.tile([-5.0, 5.0], 6), q=np.tile([1, 2], 6))
+    with pytest.raises(ValueError) as exc:
+        empirical_markov_batch(sample, [(), (1,), (2, 1)], np.eye(1) * 25 / 3, dist)
+    assert str(exc.value).startswith("the Markov estimate of word () is not finite ([inf])")
 
 
 def test_word_tables_are_built_once_per_word_set():
     rng = np.random.default_rng(4)
     nQ, N = 2, 500
     sample = SampleSet(
-        N=N, y=rng.standard_normal(N + 1), u=rng.standard_normal((N + 1, 1)),
+        y=rng.standard_normal(N + 1), u=rng.standard_normal((N + 1, 1)),
         q=rng.integers(1, nQ + 1, size=N + 1),
     )
     dist = SwitchingDistribution(p=[0.5, 0.5])
@@ -379,7 +388,7 @@ def test_estimator_matches_the_oracle_on_a_warm_cache():
     N = 3_000
     samples = {
         nQ: SampleSet(
-            N=N, y=rng.standard_normal(N + 1), u=rng.standard_normal((N + 1, 1)),
+            y=rng.standard_normal(N + 1), u=rng.standard_normal((N + 1, 1)),
             q=rng.integers(1, nQ + 1, size=N + 1),
         )
         for nQ in (2, 3)
@@ -412,7 +421,7 @@ def test_estimator_refusals_hold_on_a_cache_hit(bench, bench_signal):
     model, dist = bench
     sigma_u = bench_signal.sigma_u(1)
     long = simulate(SimConfig(model=model, dist=dist, signal=bench_signal, N=50, seed=0))
-    short = SampleSet(N=3, y=long.y[:4], u=long.u[:4], q=long.q[:4])
+    short = SampleSet(y=long.y[:4], u=long.u[:4], q=long.q[:4])
     too_short = [(1,), (1, 2, 1), (1, 2, 1, 1)]
     empirical_markov_batch(long, too_short, sigma_u, dist)
     for _ in range(2):

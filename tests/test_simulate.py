@@ -125,10 +125,10 @@ def test_labels_the_int64_cast_would_change_are_refused(value):
     q = np.array([1.0, 2.0, 1.0, value, 1.0, 2.0])
     message = f"mode label {value!r} at step 3 is not an integer"
     with pytest.raises(ValueError) as exc:
-        SampleSet(N=5, y=np.zeros(6), u=u, q=q)
+        SampleSet(y=np.zeros(6), u=u, q=q)
     assert str(exc.value) == message
     whole = np.array([1.0, 2.0, 1.0, 2.0, 1.0, 2.0])
-    assert SampleSet(N=5, y=np.zeros(6), u=u, q=whole).q.dtype == np.int64
+    assert SampleSet(y=np.zeros(6), u=u, q=whole).q.dtype == np.int64
 
 
 def test_driven_matches_manual_recursion(rng):
@@ -767,26 +767,41 @@ def test_a_stream_that_cannot_serve_the_config_is_refused(bench, bench_signal):
             dataclasses.replace(cfg, stream=bad)
 
 
+@pytest.mark.parametrize("lengths", [(3, 4, 4), (4, 3, 4), (4, 4, 5)])
+def test_sampleset_refuses_fields_of_unequal_lengths_by_naming_them(lengths):
+    ny, nu, nq = lengths
+    with pytest.raises(ValueError) as exc:
+        SampleSet(y=np.zeros(ny), u=np.zeros((nu, 1)), q=np.ones(nq, dtype=int))
+    assert str(exc.value) == (
+        f"y, u and q have lengths {ny}, {nu} and {nq}; a trajectory has one of each per step"
+    )
+
+
+def test_sampleset_reads_N_off_its_arrays(bench, bench_signal):
+    sample = simulate(SimConfig(model=bench[0], dist=bench[1], signal=bench_signal, N=300))
+    assert sample.N == len(sample.y) - 1 == 300
+    assert SampleSet(y=[0.25], u=[[-1.5]], q=[1]).N == 0
+    assert [f.name for f in dataclasses.fields(SampleSet)] == ["y", "u", "q"]
+
+
 def test_sampleset_validation():
-    with pytest.raises(ValueError):
-        SampleSet(N=3, y=np.zeros(3), u=np.zeros((4, 1)), q=np.ones(4, dtype=int))
     with pytest.raises(ValueError, match="field 'y' at step 1 is not finite: nan"):
-        SampleSet(N=1, y=np.array([0.0, np.nan]), u=np.zeros((2, 1)), q=np.ones(2, dtype=int))
+        SampleSet(y=np.array([0.0, np.nan]), u=np.zeros((2, 1)), q=np.ones(2, dtype=int))
 
 
 def test_sampleset_refuses_fields_that_are_not_1d():
     u = np.ones((6, 1))
     with pytest.raises(ValueError, match=r"^trajectory field 'y' must be 1-D, not of shape \(3, 2\)$"):
-        SampleSet(N=5, y=np.zeros((3, 2)), u=u, q=[[1, 2], [1, 2], [1, 2]])
+        SampleSet(y=np.zeros((3, 2)), u=u, q=[[1, 2], [1, 2], [1, 2]])
     with pytest.raises(ValueError, match=r"^trajectory field 'q' must be 1-D, not of shape \(3, 2\)$"):
-        SampleSet(N=5, y=np.zeros(6), u=u, q=[[1, 2], [1, 2], [1, 2]])
+        SampleSet(y=np.zeros(6), u=u, q=[[1, 2], [1, 2], [1, 2]])
     # A u of three axes used to pass here and fail in the estimator's
     # broadcast; a 1-D u is still one input column.
     with pytest.raises(
         ValueError, match=r"^trajectory field 'u' must be 1-D or 2-D, not of shape \(101, 1, 2\)$"
     ):
-        SampleSet(N=100, y=np.zeros(101), u=np.zeros((101, 1, 2)), q=np.ones(101))
-    assert SampleSet(N=5, y=np.zeros(6), u=np.ones(6), q=[1, 2] * 3).u.shape == (6, 1)
+        SampleSet(y=np.zeros(101), u=np.zeros((101, 1, 2)), q=np.ones(101))
+    assert SampleSet(y=np.zeros(6), u=np.ones(6), q=[1, 2] * 3).u.shape == (6, 1)
 
 
 def test_simconfig_validation(bench, bench_signal):
@@ -841,15 +856,14 @@ EDGE_VALUES = [-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308]
 @pytest.mark.parametrize(
     "sample",
     [
-        SampleSet(N=0, y=[0.25], u=[[-1.5]], q=[1]),
-        SampleSet(N=0, y=[-0.0], u=[[1e16, 5e-324]], q=[3]),
+        SampleSet(y=[0.25], u=[[-1.5]], q=[1]),
+        SampleSet(y=[-0.0], u=[[1e16, 5e-324]], q=[3]),
         SampleSet(
-            N=4,
             y=EDGE_VALUES,
             u=np.column_stack([EDGE_VALUES[::-1], [-x for x in EDGE_VALUES]]),
             q=[1, 2, 2, 1, 12],
         ),
-        SampleSet(N=4, y=[1.0, -2.5, 3e-7, 0.1, 7.0], u=EDGE_VALUES, q=[2, 1, 1, 2, 1]),
+        SampleSet(y=[1.0, -2.5, 3e-7, 0.1, 7.0], u=EDGE_VALUES, q=[2, 1, 1, 2, 1]),
     ],
     ids=["N0", "N0-m2", "edge-m2", "edge-m1"],
 )
@@ -913,7 +927,7 @@ def rowwise_load(path):
                     f"int64 range: {row[-1]!r}"
                 )
             qs.append(q)
-    return SampleSet(N=len(ys) - 1, y=np.array(ys), u=np.array(us), q=np.array(qs))
+    return SampleSet(y=np.array(ys), u=np.array(us), q=np.array(qs))
 
 
 TRAJ_ROWS = [
@@ -1045,7 +1059,7 @@ def test_sampleset_refuses_non_finite_inputs(value):
     u = np.zeros((4, 2))
     u[2, 1] = value
     with pytest.raises(ValueError) as exc:
-        SampleSet(N=3, y=np.zeros(4), u=u, q=np.ones(4, dtype=int))
+        SampleSet(y=np.zeros(4), u=u, q=np.ones(4, dtype=int))
     assert str(exc.value) == f"trajectory field 'u_2' at step 2 is not finite: {value!r}"
 
 
