@@ -48,7 +48,14 @@ from .hokalman import (
     required_words,
     true_realization,
 )
-from .simulate import DEFAULT_BURN_IN, SimConfig, seed_stream, simulate
+from .simulate import (
+    DEFAULT_BURN_IN,
+    SimConfig,
+    forcing_difference,
+    rollout_group,
+    seed_stream,
+    simulate,
+)
 from .svgplot import line_chart
 
 @dataclass
@@ -127,10 +134,11 @@ class ExperimentRow:
     columns are these fields in order.
 
     ``wall_ms`` is the row's share of the run's trial time: its trial's
-    own time (simulate, estimate, realize) plus an even share of the draw
-    of the (N, seed) stream the trial read, divided evenly among the rows
-    that share the trial's outcome.  The column adds up to the time the
-    run spent in trials."""
+    own estimation and realization time, plus an even share of its
+    group's rollout (the trials of one (N, seed) that share their forcing
+    roll out in one scan) and an even share of the draw of the (N, seed)
+    stream, divided evenly among the rows that share the trial's outcome.
+    The column adds up to the time the run spent in trials."""
 
     gamma: float
     ku_noise: float
@@ -162,48 +170,70 @@ class _Trial(NamedTuple):
     rr_ref: RealizationResult
 
 
-def _run_one_trial(trial: _Trial, cfg: SimConfig) -> tuple[float, float]:
-    """Simulate cfg, estimate, realize; returns (est_err, wall_ms).  A
-    function of its own so that its return frees the sample before the
-    unit's next rollout."""
+def _run_group(trials: list[_Trial], cfgs: list[SimConfig]) -> list[tuple[float, float]]:
+    """Roll out cfgs, the configs of trials, which share their forcing,
+    then estimate and realize each; returns each trial's (est_err,
+    wall_ms), wall_ms its own estimation and realization time plus an
+    even share of the rollout.  A function of its own so that its return
+    frees the samples before the unit's next rollout."""
     t0 = time.perf_counter()
-    sample = simulate(cfg)
-    try:
-        _, rr_hat = identify_sample(sample, trial.sel, trial.sigma_u, cfg.dist)
-        err = est_err(rr_hat, trial.rr_ref)
-    except SingularHankelError:
-        err = float("nan")
-    return err, (time.perf_counter() - t0) * 1e3
+    # Each sample is read through simulate, config by config, so that a
+    # wrapper of this module's simulate (perfbench's tracer, its perturbed
+    # rollout) sees every trial; the first call rolls out the whole group.
+    samples = [simulate(cfg) for cfg in rollout_group(cfgs)]
+    share_ms = (time.perf_counter() - t0) * 1e3 / len(cfgs)
+    outcomes = []
+    for trial, sample in zip(trials, samples):
+        t0 = time.perf_counter()
+        try:
+            _, rr_hat = identify_sample(sample, trial.sel, trial.sigma_u, trial.sim.dist)
+            err = est_err(rr_hat, trial.rr_ref)
+        except SingularHankelError:
+            err = float("nan")
+        outcomes.append((err, (time.perf_counter() - t0) * 1e3 + share_ms))
+    return outcomes
 
 
-def _run_unit(trials: dict[int, dict], unit: tuple[int, int]) -> list[tuple[float, float]]:
+def _run_unit(
+    trials: dict[int, dict], groups: dict[int, list], unit: tuple[int, int]
+) -> list[tuple[float, float]]:
     """Every distinct trial of one (N, seed): the seed's stream is drawn
-    once, to the longest layout any of them reads, and each trial rolls
-    out from it.  Returns each trial's (est_err, wall_ms), in the order of
-    trials[N], its wall_ms holding an even share of the draw."""
+    once, to the longest layout any of them reads, and each group of
+    groups[N] rolls out from it in one scan (:func:`_run_group`).
+    Returns each trial's (est_err, wall_ms), in the order of trials[N],
+    its wall_ms holding an even share of the draw."""
     N, seed = unit
-    at_N = trials[N].values()
+    at_N = trials[N]
     t0 = time.perf_counter()
-    stream = seed_stream(seed, [t.sim for t in at_N])
+    stream = seed_stream(seed, [t.sim for t in at_N.values()])
     draw_ms = (time.perf_counter() - t0) * 1e3 / len(at_N)
-    outcomes = [_run_one_trial(t, replace(t.sim, seed=seed, stream=stream)) for t in at_N]
-    return [(err, ms + draw_ms) for err, ms in outcomes]
+    outcomes = {}
+    for keys in groups[N]:
+        cfgs = [replace(at_N[k].sim, seed=seed, stream=stream) for k in keys]
+        for k, (err, ms) in zip(keys, _run_group([at_N[k] for k in keys], cfgs)):
+            outcomes[k] = err, ms + draw_ms
+    return [outcomes[k] for k in at_N]
 
 
-def _plan(cfg: ExperimentConfig) -> tuple[list[tuple[str | None, dict, tuple]], dict[int, dict]]:
+def _plan(cfg: ExperimentConfig) -> tuple[list, dict[int, dict], dict[int, list]]:
     """Resolve every grid point, in run order, before the first trial.
 
-    A point is the note to report before it (a gamma's missing
-    certificate, at that gamma's first point), the row fields it fixes
-    and the key of its trial in trials[N], the distinct trials of each N
-    in grid order.  The key is (gamma or None, ku_noise, ku_input, N), so
-    points whose trials are identical (same model, signal and N: a model
-    file under several gammas) share one trial.  Each distinct model is
-    searched and realized once: per gamma for the built-in family, once
-    for a model file; each trial's :func:`identify_sample` reads the word
-    set off the selection.  Every refusal the config decides is raised
-    here: an N shorter than the longest required word allows, and a bound
-    or Sigma_u outside the float range.
+    Returns (plan, trials, groups).  A point of the plan is the note to
+    report before it (a gamma's missing certificate, at that gamma's
+    first point), the row fields it fixes and the key of its trial in
+    trials[N], the distinct trials of each N in grid order.  The key is
+    (gamma or None, ku_noise, ku_input, N), so points whose trials are
+    identical (same model, signal and N: a model file under several
+    gammas) share one trial.  groups[N] holds the keys of trials[N] by
+    the forcing they share (:func:`forcing_difference`: n, m, nQ, B, D,
+    the mode law, the signal and burn_in), each group in grid order: the
+    built-in family's gammas of one (ku_noise, ku_input) form one group,
+    and a model file's, already one trial, a group of one.  Each distinct
+    model is searched and realized once: per gamma for the built-in
+    family, once for a model file; each trial's :func:`identify_sample`
+    reads the word set off the selection.  Every refusal the config
+    decides is raised here: an N shorter than the longest required word
+    allows, and a bound or Sigma_u outside the float range.
     """
     fixed = None if cfg.model_file is None else load_model_file(cfg.model_file)[:2]
     truths = {}
@@ -250,7 +280,19 @@ def _plan(cfg: ExperimentConfig) -> tuple[list[tuple[str | None, dict, tuple]], 
                 at_N[same] = _Trial(sim, signal.sigma_u(model.m), sel, rr_ref)
             plan.append((note, point, same))
             note = None
-    return plan, trials
+
+    groups = {}
+    for N, at_N in trials.items():
+        firsts = []  # each group's first config and its keys
+        for key, trial in at_N.items():
+            for sim, keys in firsts:
+                if forcing_difference(sim, trial.sim) is None:
+                    keys.append(key)
+                    break
+            else:
+                firsts.append((trial.sim, [key]))
+        groups[N] = [keys for _, keys in firsts]
+    return plan, trials, groups
 
 
 def _finite_mean(errs) -> tuple[float, int]:
@@ -271,18 +313,19 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
 
     Trials run in units of (N, seed), N in the order the grid first
     reaches it: each unit draws the seed's stream once and rolls out
-    every distinct trial of that N from it (:func:`_run_unit`), so the
-    grid points of one N share their random numbers.  Results are read
-    N by N into one table keyed by trial; a point's progress line comes
-    in grid order, once its trial is in the table.  Rows that share a
-    trial share its outcome and split its wall_ms evenly.
+    every distinct trial of that N from it, the trials that share their
+    forcing in one scan (:func:`_run_unit`), so the grid points of one N
+    share their random numbers.  Results are read N by N into one table
+    keyed by trial; a point's progress line comes in grid order, once its
+    trial is in the table.  Rows that share a trial share its outcome and
+    split its wall_ms evenly.
 
     With cfg.threads > 1 one map over every unit runs in a process pool
     of min(cfg.threads, os.cpu_count()) workers, so no worker waits at
     an N boundary; results come in submission order, so the output is
     that of a serial run (wall clock times aside).
     """
-    plan, trials = _plan(cfg)
+    plan, trials, groups = _plan(cfg)
     progress = progress or (lambda _: None)
     seeds = range(cfg.seed_base, cfg.seed_base + cfg.trials)
     shares = Counter(same for _, _, same in plan)  # rows per trial
@@ -299,7 +342,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
     with pool:
         unit_map = functools.partial(pool.map, chunksize=4) if parallel else map
         units = [(N, seed) for N in trials for seed in seeds]
-        results = unit_map(functools.partial(_run_unit, trials), units)
+        results = unit_map(functools.partial(_run_unit, trials, groups), units)
         for at_N in trials.values():
             done.update(zip(at_N, zip(*[next(results) for _ in seeds])))
             while reported < len(plan) and plan[reported][2] in done:

@@ -25,26 +25,42 @@ non-finite (an overflowed product) is carried again block by block,
 applying each product only to the nonzero state components, as the
 step-by-step recursion would.
 
-Both passes are vectorised over blocks.  The [x | Phi] stack is
-(n, n + 1, blocks), with the block index on its last, contiguous axis
-(structure of arrays).  A step gathers its A planes for all blocks from
-one (n, n, nQ + 1) table and contracts them with one einsum, so its cost
-is a few numpy calls rather than a small matrix product per block.  The
-forcing is one step-major (blocks * L, n) buffer and the outputs a
-(blocks, L) view of a padded y.  No step allocates: every gather, product
-and contraction writes into a buffer made once per rollout.  Pass 1
+A group of configs that share everything but their models' A and C
+(:func:`simulate_group`) is rolled out in one scan: the models share the
+signals, the labels and the forcing B_q u + w and D u + v, and each step
+makes its numpy calls once for all of them.  :func:`simulate` is the
+one-model case; configs made by :func:`rollout_group` are rolled out
+together on the first simulate of any of them, for callers that
+simulate config by config.
+
+Both passes are vectorised over the models and the blocks.  The
+[x | Phi] stack is (n, n + 1, R, blocks) for R models, with the block
+index on its last, contiguous axis (structure of arrays).  A step gathers
+its A planes for every model and block from one (n, n, R, nQ + 1) table
+and contracts them with one einsum, the models and the blocks seen as one
+axis, so its cost is a few numpy calls rather than a small matrix product
+per block.  The forcing is one step-major (blocks * L, n) buffer, added
+to every model's states by broadcasting.  Each model's outputs are a
+(blocks, L) view of a padded row: the last model's is the row that held
+the output forcing, the others' rows of their own, each written from its
+own C x product, so a group's outputs are bit for bit those of one
+simulate per model.  No step allocates: every gather, product and
+contraction writes into a buffer made once per rollout.  Pass 1
 contracts into a second stack and the two swap; pass 2 keeps its states
 in a window of 2(n + 1) steps stored in those two stacks, and checks the
 divergence limit once per window, searching step by step only a window
-that is over it.
+that is over it.  A blow-up is named for the first model in order that
+has one, at the step its own simulate names.
 
 No length-T row is held twice.  simulate writes the state noise and the
 output noise straight into those two buffers, and the input forcing
 B_q(t) u(t) is gathered through one reused row.  At T = 100 201 (N = 1e5
-and the burn-in) a whole simulate peaks at 6.2 rows of T floats on the
-two-mode family (n = 2, m = 1) and at 8.6 rows on an n = 4, m = 1 model:
+and the burn-in) a whole simulate peaks at 6.3 rows of T floats on the
+two-mode family (n = 2, m = 1) and at 8.7 rows on an n = 4, m = 1 model:
 the modes, the m input rows, the n forcing rows, the padded outputs and
-the scan's labels, plus the carry's small stacks.
+the scan's labels, plus the carry's small stacks.  A group adds an output
+row per model beyond the first: the family's three gammas peak at 8.6
+rows.
 
 The signals are uniform doubles r of one seed's stream, in a fixed order
 (modes, inputs, state noise, output noise), each taking one 64-bit word
@@ -63,7 +79,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,7 +102,11 @@ class SimConfig:
     :func:`stream_size`, as :func:`seed_stream` draws it for configs that
     share a seed; simulate then reads its doubles there instead of drawing
     them, with the same result.  Whether it is this seed's stream is not
-    checked; one that is not a 1-D float64 array that long is refused."""
+    checked; one that is not a 1-D float64 array that long is refused.
+
+    ``group``, when set, is the :class:`RolloutGroup` that
+    :func:`rollout_group` made the config a member of; simulate then rolls
+    it out with the other members."""
 
     model: LssModel
     dist: SwitchingDistribution
@@ -95,6 +115,7 @@ class SimConfig:
     burn_in: int = DEFAULT_BURN_IN
     seed: int = 0
     stream: np.ndarray | None = field(default=None, repr=False, compare=False)
+    group: RolloutGroup | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("N", "burn_in", "seed"):
@@ -119,9 +140,9 @@ class SimConfig:
 class SampleSet:
     """One finite trajectory {(y(t), u(t), q(t))} for t = 0..N, each of length N + 1.
 
-    N is read off the arrays, which must be of one length.  ``u`` is
-    (N + 1, m), or 1-D for one input column; a field of another number of
-    axes is refused by its shape."""
+    N is read off the arrays, which must be of one length, at least 1.
+    ``u`` is (N + 1, m), or 1-D for one input column; a field of another
+    number of axes is refused by its shape."""
 
     y: np.ndarray
     u: np.ndarray
@@ -136,11 +157,10 @@ class SampleSet:
             shape = self.u.shape
             raise ValueError(f"trajectory field 'u' must be 1-D or 2-D, not of shape {shape}")
         self.q = _mode_labels(_vector("q", self.q))
-        if not len(self.y) == len(self.u) == len(self.q):
-            raise ValueError(
-                f"y, u and q have lengths {len(self.y)}, {len(self.u)} and {len(self.q)}; "
-                "a trajectory has one of each per step"
-            )
+        ny, nu, nq = len(self.y), len(self.u), len(self.q)
+        if not ny == nu == nq or not ny:
+            has = "at least one step" if ny == nu == nq else "one of each per step"
+            raise ValueError(f"y, u and q have lengths {ny}, {nu} and {nq}; a trajectory has {has}")
         _check_finite("y", self.y)
         _check_finite("u", self.u)
 
@@ -166,6 +186,10 @@ def simulate(cfg: SimConfig) -> SampleSet:
     written straight into simulate's own buffers, or, when cfg.stream is
     set, are read in place from that held prefix of the same stream.
 
+    This is the one-model case of :func:`simulate_group`.  A config made
+    by :func:`rollout_group` is rolled out with the rest of its group, on
+    the first simulate of any of them; the sample is the same, bit for bit.
+
     Raises
     ------
     DivergenceError
@@ -173,14 +197,107 @@ def simulate(cfg: SimConfig) -> SampleSet:
         unstable configuration rather than a numerical problem here.  The
         step it names counts from the start of the burn-in.
     """
-    model = cfg.model
-    b = cfg.burn_in
-    T = b + cfg.N + 1
-    source = np.random.default_rng(cfg.seed) if cfg.stream is None else cfg.stream
+    if cfg.group is not None:
+        return cfg.group.take(cfg)
+    return simulate_group([cfg])[0]
+
+
+def simulate_group(cfgs: list[SimConfig]) -> list[SampleSet]:
+    """simulate(cfg) for every cfg of cfgs, in one scan: the configs share
+    their signals and forcing B_q u + w and D u + v, and only their
+    models' A and C may differ.  Each sample is the one simulate gives the
+    config alone, bit for bit.  A blow-up raises for the first config in
+    order that blows up, naming the step its own simulate names.
+
+    Configs that differ in anything else are refused, naming the field
+    (:func:`forcing_difference`)."""
+    if not cfgs:
+        raise ValueError("a group needs at least one config")
+    first = cfgs[0]
+    for i, cfg in enumerate(cfgs[1:], 1):
+        differs = forcing_difference(first, cfg)
+        if differs is not None:
+            raise ValueError(
+                f"config {i} differs from config 0 in {differs}; the configs of a "
+                "group differ only in their models' A and C"
+            )
+    model = first.model
+    b = first.burn_in
+    T = b + first.N + 1
+    source = np.random.default_rng(first.seed) if first.stream is None else first.stream
     F, ypad = _scan_buffers(T, model.n)
-    q, u = _draw_signals(_reader(source), cfg.dist.p, cfg.signal, model.m, F[:T], ypad[:T])
-    y = _rollout(model, u, q, F, ypad, b)
-    return SampleSet(y=y[b:], u=u[b:], q=q[b:])
+    q, u = _draw_signals(_reader(source), first.dist.p, first.signal, model.m, F[:T], ypad[:T])
+    ys = _rollout([cfg.model for cfg in cfgs], u, q, F, ypad, b)
+    return [SampleSet(y=y[b:], u=u[b:], q=q[b:]) for y in ys]
+
+
+def forcing_difference(a: SimConfig, b: SimConfig) -> str | None:
+    """The first field, by name, in which a and b differ other than their
+    models' A and C, or None: configs it passes share their signals and
+    forcing, so :func:`simulate_group` rolls them out together.  The
+    streams must be one array, or both unset; of the signal only the
+    amplitudes count, as they are all simulate reads of it."""
+    ma, mb = a.model, b.model
+    for name in ("n", "m", "nQ"):
+        if getattr(ma, name) != getattr(mb, name):
+            return f"model.{name}"
+    if not np.array_equal(ma.B, mb.B):
+        return "model.B"
+    if not np.array_equal(ma.D, mb.D):
+        return "model.D"
+    if not np.array_equal(a.dist.p, b.dist.p):
+        return "dist"
+    if (a.signal.Ku_input, a.signal.Ku_noise) != (b.signal.Ku_input, b.signal.Ku_noise):
+        return "signal"
+    for name in ("N", "burn_in", "seed"):
+        if getattr(a, name) != getattr(b, name):
+            return name
+    if a.stream is not b.stream:
+        return "stream"
+    return None
+
+
+class RolloutGroup:
+    """The configs of one :func:`rollout_group`, held so that simulate can
+    take their samples one at a time.
+
+    The first simulate of a member rolls out every member in one scan
+    (:func:`simulate_group`, which refuses members that do not share
+    their forcing) and keeps the others' samples, which their own
+    simulate then takes; a member simulated again rolls the group out
+    again.  A config that names the group but is no member (a copy with
+    some field changed) is rolled out alone.  The group refers to no
+    member, so what it holds is freed with the last of them."""
+
+    def __init__(self, cfgs: list[SimConfig]):
+        self.cfgs = list(cfgs)
+        self._keys = [_member_key(cfg) for cfg in cfgs]
+        self._held: dict[int, SampleSet] = {}
+
+    def take(self, cfg: SimConfig) -> SampleSet:
+        key = _member_key(cfg)
+        if key not in self._keys:
+            return simulate_group([replace(cfg, group=None)])[0]
+        i = self._keys.index(key)
+        if i not in self._held:
+            self._held = dict(enumerate(simulate_group(self.cfgs)))
+        return self._held.pop(i)
+
+
+def _member_key(cfg: SimConfig) -> tuple:
+    """cfg's fields but its group: the objects it holds, by identity, and
+    its numbers.  A member of a group and its config share them, and
+    they stay unique while the group holds the config."""
+    return id(cfg.model), id(cfg.dist), id(cfg.signal), id(cfg.stream), cfg.N, cfg.burn_in, cfg.seed
+
+
+def rollout_group(cfgs: list[SimConfig]) -> list[SimConfig]:
+    """cfgs, each set to be rolled out with the others in one scan on the
+    first simulate of any of them (:class:`RolloutGroup`), so a caller
+    that simulates config by config pays each scan step's numpy calls once
+    per group."""
+    group = RolloutGroup(cfgs)
+    return [replace(cfg, group=group) for cfg in cfgs]
 
 
 def stream_size(cfg: SimConfig) -> int:
@@ -309,15 +426,24 @@ def _scan_buffers(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rollout(
-    model: LssModel, u: np.ndarray, q: np.ndarray, F: np.ndarray, ypad: np.ndarray, burn_in: int
-):
-    """The one state recursion of the package, entered from simulate
+    models: list[LssModel],
+    u: np.ndarray,
+    q: np.ndarray,
+    F: np.ndarray,
+    ypad: np.ndarray,
+    burn_in: int,
+) -> list[np.ndarray]:
+    """The one state recursion of the package, entered from simulate_group
     alone: add B_q u to the state noise in F and D u to the output noise
     in ypad (both from :func:`_scan_buffers`), roll the blocked two-pass
-    scan over them and return the outputs y, a view of ypad.  The labels
-    q must lie in 1..nQ; a blow-up's step counts from the start of the
-    burn_in steps that simulate discards."""
-    n = model.n
+    scan of every model over them and return each model's outputs y, the
+    last a view of ypad.  The models share n, m, nQ, B and D, which are
+    read off the first; their A and C may differ.  The labels q must lie
+    in 1..nQ; a blow-up's step counts from the start of the burn_in steps
+    that simulate discards, and the first model in order that blows up is
+    the one named."""
+    model = models[0]
+    n, R = model.n, len(models)
     T = len(q)
     # Step j of block b is row b*L + j of the padded buffers.  Label 0 pads
     # the last block: it indexes a zero plane of the coefficient tables,
@@ -325,8 +451,8 @@ def _rollout(
     # writes its output beyond y.
     L = _block_length(T)
     nb = len(ypad) // L  # blocks; the last one may be short
-    A = np.zeros((n, n, model.nQ + 1))
-    A[:, :, 1:] = np.stack(model.A, axis=-1)
+    A = np.zeros((n, n, R, model.nQ + 1))
+    A[..., 1:] = np.array([mdl.A for mdl in models]).transpose(2, 3, 0, 1)
     B = np.zeros((model.nQ + 1, n, model.m))
     B[1:] = model.B
 
@@ -354,48 +480,56 @@ def _rollout(
         labels = np.zeros((L, nb), dtype=np.int64)
         labels[:, :-1] = q[:full].reshape(nb - 1, L).T
         labels[: T - full, -1] = q[full:]
-        F = F.reshape(nb, L, n).transpose(1, 2, 0)  # F[j] is step j's (n, nb) forcing
-        # Pass 1: roll every block from a zero state, carrying its
-        # transition product in the same stack, [x | Phi].  A step gathers
-        # its A planes into Aj (the labels are in range, so mode="clip"
-        # clips nothing) and contracts into the other stack; the two then
-        # swap, so no step allocates.
-        stacks = np.zeros((2, n, n + 1, nb))
-        xphi, other = stacks
+        # F[j] is step j's (n, 1, nb) forcing, broadcast over the models.
+        # Both passes read each step's labels and forcing through views
+        # made once.
+        labels, F = list(labels), list(F.reshape(nb, L, n).transpose(1, 2, 0)[:, :, None])
+        # Pass 1: roll every block of every model from a zero state,
+        # carrying its transition product in the same stack, [x | Phi],
+        # (n, n + 1, R, nb).  A step gathers its A planes into Aj (the
+        # labels are in range, so mode="clip" clips nothing) and contracts
+        # into the other stack, both seen with the models and the blocks
+        # as one axis; the two then swap, so no step allocates.
+        stacks = np.zeros((2, n, n + 1, R, nb))
         for i in range(n):
-            xphi[i, i + 1] = 1.0
-        Aj = np.empty((n, n, nb))
+            stacks[0, i, i + 1] = 1.0
+        flat, xcol = list(stacks.reshape(2, n, n + 1, R * nb)), list(stacks[:, :, 0])
+        Aj = np.empty((n, n, R, nb))
+        Ajf = Aj.reshape(n, n, R * nb)
+        s = 0
         for j in range(L):
-            A.take(labels[j], axis=2, out=Aj, mode="clip")
-            np.einsum("ikb,kcb->icb", Aj, xphi, out=other)
-            xphi, other = other, xphi
-            xphi[:, 0] += F[j]
-        del Aj  # freed while the carry's rounds allocate, as the peak is there
+            A.take(labels[j], axis=3, out=Aj, mode="clip")
+            np.einsum("ikb,kcb->icb", Ajf, flat[s], out=flat[1 - s])
+            s = 1 - s
+            xcol[s] += F[j]
+        del Aj, Ajf  # freed while the carry's rounds allocate, as the peak is there
+        xphi = stacks[s]
 
         # Carry: the true state at the start of every block.  The last
         # block's map starts no block.  Column b of M is block b's map
         # [x_end | Phi]; each doubling round composes it with the map k
         # columns back, so after ceil(log2(nb - 1)) rounds column b maps
         # the trajectory start to the end of block b.
-        M = other[:, :, :-1]  # the stack pass 1 no longer needs
-        M[...] = xphi[:, :, :-1]
+        M = stacks[1 - s, ..., :-1]  # the stack pass 1 no longer needs
+        M[...] = xphi[..., :-1]
         k = 1
         while k < nb - 1:
-            head = np.einsum("ikb,kcb->icb", M[:, 1:, k:], M[:, :, :-k])
-            head[:, 0] += M[:, 0, k:]
-            M[:, :, k:] = head
+            head = np.einsum("ikrb,kcrb->icrb", M[:, 1:, :, k:], M[..., :-k])
+            head[:, 0] += M[:, 0, :, k:]
+            M[..., k:] = head
             k *= 2
-        x = np.zeros((n, nb))
-        x[:, 1:] = M[:, 0]
-        if not np.isfinite(x).all():
+        x = np.zeros((n, R, nb))
+        x[..., 1:] = M[:, 0]
+        started = np.isfinite(x)
+        for r in [] if started.all() else np.flatnonzero(~started.all(axis=(0, 2))):
             # A product that overflowed (inf * 0 gives NaN) is applied only
             # to the nonzero state components, as the per-step recursion
             # would: a growing mode the signals never excite must not read
             # as a blow-up.  Composition spreads a non-finite block map to
             # every later start, and can overflow where no block map does,
             # so these starts are carried again one block at a time.
-            phi = xphi[:, 1:, :-1].transpose(2, 0, 1).copy()
-            x_end = xphi[:, 0, :-1].T.copy()
+            phi = xphi[:, 1:, r, :-1].transpose(2, 0, 1).copy()
+            x_end = xphi[:, 0, r, :-1].T.copy()
             finite = np.isfinite(phi).all(axis=(1, 2)).tolist()
             xb = np.zeros(n)
             starts = [xb]
@@ -406,26 +540,42 @@ def _rollout(
                     live = xb != 0
                     xb = P[:, live].dot(xb[live]) + e
                 starts.append(xb)
-            x = np.array(starts).T.copy()
+            x[:, r] = np.array(starts).T
 
         # Pass 2: roll every block from its true start, writing C x into
         # the outputs and noting the first in-block step whose state
         # leaves the limit.  The states go round a window of K = 2(n + 1)
         # slots, the storage of pass 1's stacks, the state before step j in
         # slot j % K.  The limit is checked once per window of K steps, and
-        # only a window over it is searched step by step.
+        # only a window over it is searched step by step.  Each model's C x
+        # is its own product, added to the shared output forcing in ypad:
+        # the last model adds it in place, the others into rows of their own.
         K = 2 * (n + 1)
-        window = stacks.reshape(K, n, nb)
+        window = stacks.reshape(K, n, R, nb)
         window[0] = x
-        xs = list(window)  # the slots' views, made once
-        Aj, cx = np.empty((n, n, nb)), np.empty(nb)
-        first_over = np.full(nb, L)
-        Y = ypad.reshape(nb, L).T  # Y[j] is step j's (nb,) outputs
+        # The slots' views, made once: xs[s] is slot s as (n, R, nb), xsf[s]
+        # the same with the models and the blocks as one axis, and last[s]
+        # the last model's (n, nb).
+        xs, xsf = list(window), list(stacks.reshape(K, n, R * nb))
+        C, last = models[-1].C, list(window[:, :, -1])
+        Aj, cx = np.empty((n, n, R, nb)), np.empty(nb)
+        Ajf = Aj.reshape(n, n, R * nb)
+        first_over = np.full((R, nb), L)
+        # Y[j] is step j's (nb,) outputs in ypad; every other model has its
+        # C, its slots and the steps of its own row of ys.
+        ys = [np.empty(len(ypad)) for _ in models[:-1]]
+        Y = list(ypad.reshape(nb, L).T)
+        others = [
+            (mdl.C, list(window[:, :, r]), list(row.reshape(nb, L).T))
+            for r, (mdl, row) in enumerate(zip(models, ys))
+        ]
         for j in range(L):
             s, t = j % K, (j + 1) % K
-            Y[j] += np.dot(model.C, xs[s], out=cx)
-            A.take(labels[j], axis=2, out=Aj, mode="clip")
-            np.einsum("ikb,kb->ib", Aj, xs[s], out=xs[t])
+            for C_r, x_r, y_r in others:
+                np.add(Y[j], np.dot(C_r, x_r[s], out=cx), out=y_r[j])
+            Y[j] += np.dot(C, last[s], out=cx)
+            A.take(labels[j], axis=3, out=Aj, mode="clip")
+            np.einsum("ikb,kb->ib", Ajf, xsf[s], out=xsf[t])
             xs[t] += F[j]
             if t == 0 or j == L - 1:
                 # A full window holds the states after its K steps in slots
@@ -438,15 +588,16 @@ def _rollout(
                     for step, i in enumerate(slots, j + 1 - len(slots)):
                         fresh = ~(np.abs(xs[i]).max(axis=0) <= BLOWUP_LIMIT)
                         first_over[fresh & (first_over == L)] = step
-    over = np.flatnonzero(first_over < L)
+    over = np.flatnonzero(first_over < L)  # model by model, block by block
     if len(over):
-        t = over[0] * L + first_over[over[0]]
+        r, b = divmod(over[0], nb)
+        t = b * L + first_over[r, b]
         raise DivergenceError(
             f"state blew up at step {t} (|x| > {BLOWUP_LIMIT:g}); the configuration "
             f"looks unstable (steps count from the start of the {burn_in}-step "
             f"burn-in; retained t = 0 is step {burn_in})"
         )
-    return y
+    return [*(row[:T] for row in ys), y]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from switchid import (
 )
 from switchid import experiment
 from switchid.experiment import RESULTS_HEADER, ExperimentRow, _finite_mean, load_results_csv
-from test_simulate import SIMULATE_PEAK_ROWS
+from test_simulate import SIMULATE_PEAK_ROWS, simulate_module
 
 
 def tiny_config(**overrides):
@@ -268,10 +268,11 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, threads, cpus, workers
 
 @pytest.mark.parametrize("from_file", [False, True], ids=["family", "model-file"])
 def test_wall_ms_adds_up_to_the_draws_and_the_trials(monkeypatch, tmp_path, from_file):
-    # A clock that moves 1 ms per reading makes each draw and each trial
-    # take 1 ms: the column sums to one draw per (N, seed) unit and one
-    # trial per distinct trial and seed.  A model file under three gammas
-    # runs one trial per unit, and its three rows split it.
+    # A clock that moves 1 ms per reading makes each draw, each group's
+    # rollout and each identification take 1 ms: the column sums to one
+    # draw and one rollout per (N, seed) unit, whose trials form one group,
+    # and one identification per distinct trial and seed.  A model file
+    # under three gammas runs one trial per unit, and its three rows split it.
     ticks = itertools.count()
     monkeypatch.setattr(experiment, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 1e3))
     cfg = tiny_config(gamma_values=[0.1, 0.4, 0.6], trials=2)
@@ -282,8 +283,8 @@ def test_wall_ms_adds_up_to_the_draws_and_the_trials(monkeypatch, tmp_path, from
     rows = run_experiment(cfg)
     units, distinct = 2 * 2, 1 if from_file else 3
     assert len(rows) == 12
-    assert sum(r.wall_ms for r in rows) == pytest.approx(units + units * distinct)
-    assert [r.wall_ms for r in rows] == pytest.approx([(1 + distinct) / 3] * 12)
+    assert sum(r.wall_ms for r in rows) == pytest.approx(units * (2 + distinct))
+    assert [r.wall_ms for r in rows] == pytest.approx([(2 + distinct) / 3] * 12)
 
 
 def test_progress_callback_called():
@@ -339,46 +340,75 @@ def test_one_generator_per_N_and_seed(monkeypatch):
     assert len(rows) == 12
 
 
+def count_rollouts(monkeypatch):
+    """The configs of every group rollout a run makes, one list per scan."""
+    scans = []
+    rollout = simulate_module.simulate_group
+    monkeypatch.setattr(
+        simulate_module, "simulate_group", lambda cfgs: scans.append(cfgs) or rollout(cfgs)
+    )
+    return scans
+
+
 def test_identical_trials_run_once_and_share_their_outcome(monkeypatch, tmp_path):
-    # A model file under three gammas gives one trial per (N, seed).
+    # A model file under three gammas gives one trial, rolled out alone,
+    # per (N, seed).
     path = tmp_path / "model.json"
     save_model_file(str(path), *two_mode_benchmark(0.6))
-    calls = []
-    rollout = experiment.simulate
-    monkeypatch.setattr(
-        experiment, "simulate", lambda cfg: calls.append((cfg.N, cfg.seed)) or rollout(cfg)
-    )
+    scans = count_rollouts(monkeypatch)
     gammas = [0.1, 0.4, 0.6]
     rows = run_experiment(tiny_config(model_file=str(path), gamma_values=gammas, trials=2))
-    assert calls == [(300, 100), (300, 101), (1000, 100), (1000, 101)]
+    assert [[(cfg.N, cfg.seed) for cfg in cfgs] for cfgs in scans] == [
+        [(300, 100)], [(300, 101)], [(1000, 100)], [(1000, 101)]
+    ]
     per_gamma = [[(r.est_err, r.wall_ms) for r in rows if r.gamma == g] for g in gammas]
     assert per_gamma[0] == per_gamma[1] == per_gamma[2]
     assert [r.gamma for r in rows] == [g for g in gammas for _ in range(4)]
 
 
+def test_the_family_rolls_its_gammas_out_as_one_group(monkeypatch):
+    # The family's gammas share B, D, the mode law and the signal, so each
+    # (N, seed) unit makes one scan of three models, in grid order; a second
+    # noise amplitude makes a second group of each unit.
+    scans = count_rollouts(monkeypatch)
+    gammas = [0.1, 0.4, 0.6]
+    run_experiment(tiny_config(gamma_values=gammas, trials=2))
+    assert [[(cfg.N, cfg.seed) for cfg in cfgs] for cfgs in scans] == [
+        [(N, seed)] * 3 for N in (300, 1000) for seed in (100, 101)
+    ]
+    family = [two_mode_benchmark(g)[0].A for g in gammas]
+    for cfgs in scans:
+        assert all(
+            np.array_equal(cfg.model.A, A) for cfg, A in zip(cfgs, family, strict=True)
+        )
+    scans.clear()
+    run_experiment(tiny_config(gamma_values=gammas, Ku_noise_values=[1.0, 0.5], trials=1))
+    assert [[cfg.signal.Ku_noise for cfg in cfgs] for cfgs in scans] == [[1.0] * 3, [0.5] * 3] * 2
+
+
 def test_progress_keeps_grid_order_and_waits_for_earlier_points(monkeypatch):
-    # Units run N by N: the N = 300 points are done after 4 rollouts, the
-    # rest after 8; each line comes once every earlier point is done.
-    calls = []
-    rollout = experiment.simulate
-    monkeypatch.setattr(experiment, "simulate", lambda cfg: calls.append(1) or rollout(cfg))
+    # Units run N by N, each one group rollout: the N = 300 points are done
+    # after 2 rollouts, the rest after 4; each line comes once every
+    # earlier point is done.
+    scans = count_rollouts(monkeypatch)
     said = []
     run_experiment(
         tiny_config(gamma_values=[0.1, 0.4], trials=2),
-        progress=lambda line: said.append((len(calls), line.split(":")[0])),
+        progress=lambda line: said.append((len(scans), line.split(":")[0])),
     )
     assert said == [
-        (4, "gamma=0.1 ku=1.0 ku_inp=0.8 N=300"),
-        (8, "gamma=0.1 ku=1.0 ku_inp=0.8 N=1000"),
-        (8, "gamma=0.4 ku=1.0 ku_inp=0.8 N=300"),
-        (8, "gamma=0.4 ku=1.0 ku_inp=0.8 N=1000"),
+        (2, "gamma=0.1 ku=1.0 ku_inp=0.8 N=300"),
+        (4, "gamma=0.1 ku=1.0 ku_inp=0.8 N=1000"),
+        (4, "gamma=0.4 ku=1.0 ku_inp=0.8 N=300"),
+        (4, "gamma=0.4 ku=1.0 ku_inp=0.8 N=1000"),
     ]
 
 
 def test_a_unit_holds_its_stream_beside_one_rollout():
     # Traced peak of a whole run at N = 1e5 over three gammas, in rows of
-    # T = 100 201 floats: one simulate's peak plus the held stream's
-    # 1 + m + n + 1 rows, and half a row to spare.
+    # T = 100 201 floats: one simulate's peak, the R - 1 = 2 output rows
+    # the group's other models add to it, the held stream's 1 + m + n + 1
+    # rows, and half a row to spare.
     cfg = tiny_config(N_grid=[100_000], trials=1, gamma_values=[0.1, 0.4, 0.6], burn_in=200)
     run_experiment(dataclasses.replace(cfg, N_grid=[300]))  # warm any lazy imports
     tracemalloc.start()
@@ -388,7 +418,8 @@ def test_a_unit_holds_its_stream_beside_one_rollout():
     finally:
         tracemalloc.stop()
     model = two_mode_benchmark(0.6)[0]
-    assert peak / (8 * 100_201) <= SIMULATE_PEAK_ROWS[2] + model.m + model.n + 2 + 0.5
+    R = len(cfg.gamma_values)
+    assert peak / (8 * 100_201) <= SIMULATE_PEAK_ROWS[2] + R - 1 + model.m + model.n + 2 + 0.5
 
 
 class TestExperimentConfig:

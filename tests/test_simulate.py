@@ -45,7 +45,7 @@ def rollout(model, u, q, w=None, v=None):
         F[: len(q)] = w
     if v is not None:
         ypad[: len(q)] = v
-    return _rollout(model, u.reshape(-1, 1) if u.ndim == 1 else u, q, F, ypad, 0)
+    return _rollout([model], u.reshape(-1, 1) if u.ndim == 1 else u, q, F, ypad, 0)[0]
 
 
 def test_only_simulate_enters_the_rollout():
@@ -64,7 +64,7 @@ def test_only_simulate_enters_the_rollout():
                 visit(child, scope)
 
         visit(ast.parse(path.read_text(), str(path)), "<module>")
-    assert uses == ["simulate.py:simulate"]
+    assert uses == ["simulate.py:simulate_group"]
 
 
 def test_no_sum_over_the_time_axis_goes_through_blas():
@@ -94,7 +94,8 @@ def test_no_sum_over_the_time_axis_goes_through_blas():
         "markov.py:true_markov:model.C @ a_word(model, tail)",
         "simulate.py:_rollout:P.dot(xb)",
         "simulate.py:_rollout:P[:, live].dot(xb[live])",
-        "simulate.py:_rollout:np.dot(model.C, xs[s], out=cx)",
+        "simulate.py:_rollout:np.dot(C_r, x_r[s], out=cx)",
+        "simulate.py:_rollout:np.dot(C, last[s], out=cx)",
     ]
 
 
@@ -1119,3 +1120,164 @@ def test_n4_trajectory_is_pinned_to_rounding(bench_signal):
     npt.assert_allclose(
         y[np.linspace(0, 100_000, 21).astype(int)], N4_PINS, rtol=0, atol=4e-16 * N4_PIN_MAX_ABS_Y
     )
+
+
+def test_sampleset_refuses_a_trajectory_with_no_steps():
+    with pytest.raises(ValueError) as exc:
+        SampleSet(y=[], u=np.zeros((0, 1)), q=[])
+    assert str(exc.value) == "y, u and q have lengths 0, 0 and 0; a trajectory has at least one step"
+
+
+# A group: configs that share everything but their models' A and C, rolled
+# out in one scan.
+
+
+def group_model(rng, n=4, m=2, nQ=3, B=None, D=None):
+    """A contracting model with its own A and C and, when given, the
+    group's B and D."""
+    model = scan_model(rng, n=n, m=m, nQ=nQ)
+    return dataclasses.replace(
+        model, B=model.B if B is None else B, D=model.D if D is None else D
+    )
+
+
+def assert_group_is_simulate_one_by_one(cfgs):
+    samples = simulate_module.simulate_group(cfgs)
+    assert len(samples) == len(cfgs)
+    for cfg, sample in zip(cfgs, samples):
+        alone = simulate(cfg)
+        for name in ("y", "u", "q"):
+            assert getattr(sample, name).tobytes() == getattr(alone, name).tobytes()
+
+
+@pytest.mark.parametrize("N", [300, 1_000, 10_000, 100_000])
+@pytest.mark.parametrize("seed", [1, 11])
+def test_family_group_is_bit_identical_to_one_simulate_each(bench_signal, N, seed):
+    cfgs = [
+        SimConfig(*two_mode_benchmark(gamma), bench_signal, N=N, seed=seed)
+        for gamma in (0.1, 0.4, 0.6)
+    ]
+    assert_group_is_simulate_one_by_one(cfgs)
+    # So is a group that reads a held prefix of the seed's stream.
+    stream = seed_stream(seed, cfgs)
+    assert_group_is_simulate_one_by_one([dataclasses.replace(c, stream=stream) for c in cfgs])
+
+
+@pytest.mark.parametrize("N", [1_000, 100_000])
+def test_group_of_own_A_and_C_is_bit_identical_to_one_simulate_each(bench_signal, N):
+    # n = 4, m = 2, nQ = 3: the models share B and D and draw their own A and C.
+    rng = np.random.default_rng(N)
+    first = scan_model(rng)
+    models = [first] + [group_model(rng, B=first.B, D=first.D) for _ in range(2)]
+    dist = SwitchingDistribution(p=[0.5, 0.3, 0.2])
+    cfgs = [SimConfig(model, dist, bench_signal, N=N, seed=5) for model in models]
+    assert_group_is_simulate_one_by_one(cfgs)
+
+
+def test_a_group_names_the_blowup_of_its_first_diverging_model(bench_signal):
+    # The second and third models grow in every mode, the third faster, so
+    # it leaves the limit first; the group names the second's step, the
+    # step simulate of the second alone names.
+    rng = np.random.default_rng(7)
+    first = scan_model(rng, m=1)
+    models = [first] + [group_model(rng, m=1, B=first.B, D=first.D) for _ in range(2)]
+    models[1].A[:] = [1.02 * np.eye(4)] * 3
+    models[2].A[:] = [1.05 * np.eye(4)] * 3
+    dist = SwitchingDistribution(p=[0.5, 0.3, 0.2])
+    cfgs = [SimConfig(model, dist, bench_signal, N=2_000, burn_in=50, seed=3) for model in models]
+    simulate(cfgs[0])
+    said = []
+    for cfg in cfgs[1:]:
+        with pytest.raises(DivergenceError) as exc:
+            simulate(cfg)
+        said.append(str(exc.value))
+    assert said[0] != said[1]
+    with pytest.raises(DivergenceError) as exc:
+        simulate_module.simulate_group(cfgs)
+    assert str(exc.value) == said[0]
+
+
+def test_an_unexcited_growing_mode_of_one_model_is_not_a_blowup():
+    # Without noise, x_1 is never driven, so the second model's mode that
+    # grows it by 1e30 a step overflows the block maps, which that model
+    # alone carries again block by block; the others take the doubling carry.
+    B, D = [np.array([[0.0], [1.0]])] * 2, np.array([0.0])
+    A1 = np.array([[0.5, 0.0], [0.3, 0.5]])
+    models = [
+        LssModel(n=2, m=1, nQ=2, A=[A1, A2], B=B, C=C, D=D)
+        for A2, C in [
+            (np.array([[0.2, 0.0], [0.0, 0.5]]), np.array([1.0, 1.0])),
+            (np.array([[1e30, 0.0], [0.0, 0.5]]), np.array([1.0, 2.0])),
+            (np.array([[0.0, 0.1], [0.0, 0.5]]), np.array([0.5, 1.0])),
+        ]
+    ]
+    dist, quiet = SwitchingDistribution(p=[0.5, 0.5]), SignalSpec(Ku_input=0.8, Ku_noise=0.0)
+    cfgs = [SimConfig(model, dist, quiet, N=2_000, seed=4) for model in models]
+    samples = simulate_module.simulate_group(cfgs)
+    assert all(np.isfinite(s.y).all() for s in samples)
+    assert_group_is_simulate_one_by_one(cfgs)
+
+
+GROUP_FIELDS = {
+    "model.n": lambda cfg, rng: dataclasses.replace(cfg, model=scan_model(rng, n=3)),
+    "model.B": lambda cfg, rng: dataclasses.replace(
+        cfg, model=dataclasses.replace(cfg.model, B=[2.0 * B for B in cfg.model.B])
+    ),
+    "model.D": lambda cfg, rng: dataclasses.replace(
+        cfg, model=dataclasses.replace(cfg.model, D=cfg.model.D + 1.0)
+    ),
+    "dist": lambda cfg, rng: dataclasses.replace(cfg, dist=SwitchingDistribution([0.2, 0.3, 0.5])),
+    "signal": lambda cfg, rng: dataclasses.replace(cfg, signal=SignalSpec(0.8, 0.5)),
+    "N": lambda cfg, rng: dataclasses.replace(cfg, N=cfg.N + 1),
+    "burn_in": lambda cfg, rng: dataclasses.replace(cfg, burn_in=cfg.burn_in + 1),
+    "seed": lambda cfg, rng: dataclasses.replace(cfg, seed=cfg.seed + 1),
+    "stream": lambda cfg, rng: dataclasses.replace(cfg, stream=seed_stream(cfg.seed, [cfg])),
+}
+
+
+@pytest.mark.parametrize("field", sorted(GROUP_FIELDS))
+def test_a_group_refuses_configs_that_differ_beyond_A_and_C(rng, bench_signal, field):
+    first = scan_model(rng)
+    dist = SwitchingDistribution(p=[0.5, 0.3, 0.2])
+    cfgs = [
+        SimConfig(model, dist, bench_signal, N=300, seed=2)
+        for model in (first, group_model(rng, B=first.B, D=first.D))
+    ]
+    simulate_module.simulate_group(cfgs)
+    cfgs.append(GROUP_FIELDS[field](cfgs[1], rng))
+    says = (
+        f"config 2 differs from config 0 in {field}; "
+        "the configs of a group differ only in their models' A and C"
+    )
+    with pytest.raises(ValueError) as exc:
+        simulate_module.simulate_group(cfgs)
+    assert str(exc.value) == says
+    # A rollout group refuses them on the first simulate of a member.
+    with pytest.raises(ValueError) as exc:
+        simulate(simulate_module.rollout_group(cfgs)[0])
+    assert str(exc.value) == says
+    with pytest.raises(ValueError, match="a group needs at least one config"):
+        simulate_module.simulate_group([])
+
+
+def test_members_of_a_rollout_group_share_one_scan(monkeypatch, bench_signal):
+    # simulate of each member gives what simulate of the config alone
+    # gives, from one scan of the group; a member simulated again rolls
+    # the group out again, and a copy with a field changed rolls out alone.
+    cfgs = [SimConfig(*two_mode_benchmark(g), bench_signal, N=500, seed=6) for g in (0.1, 0.6)]
+    alone = [simulate(cfg) for cfg in cfgs]
+    scans = []
+    rollout = simulate_module.simulate_group
+    monkeypatch.setattr(
+        simulate_module, "simulate_group", lambda group: scans.append(len(group)) or rollout(group)
+    )
+    members = simulate_module.rollout_group(cfgs)
+    assert all(member.group is members[0].group for member in members)
+    for member, expect in zip(members[::-1], alone[::-1]):
+        assert simulate(member).y.tobytes() == expect.y.tobytes()
+    assert scans == [2]
+    assert simulate(members[1]).y.tobytes() == alone[1].y.tobytes()
+    assert scans == [2, 2]
+    longer = dataclasses.replace(members[0], N=600)
+    assert simulate(longer).y.tobytes() == simulate(dataclasses.replace(cfgs[0], N=600)).y.tobytes()
+    assert scans == [2, 2, 1, 1]
