@@ -177,9 +177,9 @@ def _run_group(trials: list[_Trial], cfgs: list[SimConfig]) -> list[tuple[float,
     even share of the rollout.  A function of its own so that its return
     frees the samples before the unit's next rollout."""
     t0 = time.perf_counter()
-    # Each sample is read through simulate, config by config, so that a
-    # wrapper of this module's simulate (perfbench's tracer, its perturbed
-    # rollout) sees every trial; the first call rolls out the whole group.
+    # rollout_group rolls the group out in one scan; each sample is then
+    # read through simulate, config by config, so that a wrapper of this
+    # module's simulate (perfbench's perturbed rollout) sees every trial.
     samples = [simulate(cfg) for cfg in rollout_group(cfgs)]
     share_ms = (time.perf_counter() - t0) * 1e3 / len(cfgs)
     outcomes = []

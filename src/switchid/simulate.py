@@ -29,9 +29,9 @@ A group of configs that share everything but their models' A and C
 (:func:`simulate_group`) is rolled out in one scan: the models share the
 signals, the labels and the forcing B_q u + w and D u + v, and each step
 makes its numpy calls once for all of them.  :func:`simulate` is the
-one-model case; configs made by :func:`rollout_group` are rolled out
-together on the first simulate of any of them, for callers that
-simulate config by config.
+one-model case.  :func:`rollout_group` rolls a group out the same way
+and hands each sample to simulate of its config, for callers that read
+their samples config by config.
 
 Both passes are vectorised over the models and the blocks.  The
 [x | Phi] stack is (n, n + 1, R, blocks) for R models, with the block
@@ -104,9 +104,11 @@ class SimConfig:
     them, with the same result.  Whether it is this seed's stream is not
     checked; one that is not a 1-D float64 array that long is refused.
 
-    ``group``, when set, is the :class:`RolloutGroup` that
-    :func:`rollout_group` made the config a member of; simulate then rolls
-    it out with the other members."""
+    A config that :func:`rollout_group` returns holds its sample, rolled
+    out with the rest of its group when rollout_group made it: the first
+    simulate of it returns that sample, whatever was changed in place
+    since, and a later simulate rolls it out anew.  Held samples live in
+    a private field that ``replace`` does not copy."""
 
     model: LssModel
     dist: SwitchingDistribution
@@ -115,7 +117,7 @@ class SimConfig:
     burn_in: int = DEFAULT_BURN_IN
     seed: int = 0
     stream: np.ndarray | None = field(default=None, repr=False, compare=False)
-    group: RolloutGroup | None = field(default=None, repr=False, compare=False)
+    _held: SampleSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("N", "burn_in", "seed"):
@@ -186,9 +188,8 @@ def simulate(cfg: SimConfig) -> SampleSet:
     written straight into simulate's own buffers, or, when cfg.stream is
     set, are read in place from that held prefix of the same stream.
 
-    This is the one-model case of :func:`simulate_group`.  A config made
-    by :func:`rollout_group` is rolled out with the rest of its group, on
-    the first simulate of any of them; the sample is the same, bit for bit.
+    This is the one-model case of :func:`simulate_group`.  A config that
+    :func:`rollout_group` returns gives the sample held for it, once.
 
     Raises
     ------
@@ -197,8 +198,9 @@ def simulate(cfg: SimConfig) -> SampleSet:
         unstable configuration rather than a numerical problem here.  The
         step it names counts from the start of the burn-in.
     """
-    if cfg.group is not None:
-        return cfg.group.take(cfg)
+    if cfg._held is not None:
+        sample, cfg._held = cfg._held, None
+        return sample
     return simulate_group([cfg])[0]
 
 
@@ -206,8 +208,10 @@ def simulate_group(cfgs: list[SimConfig]) -> list[SampleSet]:
     """simulate(cfg) for every cfg of cfgs, in one scan: the configs share
     their signals and forcing B_q u + w and D u + v, and only their
     models' A and C may differ.  Each sample is the one simulate gives the
-    config alone, bit for bit.  A blow-up raises for the first config in
-    order that blows up, naming the step its own simulate names.
+    config alone, bit for bit, but for one thing: the samples of a group
+    of more than one share one u and one q array, which are read-only.  A
+    blow-up raises for the first config in order that blows up, naming
+    the step its own simulate names.
 
     Configs that differ in anything else are refused, naming the field
     (:func:`forcing_difference`)."""
@@ -228,6 +232,9 @@ def simulate_group(cfgs: list[SimConfig]) -> list[SampleSet]:
     F, ypad = _scan_buffers(T, model.n)
     q, u = _draw_signals(_reader(source), first.dist.p, first.signal, model.m, F[:T], ypad[:T])
     ys = _rollout([cfg.model for cfg in cfgs], u, q, F, ypad, b)
+    if len(cfgs) > 1:
+        # The samples share u and q, so none may change them for the others.
+        u.flags.writeable = q.flags.writeable = False
     return [SampleSet(y=y[b:], u=u[b:], q=q[b:]) for y in ys]
 
 
@@ -257,47 +264,15 @@ def forcing_difference(a: SimConfig, b: SimConfig) -> str | None:
     return None
 
 
-class RolloutGroup:
-    """The configs of one :func:`rollout_group`, held so that simulate can
-    take their samples one at a time.
-
-    The first simulate of a member rolls out every member in one scan
-    (:func:`simulate_group`, which refuses members that do not share
-    their forcing) and keeps the others' samples, which their own
-    simulate then takes; a member simulated again rolls the group out
-    again.  A config that names the group but is no member (a copy with
-    some field changed) is rolled out alone.  The group refers to no
-    member, so what it holds is freed with the last of them."""
-
-    def __init__(self, cfgs: list[SimConfig]):
-        self.cfgs = list(cfgs)
-        self._keys = [_member_key(cfg) for cfg in cfgs]
-        self._held: dict[int, SampleSet] = {}
-
-    def take(self, cfg: SimConfig) -> SampleSet:
-        key = _member_key(cfg)
-        if key not in self._keys:
-            return simulate_group([replace(cfg, group=None)])[0]
-        i = self._keys.index(key)
-        if i not in self._held:
-            self._held = dict(enumerate(simulate_group(self.cfgs)))
-        return self._held.pop(i)
-
-
-def _member_key(cfg: SimConfig) -> tuple:
-    """cfg's fields but its group: the objects it holds, by identity, and
-    its numbers.  A member of a group and its config share them, and
-    they stay unique while the group holds the config."""
-    return id(cfg.model), id(cfg.dist), id(cfg.signal), id(cfg.stream), cfg.N, cfg.burn_in, cfg.seed
-
-
 def rollout_group(cfgs: list[SimConfig]) -> list[SimConfig]:
-    """cfgs, each set to be rolled out with the others in one scan on the
-    first simulate of any of them (:class:`RolloutGroup`), so a caller
-    that simulates config by config pays each scan step's numpy calls once
-    per group."""
-    group = RolloutGroup(cfgs)
-    return [replace(cfg, group=group) for cfg in cfgs]
+    """Copies of cfgs, rolled out now in one :func:`simulate_group` scan,
+    each holding its sample for the first simulate of it, so a caller that
+    reads its samples config by config through simulate pays each scan
+    step's numpy calls once per group."""
+    members = [replace(cfg) for cfg in cfgs]
+    for member, sample in zip(members, simulate_group(cfgs)):
+        member._held = sample
+    return members
 
 
 def stream_size(cfg: SimConfig) -> int:

@@ -1252,18 +1252,18 @@ def test_a_group_refuses_configs_that_differ_beyond_A_and_C(rng, bench_signal, f
     with pytest.raises(ValueError) as exc:
         simulate_module.simulate_group(cfgs)
     assert str(exc.value) == says
-    # A rollout group refuses them on the first simulate of a member.
+    # So does rollout_group.
     with pytest.raises(ValueError) as exc:
-        simulate(simulate_module.rollout_group(cfgs)[0])
+        simulate_module.rollout_group(cfgs)
     assert str(exc.value) == says
     with pytest.raises(ValueError, match="a group needs at least one config"):
         simulate_module.simulate_group([])
 
 
 def test_members_of_a_rollout_group_share_one_scan(monkeypatch, bench_signal):
-    # simulate of each member gives what simulate of the config alone
-    # gives, from one scan of the group; a member simulated again rolls
-    # the group out again, and a copy with a field changed rolls out alone.
+    # rollout_group rolls the group out once; simulate of each member then
+    # gives what simulate of the config alone gives.  A member simulated
+    # again, or a copy of one, is rolled out alone.
     cfgs = [SimConfig(*two_mode_benchmark(g), bench_signal, N=500, seed=6) for g in (0.1, 0.6)]
     alone = [simulate(cfg) for cfg in cfgs]
     scans = []
@@ -1272,12 +1272,36 @@ def test_members_of_a_rollout_group_share_one_scan(monkeypatch, bench_signal):
         simulate_module, "simulate_group", lambda group: scans.append(len(group)) or rollout(group)
     )
     members = simulate_module.rollout_group(cfgs)
-    assert all(member.group is members[0].group for member in members)
+    assert scans == [2]
     for member, expect in zip(members[::-1], alone[::-1]):
         assert simulate(member).y.tobytes() == expect.y.tobytes()
     assert scans == [2]
     assert simulate(members[1]).y.tobytes() == alone[1].y.tobytes()
-    assert scans == [2, 2]
-    longer = dataclasses.replace(members[0], N=600)
+    assert scans == [2, 1]
+    longer = dataclasses.replace(simulate_module.rollout_group(cfgs)[0], N=600)
     assert simulate(longer).y.tobytes() == simulate(dataclasses.replace(cfgs[0], N=600)).y.tobytes()
-    assert scans == [2, 2, 1, 1]
+    assert scans == [2, 1, 2, 1, 1]
+
+
+def test_a_member_holds_the_sample_of_its_config_when_rolled_out(bench_signal):
+    # A change made in place after rollout_group is not seen by the held
+    # sample, only by a later simulate.
+    cfgs = [SimConfig(*two_mode_benchmark(g), bench_signal, N=500, seed=6) for g in (0.1, 0.6)]
+    before = simulate(cfgs[1]).y
+    members = simulate_module.rollout_group(cfgs)
+    members[1].model.A[0] *= 0.5
+    assert simulate(members[1]).y.tobytes() == before.tobytes()
+    assert simulate(members[1]).y.tobytes() != before.tobytes()
+
+
+def test_the_samples_of_a_group_share_read_only_signals(bench_signal):
+    cfgs = [SimConfig(*two_mode_benchmark(g), bench_signal, N=300, seed=2) for g in (0.1, 0.6)]
+    samples = simulate_module.simulate_group(cfgs)
+    assert all(np.shares_memory(s.u, samples[0].u) for s in samples)
+    for sample in samples:
+        for name in ("u", "q"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sample, name)[0] = 0
+    # A group of one, simulate's, leaves them to its caller to change.
+    sample = simulate(cfgs[0])
+    sample.u[0] = sample.q[0] = 0
