@@ -43,8 +43,9 @@ from .hokalman import (
     Selection,
     SingularHankelError,
     est_err,
+    estimate_group,
     find_selection,
-    identify_sample,
+    realize_markov,
     required_words,
     true_realization,
 )
@@ -134,11 +135,12 @@ class ExperimentRow:
     columns are these fields in order.
 
     ``wall_ms`` is the row's share of the run's trial time: its trial's
-    own estimation and realization time, plus an even share of its
-    group's rollout (the trials of one (N, seed) that share their forcing
-    roll out in one scan) and an even share of the draw of the (N, seed)
-    stream, divided evenly among the rows that share the trial's outcome.
-    The column adds up to the time the run spent in trials."""
+    own realization and est_err time, plus an even share of its group's
+    rollout and estimation (the trials of one (N, seed) that share their
+    forcing and selection roll out in one scan and are estimated in one
+    pass) and an even share of the draw of the (N, seed) stream, divided
+    evenly among the rows that share the trial's outcome.  The column
+    adds up to the time the run spent in trials."""
 
     gamma: float
     ku_noise: float
@@ -171,23 +173,25 @@ class _Trial(NamedTuple):
 
 
 def _run_group(trials: list[_Trial], cfgs: list[SimConfig]) -> list[tuple[float, float]]:
-    """Roll out cfgs, the configs of trials, which share their forcing,
-    then estimate and realize each; returns each trial's (est_err,
-    wall_ms), wall_ms its own estimation and realization time plus an
-    even share of the rollout.  A function of its own so that its return
-    frees the samples before the unit's next rollout."""
+    """Roll out cfgs, the configs of trials, which share their forcing and
+    their selection, estimate them in one pass over the u and q they
+    share, then realize and score each; returns each trial's (est_err,
+    wall_ms), wall_ms its own realization and scoring time plus an even
+    share of the rollout and the estimation.  A function of its own so
+    that its return frees the samples before the unit's next rollout."""
     t0 = time.perf_counter()
     # rollout_group rolls the group out in one scan; each sample is then
     # read through simulate, config by config, so that a wrapper of this
     # module's simulate (perfbench's perturbed rollout) sees every trial.
     samples = [simulate(cfg) for cfg in rollout_group(cfgs)]
+    first = trials[0]
+    mmaps = estimate_group(samples, first.sel, first.sigma_u, first.sim.dist)
     share_ms = (time.perf_counter() - t0) * 1e3 / len(cfgs)
     outcomes = []
-    for trial, sample in zip(trials, samples):
+    for trial, mmap in zip(trials, mmaps):
         t0 = time.perf_counter()
         try:
-            _, rr_hat = identify_sample(sample, trial.sel, trial.sigma_u, trial.sim.dist)
-            err = est_err(rr_hat, trial.rr_ref)
+            err = est_err(realize_markov(mmap, trial.sel), trial.rr_ref)
         except SingularHankelError:
             err = float("nan")
         outcomes.append((err, (time.perf_counter() - t0) * 1e3 + share_ms))
@@ -199,7 +203,8 @@ def _run_unit(
 ) -> list[tuple[float, float]]:
     """Every distinct trial of one (N, seed): the seed's stream is drawn
     once, to the longest layout any of them reads, and each group of
-    groups[N] rolls out from it in one scan (:func:`_run_group`).
+    groups[N] rolls out from it in one scan and is estimated in one pass
+    (:func:`_run_group`).
     Returns each trial's (est_err, wall_ms), in the order of trials[N],
     its wall_ms holding an even share of the draw."""
     N, seed = unit
@@ -226,11 +231,12 @@ def _plan(cfg: ExperimentConfig) -> tuple[list, dict[int, dict], dict[int, list]
     identical (same model, signal and N: a model file under several
     gammas) share one trial.  groups[N] holds the keys of trials[N] by
     the forcing they share (:func:`forcing_difference`: n, m, nQ, B, D,
-    the mode law, the signal and burn_in), each group in grid order: the
-    built-in family's gammas of one (ku_noise, ku_input) form one group,
-    and a model file's, already one trial, a group of one.  Each distinct
+    the mode law, the signal and burn_in, so also Sigma_u) and by their
+    selection, each group in grid order: the built-in family's gammas of
+    one (ku_noise, ku_input) share one selection and form one group, and
+    a model file's, already one trial, a group of one.  Each distinct
     model is searched and realized once: per gamma for the built-in
-    family, once for a model file; each trial's :func:`identify_sample`
+    family, once for a model file; each group's :func:`estimate_group`
     reads the word set off the selection.  Every refusal the config
     decides is raised here: an N shorter than the longest required word
     allows, and a bound or Sigma_u outside the float range.
@@ -283,14 +289,14 @@ def _plan(cfg: ExperimentConfig) -> tuple[list, dict[int, dict], dict[int, list]
 
     groups = {}
     for N, at_N in trials.items():
-        firsts = []  # each group's first config and its keys
+        firsts = []  # each group's first trial and its keys
         for key, trial in at_N.items():
-            for sim, keys in firsts:
-                if forcing_difference(sim, trial.sim) is None:
+            for first, keys in firsts:
+                if first.sel == trial.sel and forcing_difference(first.sim, trial.sim) is None:
                     keys.append(key)
                     break
             else:
-                firsts.append((trial.sim, [key]))
+                firsts.append((trial, [key]))
         groups[N] = [keys for _, keys in firsts]
     return plan, trials, groups
 
@@ -314,7 +320,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[ExperimentRow]:
     Trials run in units of (N, seed), N in the order the grid first
     reaches it: each unit draws the seed's stream once and rolls out
     every distinct trial of that N from it, the trials that share their
-    forcing in one scan (:func:`_run_unit`), so the grid points of one N
+    forcing and selection in one scan and one estimation pass
+    (:func:`_run_unit`), so the grid points of one N
     share their random numbers.  Results are read N by N into one table
     keyed by trial; a point's progress line comes in grid order, once its
     trial is in the table.  Rows that share a trial share its outcome and

@@ -31,7 +31,7 @@ from .core import (
     LssModel, SwitchingDistribution, Word, a_word, check_integer, check_list, model_to_dict,
     read_json, str_to_word, word_to_str, write_json,
 )
-from .markov import empirical_markov_batch, true_markov_map
+from .markov import empirical_markov_group, true_markov_map
 from .simulate import SampleSet
 
 SINGULAR_RTOL = 1e-10
@@ -337,6 +337,13 @@ def realize(hs: HankelSet, M_eps: np.ndarray) -> RealizationResult:
     return RealizationResult(Abar=Abar, Bbar=Bbar, Cbar=Cbar, Dbar=Dbar, sigma_n=float(s[-1]))
 
 
+def realize_markov(mmap: dict[Word, np.ndarray], sel: Selection) -> RealizationResult:
+    """The realization of a Markov parameter table over the selection: its
+    Hankel blocks (:func:`build_hankels`) solved by :func:`realize`, with
+    D the empty word's row."""
+    return realize(build_hankels(mmap, sel), mmap[()])
+
+
 def true_realization(model: LssModel, sel: Selection) -> RealizationResult:
     """The realization of the model's true Markov parameters over the
     selection's required words: the reference :func:`est_err` scores an
@@ -344,9 +351,8 @@ def true_realization(model: LssModel, sel: Selection) -> RealizationResult:
     fit the model (:meth:`Selection.check_fit`) is refused (ValueError),
     and a singular H_ab as the selection's fault."""
     sel.check_fit(model.n, model.nQ, model.m)
-    mmap = true_markov_map(model, required_words(sel, model.nQ))
     try:
-        return realize(build_hankels(mmap, sel), mmap[()])
+        return realize_markov(true_markov_map(model, required_words(sel, model.nQ)), sel)
     except SingularHankelError as exc:
         msg = f"the selection's true H_ab is singular for this model ({exc})"
         raise SingularHankelError(msg) from None
@@ -388,31 +394,48 @@ def _check_sample_law(sample: SampleSet, sigma_u: np.ndarray, p: np.ndarray) -> 
         )
 
 
-def identify_sample(
-    sample: SampleSet, sel: Selection, sigma_u: np.ndarray, dist: SwitchingDistribution
-) -> tuple[dict[Word, np.ndarray], RealizationResult]:
-    """Both stages on one trajectory: the Markov estimates over the
-    selection's required words (:func:`required_words`) and their
-    realization.
+def estimate_group(
+    samples: list[SampleSet], sel: Selection, sigma_u: np.ndarray, dist: SwitchingDistribution
+) -> list[dict[Word, np.ndarray]]:
+    """The Markov estimates over the selection's required words
+    (:func:`required_words`) of every sample of a group, which share one u
+    and one q (see :func:`empirical_markov_group`): the selection's fit,
+    the estimator's checks and the inputs' and labels' agreement with
+    their law are checked once, and each table is the one the sample alone
+    gives, bit for bit.  Each table is realized by :func:`realize_markov`,
+    sample by sample, so a singular H_ab costs only its own sample.
 
     Refuses, in this order: a ``sigma_u`` that is not a square 2-D array
     (ValueError); a selection that does not fit nQ = dist.nQ and m, the
     order of ``sigma_u`` (ValueError, see :meth:`Selection.check_fit`;
     with no model here, n is the selection's own); what
-    :func:`empirical_markov_batch` refuses, first a ``sigma_u`` that is
-    not m x m for the trajectory's input columns (ValueError); inputs
-    that contradict ``sigma_u``, then mode labels that contradict
-    ``dist.p`` (ValueError, see :func:`_check_sample_law`); a singular
-    estimated H_ab (:class:`SingularHankelError`, as :func:`realize`
-    raises it).
+    :func:`empirical_markov_group` refuses, first a sample that does not
+    share the first one's u and q, then a ``sigma_u`` that is not m x m
+    for the trajectory's input columns (ValueError); inputs that
+    contradict ``sigma_u``, then mode labels that contradict ``dist.p``
+    (ValueError, see :func:`_check_sample_law`).
     """
     shape = np.shape(sigma_u)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"Sigma_u must be a square 2-D array, not of shape {shape}")
     sel.check_fit(sel.n, dist.nQ, shape[0])
-    mmap = empirical_markov_batch(sample, required_words(sel, dist.nQ), sigma_u, dist)
-    _check_sample_law(sample, sigma_u, dist.p)
-    return mmap, realize(build_hankels(mmap, sel), mmap[()])
+    mmaps = empirical_markov_group(samples, required_words(sel, dist.nQ), sigma_u, dist)
+    _check_sample_law(samples[0], sigma_u, dist.p)
+    return mmaps
+
+
+def identify_sample(
+    sample: SampleSet, sel: Selection, sigma_u: np.ndarray, dist: SwitchingDistribution
+) -> tuple[dict[Word, np.ndarray], RealizationResult]:
+    """Both stages on one trajectory: the Markov estimates over the
+    selection's required words, :func:`estimate_group` of the group of
+    one, and their realization (:func:`realize_markov`).
+
+    Refuses what estimate_group refuses, then a singular estimated H_ab
+    (:class:`SingularHankelError`, as :func:`realize` raises it).
+    """
+    mmap = estimate_group([sample], sel, sigma_u, dist)[0]
+    return mmap, realize_markov(mmap, sel)
 
 
 def markov_roundtrip(rr: RealizationResult, words) -> dict[Word, np.ndarray]:

@@ -76,6 +76,7 @@ generator alone, not on how a numpy build compiles ``uniform``.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import warnings
@@ -209,9 +210,11 @@ def simulate_group(cfgs: list[SimConfig]) -> list[SampleSet]:
     their signals and forcing B_q u + w and D u + v, and only their
     models' A and C may differ.  Each sample is the one simulate gives the
     config alone, bit for bit, but for one thing: the samples of a group
-    of more than one share one u and one q array, which are read-only.  A
-    blow-up raises for the first config in order that blows up, naming
-    the step its own simulate names.
+    share one u and one q object, read-only in a group of more than one,
+    so that a caller can tell by ``is`` that they read one input and
+    label sequence, and u is checked for nan and inf once.  A blow-up
+    raises for the first config in order that blows up, naming the step
+    its own simulate names.
 
     Configs that differ in anything else are refused, naming the field
     (:func:`forcing_difference`)."""
@@ -235,7 +238,15 @@ def simulate_group(cfgs: list[SimConfig]) -> list[SampleSet]:
     if len(cfgs) > 1:
         # The samples share u and q, so none may change them for the others.
         u.flags.writeable = q.flags.writeable = False
-    return [SampleSet(y=y[b:], u=u[b:], q=q[b:]) for y in ys]
+    first = SampleSet(y=ys[0][b:], u=u[b:], q=q[b:])
+    samples = [first]
+    for y in ys[1:]:
+        # The first sample checked u and q; only y is a member's own.
+        _check_finite("y", y[b:])
+        sample = copy.copy(first)
+        sample.y = y[b:]
+        samples.append(sample)
+    return samples
 
 
 def forcing_difference(a: SimConfig, b: SimConfig) -> str | None:

@@ -378,7 +378,7 @@ def test_input_files_reach_numbers_only_through_the_two_checks():
 def test_each_agreement_between_inputs_is_checked_in_one_place():
     # A law's size is compared with a model's nQ only in check_law, the
     # selection's fit to a model is worded only in Selection.check_fit and
-    # the trajectory's input width only in empirical_markov_batch; cli.py
+    # the trajectory's input width only in empirical_markov_group; cli.py
     # reads no trajectory's u.shape.  A second copy of a rule is one that
     # some path skips or words differently.
     def walk(node, where):
@@ -394,7 +394,7 @@ def test_each_agreement_between_inputs_is_checked_in_one_place():
         (re.compile(r"p has \{\} entries"), "check_law"),
         (re.compile(r"(mode|channel) \{\} outside 1\.\.|rows, the model has n = "),
          "Selection.check_fit"),
-        (re.compile(r"input columns"), "empirical_markov_batch"),
+        (re.compile(r"input columns"), "empirical_markov_group"),
     ]
     found = []
     for path in sorted(pathlib.Path(switchid.__file__).parent.glob("*.py")):

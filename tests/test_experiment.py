@@ -269,10 +269,11 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, threads, cpus, workers
 @pytest.mark.parametrize("from_file", [False, True], ids=["family", "model-file"])
 def test_wall_ms_adds_up_to_the_draws_and_the_trials(monkeypatch, tmp_path, from_file):
     # A clock that moves 1 ms per reading makes each draw, each group's
-    # rollout and each identification take 1 ms: the column sums to one
-    # draw and one rollout per (N, seed) unit, whose trials form one group,
-    # and one identification per distinct trial and seed.  A model file
-    # under three gammas runs one trial per unit, and its three rows split it.
+    # rollout and estimation, and each realization and scoring take 1 ms:
+    # the column sums to one draw and one group per (N, seed) unit, whose
+    # trials form one group, and one realization per distinct trial and
+    # seed.  A model file under three gammas runs one trial per unit, and
+    # its three rows split it.
     ticks = itertools.count()
     monkeypatch.setattr(experiment, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 1e3))
     cfg = tiny_config(gamma_values=[0.1, 0.4, 0.6], trials=2)
@@ -384,6 +385,45 @@ def test_the_family_rolls_its_gammas_out_as_one_group(monkeypatch):
     scans.clear()
     run_experiment(tiny_config(gamma_values=gammas, Ku_noise_values=[1.0, 0.5], trials=1))
     assert [[cfg.signal.Ku_noise for cfg in cfgs] for cfgs in scans] == [[1.0] * 3, [0.5] * 3] * 2
+
+
+def test_a_singular_member_of_a_group_costs_only_its_own_trial(monkeypatch):
+    # A member whose outputs are all zero estimates every Markov parameter
+    # as zero, so its H_ab is singular; the group's other trials keep the
+    # outcome they have without it.
+    cfg = tiny_config(N_grid=[1000], gamma_values=[0.1, 0.4, 0.6])
+    _, trials, groups = experiment._plan(cfg)
+    (keys,) = groups[1000]
+    group = [trials[1000][k] for k in keys]
+    cfgs = [dataclasses.replace(trial.sim, seed=3) for trial in group]
+    expect = experiment._run_group(group, cfgs)
+    simulate = experiment.simulate
+
+    def silence_second(cfg):
+        sample = simulate(cfg)
+        if cfg.model is cfgs[1].model:
+            sample.y = np.zeros_like(sample.y)
+        return sample
+
+    monkeypatch.setattr(experiment, "simulate", silence_second)
+    got = experiment._run_group(group, cfgs)
+    assert [np.isnan(err) for err, _ in got] == [False, True, False]
+    assert [got[0][0], got[2][0]] == [expect[0][0], expect[2][0]]
+
+
+def test_the_family_estimates_its_gammas_as_one_group(monkeypatch):
+    # Each (N, seed) unit's three gammas share their selection, so one
+    # estimation pass serves them.
+    passes = []
+    estimate = experiment.estimate_group
+
+    def counting(samples, *args):
+        passes.append(len(samples))
+        return estimate(samples, *args)
+
+    monkeypatch.setattr(experiment, "estimate_group", counting)
+    run_experiment(tiny_config(gamma_values=[0.1, 0.4, 0.6], trials=2))
+    assert passes == [3] * 4
 
 
 def test_progress_keeps_grid_order_and_waits_for_earlier_points(monkeypatch):

@@ -23,6 +23,7 @@ from switchid import (
     find_selection,
     hokalman,
     identify_sample,
+    markov,
     markov_roundtrip,
     realize,
     required_words,
@@ -41,6 +42,7 @@ from switchid.hokalman import (
     save_selection,
 )
 from switchid.simulate import SampleSet
+from test_simulate import group_model, scan_model, simulate_module
 
 # The selection used throughout for the benchmark family: row words
 # epsilon and (1), column triples (epsilon, 2, 1) and ((1), 2, 1).
@@ -688,19 +690,107 @@ def test_a_selection_that_does_not_fit_is_refused_by_its_users(
 
 
 def test_only_hokalman_calls_the_identification_stages():
-    # identify_sample and true_realization hold the one copy of the
-    # estimate and truth chains, and identify_sample the one consistency
-    # check of a trajectory against its law; another module calling these
-    # stages has written a chain or the check out again.
-    stages = {"build_hankels", "realize", "empirical_markov_batch", "_check_sample_law"}
+    # estimate_group, realize_markov and true_realization hold the one copy
+    # of the estimate and truth chains, and estimate_group the one
+    # consistency check of a trajectory against its law; another module
+    # calling these stages has written a chain or the check out again.  A
+    # module may call its own stages: markov's single-trajectory estimator
+    # is its group estimator's group of one.
+    stages = {
+        "build_hankels", "realize", "empirical_markov_batch", "empirical_markov_group",
+        "_check_sample_law",
+    }
     calls = []
     for path in sorted(pathlib.Path(switchid.__file__).parent.glob("*.py")):
         if path.stem == "hokalman":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        own = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in stages:
+                if name in stages - own:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+# A group: the samples of one simulate_group, which share u and q and are
+# estimated in one pass.
+
+
+def family_group(signal, N, seed=3):
+    return [SimConfig(*two_mode_benchmark(g), signal, N=N, seed=seed) for g in (0.1, 0.4, 0.6)]
+
+
+def own_A_and_C_group(signal, N):
+    # n = 4, nQ = 3, m = 2: the models share B and D and draw their own A and C.
+    rng = np.random.default_rng(N)
+    first = scan_model(rng)
+    models = [first] + [group_model(rng, B=first.B, D=first.D) for _ in range(2)]
+    dist = SwitchingDistribution(p=[0.5, 0.3, 0.2])
+    return [SimConfig(model, dist, signal, N=N, seed=5) for model in models]
+
+
+@pytest.mark.parametrize("N", [1_000, 10_000])
+@pytest.mark.parametrize("group", [family_group, own_A_and_C_group])
+def test_a_group_estimates_and_realizes_each_member_as_it_alone_is(bench_signal, group, N):
+    cfgs = group(bench_signal, N)
+    model, dist = cfgs[0].model, cfgs[0].dist
+    sel = find_selection(model)
+    sigma_u = bench_signal.sigma_u(model.m)
+    words = required_words(sel, dist.nQ)
+    samples = simulate_module.simulate_group(cfgs)
+    tables = markov.empirical_markov_group(samples, words, sigma_u, dist)
+    mmaps = hokalman.estimate_group(samples, sel, sigma_u, dist)
+    assert len(tables) == len(mmaps) == len(cfgs)
+    for cfg, table, mmap in zip(cfgs, tables, mmaps):
+        alone = simulate(cfg)
+        expect = empirical_markov_batch(alone, words, sigma_u, dist)
+        mm, rr = identify_sample(alone, sel, sigma_u, dist)
+        assert table.keys() == mmap.keys() == expect.keys() == mm.keys()
+        for w in words:
+            assert table[w].tobytes() == mmap[w].tobytes() == expect[w].tobytes() == mm[w].tobytes()
+        got = hokalman.realize_markov(mmap, sel)
+        for name in ("Abar", "Bbar", "Cbar", "Dbar", "sigma_n"):
+            assert np.array(getattr(got, name)).tobytes() == np.array(getattr(rr, name)).tobytes()
+
+
+def test_a_group_refuses_a_sample_that_does_not_share_u_and_q(bench_signal):
+    cfgs = family_group(bench_signal, 300)
+    model, dist = cfgs[0].model, cfgs[0].dist
+    sigma_u = bench_signal.sigma_u(model.m)
+    samples = simulate_module.simulate_group(cfgs)
+    first = samples[0]
+    own_u = SampleSet(y=samples[1].y, u=first.u.copy(), q=first.q)
+    for i, other in [(1, own_u), (2, simulate(cfgs[2]))]:
+        group = samples[:i] + [other] + samples[i + 1 :]
+        says = (
+            f"sample {i} does not share the u and q arrays of sample 0; the samples of a "
+            "group read one input and mode sequence"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+            markov.empirical_markov_group(group, required_words(BENCH_SEL, 2), sigma_u, dist)
+        with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+            hokalman.estimate_group(group, BENCH_SEL, sigma_u, dist)
+
+
+def test_a_group_names_its_first_member_whose_estimate_overflows(bench_signal):
+    # y(500) = 1e308 makes the empty word's estimate overflow; members 1
+    # and 2 both overflow, and the first is named, as it alone would be.
+    cfgs = family_group(bench_signal, 2_000, seed=1)
+    model, dist = cfgs[0].model, cfgs[0].dist
+    sigma_u = bench_signal.sigma_u(model.m)
+    words = required_words(BENCH_SEL, model.nQ)
+    samples = simulate_module.simulate_group(cfgs)
+    for sample in samples[1:]:
+        sample.y = sample.y.copy()
+        sample.y[500] = 1e308
+    with pytest.raises(ValueError) as alone:
+        empirical_markov_batch(samples[1], words, sigma_u, dist)
+    assert str(alone.value).startswith("the Markov estimate of word () is not finite")
+    says = f"^{re.escape(f'sample 1: {alone.value}')}$"
+    with pytest.raises(ValueError, match=says):
+        markov.empirical_markov_group(samples, words, sigma_u, dist)
+    with pytest.raises(ValueError, match=says):
+        hokalman.estimate_group(samples, BENCH_SEL, sigma_u, dist)

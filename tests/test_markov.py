@@ -405,9 +405,9 @@ def test_estimator_matches_the_oracle_on_a_warm_cache():
 
 def test_cached_word_tables_refuse_writes():
     words = frozenset([(), (1,), (2,), (1, 2), (2, 1, 2)])
-    _, _, _, passes = markov._word_tables(words, 2)
-    arrays = [a for step in passes for a in (step[2], step[4]) if a is not None]
-    assert len(arrays) == 5  # bins at lengths 1..3, tables at lengths 1..2
+    _, _, _, passes, word_law = markov._word_tables(words, (0.5, 0.5))
+    arrays = [a for step in passes for a in (step[2], step[4]) if a is not None] + [word_law]
+    assert len(arrays) == 6  # bins at lengths 1..3, tables at lengths 1..2, |w| and p_w
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0

@@ -70,11 +70,12 @@ def test_only_simulate_enters_the_rollout():
 def test_no_sum_over_the_time_axis_goes_through_blas():
     # BLAS splits a long product across its threads, so the last bits of a
     # sum over the time axis would depend on the thread count.  The BLAS
-    # products left are over a model's dimensions: true_markov's C A_w B,
-    # pass 2's C x over (n, blocks) and the non-finite carry's per-block P x.
+    # products left are over a model's dimensions: the selection search's
+    # C A_eta, A_mu B_q and their product, true_markov's C A_w B, pass 2's
+    # C x over (n, blocks) and the non-finite carry's per-block P x.
     blas = {"dot", "matmul", "inner", "vdot", "tensordot"}
     uses = []
-    for name in ("cli.py", "markov.py", "simulate.py"):
+    for name in ("cli.py", "hokalman.py", "markov.py", "simulate.py"):
         path = pathlib.Path(switchid.__file__).with_name(name)
 
         def visit(node, scope):
@@ -90,6 +91,9 @@ def test_no_sum_over_the_time_axis_goes_through_blas():
 
         visit(ast.parse(path.read_text(), str(path)), "<module>")
     assert uses == [
+        "hokalman.py:find_selection:model.C @ A_w[eta]",
+        "hokalman.py:find_selection:A_w[mu] @ model.B[q - 1]",
+        "hokalman.py:find_selection:O @ R",
         "markov.py:true_markov:model.C @ a_word(model, tail) @ model.B[head - 1]",
         "markov.py:true_markov:model.C @ a_word(model, tail)",
         "simulate.py:_rollout:P.dot(xb)",
@@ -1297,7 +1301,7 @@ def test_a_member_holds_the_sample_of_its_config_when_rolled_out(bench_signal):
 def test_the_samples_of_a_group_share_read_only_signals(bench_signal):
     cfgs = [SimConfig(*two_mode_benchmark(g), bench_signal, N=300, seed=2) for g in (0.1, 0.6)]
     samples = simulate_module.simulate_group(cfgs)
-    assert all(np.shares_memory(s.u, samples[0].u) for s in samples)
+    assert all(s.u is samples[0].u and s.q is samples[0].q for s in samples)
     for sample in samples:
         for name in ("u", "q"):
             with pytest.raises(ValueError, match="read-only"):
@@ -1305,3 +1309,29 @@ def test_the_samples_of_a_group_share_read_only_signals(bench_signal):
     # A group of one, simulate's, leaves them to its caller to change.
     sample = simulate(cfgs[0])
     sample.u[0] = sample.q[0] = 0
+
+
+def test_a_group_checks_its_shared_inputs_once_and_each_output(monkeypatch, bench_signal):
+    cfgs = [
+        SimConfig(*two_mode_benchmark(g), bench_signal, N=300, seed=2) for g in (0.1, 0.4, 0.6)
+    ]
+    checked = []
+    check = simulate_module._check_finite
+
+    def counting(name, values):
+        checked.append(name)
+        check(name, values)
+
+    monkeypatch.setattr(simulate_module, "_check_finite", counting)
+    simulate_module.simulate_group(cfgs)
+    assert checked == ["y", "u", "y", "y"]
+    monkeypatch.undo()
+    # A member whose outputs overflow is refused as simulate of it alone is.
+    loud = dataclasses.replace(cfgs[1].model, C=cfgs[1].model.C * 1e308)
+    cfgs[1] = dataclasses.replace(cfgs[1], model=loud)
+    with pytest.raises(ValueError) as alone:
+        simulate(cfgs[1])
+    assert str(alone.value).startswith("trajectory field 'y' at step ")
+    with pytest.raises(ValueError) as exc:
+        simulate_module.simulate_group(cfgs)
+    assert str(exc.value) == str(alone.value)
